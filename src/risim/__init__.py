@@ -3,13 +3,12 @@ assisting mmWave links: clustered scatter channels, co-phased surface
 control, and seeded ergodic-rate / SNR experiments."""
 
 from .channel import (
-    ChannelRealization, RisDescriptor, array_response, array_response_tilted,
-    direct_channel, realize, ris_rx_channel, tx_ris_channel,
+    RisDescriptor, array_response, array_response_tilted, direct_channel,
+    ris_rx_channel, tx_ris_channel,
 )
 from .environment import (
-    ClusterSet, Environment, EnvironmentConfig, Scatterer, complex_normal,
-    excess_phase, load_cluster_set, rebind_receiver, resample_gains,
-    sample_clusters, save_cluster_set,
+    ClusterSet, EnvironmentConfig, complex_normal, rebind_receiver,
+    resample_gains, sample_clusters,
 )
 from .experiments import (
     ConfigError, ScenarioConfig, SweepSpec, SweepVariable, derived_rng,
@@ -23,8 +22,7 @@ from .geometry import (
 )
 from .metrics import (
     LinkBudget, MetricsResult, bootstrap_mean_ci, dbm_to_watts, effective_channel,
-    empirical_cdf, ergodic_rate, rate_samples, received_power_approx, snr,
-    summarize, watts_to_dbm,
+    empirical_cdf, ergodic_rate, rate_samples, snr, summarize, watts_to_dbm,
 )
 from .propagation import (
     LOS_73GHZ, NLOS_73GHZ, SPEED_OF_LIGHT, LosMode, LosModel, PathlossParams,
@@ -32,8 +30,8 @@ from .propagation import (
     wavelength, wavenumber,
 )
 from .riscontrol import (
-    AllocationPolicy, ElementAllocation, PhaseConfig, cascade,
-    combined_phase_vector, optimal_phases, partition_elements,
+    ElementAllocation, PhaseConfig, cascade, combined_phase_vector,
+    optimal_phases, partition_elements,
 )
 
 __version__ = "0.1.0"

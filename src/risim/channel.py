@@ -53,17 +53,6 @@ class RisDescriptor:
         return self.spacing if self.spacing is not None else wavelength(freq_hz) / 2.0
 
 
-@dataclass
-class ChannelRealization:
-    """One trial's links for a single surface and receiver."""
-
-    tx_ris: np.ndarray   # (N,) transmitter -> surface
-    ris_rx: np.ndarray   # (N,) surface -> receiver
-    tx_rx: complex       # scalar direct link
-    tx_ris_los: bool
-    tx_rx_los: bool
-
-
 def _lattice(side: int) -> tuple[np.ndarray, np.ndarray]:
     lin = np.arange(side * side)
     return lin % side, lin // side
@@ -206,26 +195,3 @@ def direct_channel(
         total = total + math.sqrt(10.0 ** (loss_db / 10.0)) * np.exp(1j * eta)
 
     return complex(total), bool(visible)
-
-
-def realize(
-    ris: RisDescriptor,
-    clusters: ClusterSet,
-    tx: Point3,
-    rx: Point3,
-    pl_los: PathlossParams,
-    pl_nlos: PathlossParams,
-    los: LosModel,
-    rng: np.random.Generator,
-    shadow_scatter: bool = True,
-    shadow_los: bool = True,
-) -> ChannelRealization:
-    """Synthesize all three links of one trial from a single stream."""
-    k = 2.0 * math.pi / wavelength(pl_los.freq_hz)
-    h, h_los = tx_ris_channel(ris, clusters, tx, pl_los, pl_nlos, los, rng,
-                              shadow_scatter, shadow_los)
-    g = ris_rx_channel(ris, rx, pl_los, rng, shadow_los)
-    d, d_los = direct_channel(clusters, tx, rx, pl_los, pl_nlos, los, k, rng,
-                              shadow_scatter, shadow_los)
-    return ChannelRealization(tx_ris=h, ris_rx=g, tx_rx=d,
-                              tx_ris_los=h_los, tx_rx_los=d_los)

@@ -76,38 +76,9 @@ def _cmd_simulate(args) -> int:
     results = run_scenario(cfg, threads=args.threads)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    header = ("receiver,ergodic_rate_bps_hz,mean_snr_db,"
-              "rate_ci_low,rate_ci_high,n_trials,seed")
-    if args.format == "csv":
-        lines = [header]
-        for u, res in enumerate(results):
-            lines.append(",".join([
-                str(u), f"{res.ergodic_rate:.9g}", f"{res.mean_snr_db:.9g}",
-                f"{res.rate_ci_low:.9g}", f"{res.rate_ci_high:.9g}",
-                str(res.n_trials), str(res.seed)]))
-        path = outdir / "metrics.csv"
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    else:
-        payload = [
-            {
-                "receiver": u,
-                "ergodic_rate_bps_hz": res.ergodic_rate,
-                "mean_snr_db": res.mean_snr_db,
-                "snr_db_trial_mean": res.snr_db_trial_mean,
-                "rate_ci_low": res.rate_ci_low,
-                "rate_ci_high": res.rate_ci_high,
-                "n_trials": res.n_trials,
-                "seed": res.seed,
-            }
-            for u, res in enumerate(results)
-        ]
-        path = outdir / "metrics.json"
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        written.append(path)
-
+    writer = write_sweep_csv if args.format == "csv" else write_sweep_json
+    written = [writer(outdir / f"metrics.{args.format}", list(enumerate(results)),
+                      key="receiver")]
     for u, res in enumerate(results):
         suffix = f"_rx{u}" if len(results) > 1 else ""
         written.append(write_cdf_csv(outdir / f"cdf{suffix}.csv", res.rate_samples))

@@ -9,19 +9,12 @@ stays consistent.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Point3, wrap_angle
-
-
-class Environment(Enum):
-    INDOOR = "indoor"
-    OUTDOOR = "outdoor"
+from .geometry import Point3
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,6 @@ class EnvironmentConfig:
     cluster_azimuth_limit_deg: float = 90.0  # cluster mean azimuth ~ U(-limit, limit)
     cluster_elevation_limit_deg: float = 45.0
     min_range_m: float = 1.0                 # cluster range ~ U(min, |tx - surface|)
-    environment: Environment = Environment.INDOOR
     include_scatter: bool = True             # False forces an empty (pure LOS) set
 
     def __post_init__(self):
@@ -45,42 +37,32 @@ class EnvironmentConfig:
             raise ValueError("min_range_m must be positive")
 
 
-@dataclass(frozen=True)
-class Scatterer:
-    """One reflecting point with its complex gain and cached path lengths."""
-
-    position: Point3
-    gain: complex        # CN(0, 1) small-scale coefficient
-    cluster_id: int
-    d_from_tx: float     # transmitter -> scatterer
-    d_to_surface: float  # scatterer -> surface centre
-    d_to_rx: float       # scatterer -> receiver
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class ClusterSet:
     """Array-backed collection of scatterers for one trial.
 
     positions is (S, 3); gains, cluster_ids and the three distance vectors
     are length S.  normalization is sqrt(1 / S) so that the scatter sum has
-    unit average power when the gains are CN(0, 1).
+    unit average power when the gains are CN(0, 1).  Fields are stored as
+    given, so copies made with dataclasses.replace share the arrays they do
+    not replace.
     """
 
-    __slots__ = ("positions", "gains", "cluster_ids", "d_from_tx",
-                 "d_to_surface", "d_to_rx", "cluster_sizes", "normalization")
+    positions: np.ndarray
+    gains: np.ndarray
+    cluster_ids: np.ndarray
+    d_from_tx: np.ndarray      # transmitter -> scatterer
+    d_to_surface: np.ndarray   # scatterer -> surface centre
+    d_to_rx: np.ndarray        # scatterer -> receiver
+    cluster_sizes: tuple[int, ...]
+    normalization: float = field(init=False)
 
-    def __init__(self, positions, gains, cluster_ids, d_from_tx,
-                 d_to_surface, d_to_rx, cluster_sizes):
-        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        self.gains = np.asarray(gains, dtype=complex).ravel()
-        self.cluster_ids = np.asarray(cluster_ids, dtype=int).ravel()
-        self.d_from_tx = np.asarray(d_from_tx, dtype=float).ravel()
-        self.d_to_surface = np.asarray(d_to_surface, dtype=float).ravel()
-        self.d_to_rx = np.asarray(d_to_rx, dtype=float).ravel()
-        self.cluster_sizes = tuple(int(s) for s in cluster_sizes)
+    def __post_init__(self):
         total = sum(self.cluster_sizes)
         if total != len(self.gains):
             raise ValueError("cluster_sizes inconsistent with scatterer count")
-        self.normalization = math.sqrt(1.0 / total) if total else 0.0
+        object.__setattr__(self, "normalization",
+                           math.sqrt(1.0 / total) if total else 0.0)
 
     def __len__(self) -> int:
         return len(self.gains)
@@ -88,19 +70,6 @@ class ClusterSet:
     @property
     def n_clusters(self) -> int:
         return len(self.cluster_sizes)
-
-    def scatterers(self) -> list[Scatterer]:
-        return [
-            Scatterer(
-                position=Point3(*self.positions[i]),
-                gain=complex(self.gains[i]),
-                cluster_id=int(self.cluster_ids[i]),
-                d_from_tx=float(self.d_from_tx[i]),
-                d_to_surface=float(self.d_to_surface[i]),
-                d_to_rx=float(self.d_to_rx[i]),
-            )
-            for i in range(len(self))
-        ]
 
     @staticmethod
     def empty() -> "ClusterSet":
@@ -179,75 +148,17 @@ def sample_clusters(
         d_from_tx=np.linalg.norm(positions - txv, axis=1),
         d_to_surface=np.linalg.norm(positions - sv, axis=1),
         d_to_rx=np.linalg.norm(positions - rxv, axis=1),
-        cluster_sizes=sizes,
+        cluster_sizes=tuple(sizes.tolist()),
     )
 
 
 def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:
     """Fresh CN(0, 1) gains on frozen geometry (fixed-cluster trial mode)."""
-    out = ClusterSet.__new__(ClusterSet)
-    out.positions = cs.positions
-    out.gains = complex_normal(rng, size=len(cs))
-    out.cluster_ids = cs.cluster_ids
-    out.d_from_tx = cs.d_from_tx
-    out.d_to_surface = cs.d_to_surface
-    out.d_to_rx = cs.d_to_rx
-    out.cluster_sizes = cs.cluster_sizes
-    out.normalization = cs.normalization
-    return out
+    return replace(cs, gains=complex_normal(rng, size=len(cs)))
 
 
 def rebind_receiver(cs: ClusterSet, rx: Point3) -> ClusterSet:
     """Same geometry and gains, receiver-side distances recomputed.
 
     Used for additional receivers so every user shares one realization."""
-    out = ClusterSet.__new__(ClusterSet)
-    out.positions = cs.positions
-    out.gains = cs.gains
-    out.cluster_ids = cs.cluster_ids
-    out.d_from_tx = cs.d_from_tx
-    out.d_to_surface = cs.d_to_surface
-    out.d_to_rx = np.linalg.norm(cs.positions - rx.as_array(), axis=1)
-    out.cluster_sizes = cs.cluster_sizes
-    out.normalization = cs.normalization
-    return out
-
-
-def excess_phase(s: Scatterer, k: float) -> float:
-    """Detour phase k (d_to_surface - d_to_rx) wrapped to (-pi, pi]."""
-    return float(wrap_angle(k * (s.d_to_surface - s.d_to_rx)))
-
-
-def save_cluster_set(cs: ClusterSet, path: str) -> None:
-    """Serialize a realization for regression fixtures (complex as re/im)."""
-    payload = {
-        "cluster_sizes": list(cs.cluster_sizes),
-        "scatterers": [
-            {
-                "position": list(map(float, cs.positions[i])),
-                "gain": [float(cs.gains[i].real), float(cs.gains[i].imag)],
-                "cluster_id": int(cs.cluster_ids[i]),
-                "d_from_tx": float(cs.d_from_tx[i]),
-                "d_to_surface": float(cs.d_to_surface[i]),
-                "d_to_rx": float(cs.d_to_rx[i]),
-            }
-            for i in range(len(cs))
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-
-
-def load_cluster_set(path: str) -> ClusterSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows = payload["scatterers"]
-    return ClusterSet(
-        positions=np.array([r["position"] for r in rows], dtype=float).reshape(-1, 3),
-        gains=np.array([complex(r["gain"][0], r["gain"][1]) for r in rows], dtype=complex),
-        cluster_ids=np.array([r["cluster_id"] for r in rows], dtype=int),
-        d_from_tx=np.array([r["d_from_tx"] for r in rows], dtype=float),
-        d_to_surface=np.array([r["d_to_surface"] for r in rows], dtype=float),
-        d_to_rx=np.array([r["d_to_rx"] for r in rows], dtype=float),
-        cluster_sizes=payload["cluster_sizes"],
-    )
+    return replace(cs, d_to_rx=np.linalg.norm(cs.positions - rx.as_array(), axis=1))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -20,16 +21,16 @@ import numpy as np
 
 from .channel import RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel
 from .environment import (
-    ClusterSet, Environment, EnvironmentConfig, rebind_receiver,
+    ClusterSet, EnvironmentConfig, rebind_receiver,
     resample_gains, sample_clusters,
 )
-from .geometry import Orientation, Plane, Point3, TiltAxis, distance
+from .geometry import Point3, distance
 from .metrics import (
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
 )
 from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavenumber,
 )
 from .riscontrol import (
     PhaseConfig, combined_phase_vector, optimal_phases, partition_elements,
@@ -119,123 +120,92 @@ def _require_valid(cfg: ScenarioConfig) -> None:
 # strict JSON round-trip
 
 
-def _check_keys(data: dict, allowed, ctx: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {ctx}: {', '.join(unknown)}")
+# Parsing and echo both walk the config dataclasses' fields and type hints,
+# so a new config field needs no edit here.  JSON shapes: a Point3 is an
+# [x, y, z] triple, an Enum its value string, a nested dataclass an object
+# keyed by field name, a list a list, and None is null.
+
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string"}
 
 
-def _build(cls, data: dict, ctx: str, converters: dict | None = None):
+def _decode(tp, value, ctx: str):
+    """value as an instance of type tp, or a ConfigError naming ctx."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(tp):
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{ctx} must be a list")
+        (item,) = typing.get_args(tp)
+        return [_decode(item, v, f"{ctx}[{i}]") for i, v in enumerate(value)]
+    if tp is Point3:
+        if not (isinstance(value, list) and len(value) == 3):
+            raise ConfigError(f"{ctx} must be a [x, y, z] triple, got {value!r}")
+        return Point3(*(_decode(float, v, ctx) for v in value))
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, ctx)
+    if issubclass(tp, Enum):
+        choices = [m.value for m in tp]
+        if not (isinstance(value, str) and value.lower() in choices):
+            raise ConfigError(
+                f"{ctx} must be one of {', '.join(choices)}, got {value!r}")
+        return tp(value.lower())
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is float and number:
+        return float(value)
+    if tp is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if tp in (bool, str) and isinstance(value, tp):
+        return value
+    raise ConfigError(f"{ctx} must be {_KINDS[tp]}, got {value!r}")
+
+
+def _build(cls, data, ctx: str):
+    """Dataclass cls from a JSON object; unknown keys are a hard error."""
+    where = ctx or "scenario"
     if not isinstance(data, dict):
-        raise ConfigError(f"{ctx} must be an object")
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(data, names, ctx)
-    kwargs = {}
-    for name, value in data.items():
-        conv = (converters or {}).get(name)
-        kwargs[name] = conv(value) if conv else value
+        raise ConfigError(f"{where} must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    kwargs = {name: _decode(hints[name], value, f"{ctx}.{name}" if ctx else name)
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {ctx}: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
-def _point(value, ctx: str) -> Point3:
-    try:
-        return Point3.from_sequence(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx} must be a [x, y, z] triple: {exc}") from exc
-
-
-def _orientation(data: dict) -> Orientation:
-    return _build(Orientation, data, "orient", {
-        "plane": lambda v: Plane(str(v).lower()),
-        "tilt_axis": lambda v: None if v is None else TiltAxis(str(v).lower()),
-    })
-
-
-def _ris(data: dict, m: int) -> RisDescriptor:
-    return _build(RisDescriptor, data, f"ris_list[{m}]", {
-        "position": lambda v: _point(v, "position"),
-        "orient": _orientation,
-    })
+def _encode(value):
+    """JSON form of a config value, the inverse of _decode."""
+    if isinstance(value, Point3):
+        return [value.x, value.y, value.z]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Parse a config mapping; unknown keys anywhere are a hard error."""
+    """Parse a config mapping; unknown keys anywhere are a hard error.
 
-    def _rx(value):
-        if value and isinstance(value[0], (int, float)):
-            return [_point(value, "rx")]
-        return [_point(v, f"rx[{u}]") for u, v in enumerate(value)]
-
-    return _build(ScenarioConfig, data, "scenario", {
-        "tx": lambda v: _point(v, "tx"),
-        "rx": _rx,
-        "ris_list": lambda v: [_ris(d, m) for m, d in enumerate(v)],
-        "env": lambda v: _build(EnvironmentConfig, v, "env", {
-            "environment": lambda s: Environment(str(s).lower()),
-        }),
-        "pl_los": lambda v: _build(PathlossParams, v, "pl_los"),
-        "pl_nlos": lambda v: _build(PathlossParams, v, "pl_nlos"),
-        "los_model": lambda v: _build(LosModel, v, "los_model", {
-            "mode": lambda s: LosMode(str(s).lower()),
-        }),
-        "budget": lambda v: _build(LinkBudget, v, "budget"),
-    })
+    rx takes a single [x, y, z] triple as shorthand for a one-entry list."""
+    rx = data.get("rx") if isinstance(data, dict) else None
+    if isinstance(rx, list) and rx and not isinstance(rx[0], list):
+        data = {**data, "rx": [rx]}
+    return _build(ScenarioConfig, data, "")
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Fully resolved config echo, safe to feed back into scenario_from_dict."""
-    def p(pt: Point3):
-        return [pt.x, pt.y, pt.z]
-
-    return {
-        "tx": p(cfg.tx),
-        "rx": [p(r) for r in cfg.rx],
-        "ris_list": [
-            {
-                "position": p(r.position),
-                "orient": {
-                    "plane": r.orient.plane.value,
-                    "tilt_axis": None if r.orient.tilt_axis is None
-                    else r.orient.tilt_axis.value,
-                    "tilt_rad": r.orient.tilt_rad,
-                },
-                "n_elements": r.n_elements,
-                "spacing": r.spacing,
-                "pattern_exponent": r.pattern_exponent,
-                "amplitude": r.amplitude,
-            }
-            for r in cfg.ris_list
-        ],
-        "env": {
-            "mean_clusters": cfg.env.mean_clusters,
-            "max_scatterers_per_cluster": cfg.env.max_scatterers_per_cluster,
-            "azimuth_spread_deg": cfg.env.azimuth_spread_deg,
-            "elevation_spread_deg": cfg.env.elevation_spread_deg,
-            "cluster_azimuth_limit_deg": cfg.env.cluster_azimuth_limit_deg,
-            "cluster_elevation_limit_deg": cfg.env.cluster_elevation_limit_deg,
-            "min_range_m": cfg.env.min_range_m,
-            "environment": cfg.env.environment.value,
-            "include_scatter": cfg.env.include_scatter,
-        },
-        "pl_los": dataclasses.asdict(cfg.pl_los),
-        "pl_nlos": dataclasses.asdict(cfg.pl_nlos),
-        "los_model": {
-            "mode": cfg.los_model.mode.value,
-            "decay_length_m": cfg.los_model.decay_length_m,
-            "force_if_above_tx": cfg.los_model.force_if_above_tx,
-        },
-        "budget": dataclasses.asdict(cfg.budget),
-        "n_trials": cfg.n_trials,
-        "master_seed": cfg.master_seed,
-        "direct_phase_sign": cfg.direct_phase_sign,
-        "offblock": cfg.offblock,
-        "shadow_scatter_paths": cfg.shadow_scatter_paths,
-        "shadow_los_paths": cfg.shadow_los_paths,
-        "resample_geometry": cfg.resample_geometry,
-    }
+    return _encode(cfg)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -453,16 +423,19 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, threads: int = 1
 # ---------------------------------------------------------------------------
 # serialization
 
-SWEEP_HEADER = ("sweep_value,ergodic_rate_bps_hz,mean_snr_db,"
-                "rate_ci_low,rate_ci_high,n_trials,seed")
+_RESULT_COLUMNS = ("ergodic_rate_bps_hz,mean_snr_db,"
+                   "rate_ci_low,rate_ci_high,n_trials,seed")
+SWEEP_HEADER = "sweep_value," + _RESULT_COLUMNS
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]]) -> Path:
-    lines = [SWEEP_HEADER]
+def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]],
+                    key: str = "sweep_value") -> Path:
+    """One row per (key value, result); key names the first column."""
+    lines = [f"{key},{_RESULT_COLUMNS}"]
     for value, res in rows:
         lines.append(",".join([
             _fmt(value), _fmt(res.ergodic_rate), _fmt(res.mean_snr_db),
@@ -474,12 +447,14 @@ def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]]) -> Path:
     return path
 
 
-def write_sweep_json(path, rows: list[tuple[float, MetricsResult]]) -> Path:
+def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
+                     key: str = "sweep_value") -> Path:
     records = [
         {
-            "sweep_value": value,
+            key: value,
             "ergodic_rate_bps_hz": res.ergodic_rate,
             "mean_snr_db": res.mean_snr_db,
+            "snr_db_trial_mean": res.snr_db_trial_mean,
             "rate_ci_low": res.rate_ci_low,
             "rate_ci_high": res.rate_ci_high,
             "n_trials": res.n_trials,

@@ -8,10 +8,8 @@ knobs (trial count, seed, swept values, surface height) stay overridable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .channel import RisDescriptor
 from .experiments import (

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .riscontrol import PhaseConfig, cascade
+from .riscontrol import cascade
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,3 @@ def bootstrap_mean_ci(
     tail = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return float(lo), float(hi)
-
-
-def received_power_approx(n_elements: int, tx_power_w: float, dist_m: float,
-                          wavelength_m: float) -> float:
-    """Broadside far-field estimate (N + 1)^2 P_t (lambda / 4 pi d)^2.
-
-    The +1 counts the direct path riding along with the N reflections."""
-    if dist_m <= 0 or wavelength_m <= 0:
-        raise ValueError("distance and wavelength must be positive")
-    return (n_elements + 1) ** 2 * tx_power_w * (
-        wavelength_m / (4.0 * math.pi * dist_m)) ** 2

@@ -4,7 +4,6 @@ cascaded-channel composition, and element budgeting across users."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,10 +27,6 @@ class PhaseConfig:
         return self.amplitude * np.exp(1j * self.phases)
 
 
-class AllocationPolicy(Enum):
-    CONTIGUOUS_EQUAL = "contiguous_equal"
-
-
 @dataclass(frozen=True)
 class ElementAllocation:
     """Disjoint per-user index blocks over one surface's lattice scan."""
@@ -52,18 +47,13 @@ class ElementAllocation:
         return len(self.blocks)
 
 
-def partition_elements(
-    n_elements: int, n_users: int,
-    policy: AllocationPolicy = AllocationPolicy.CONTIGUOUS_EQUAL,
-) -> ElementAllocation:
+def partition_elements(n_elements: int, n_users: int) -> ElementAllocation:
     """Split the lattice scan into near-equal contiguous blocks, one per user."""
     if n_users < 1:
         raise ValueError("need at least one user")
     if n_users > n_elements:
         raise ValueError(
             f"cannot split {n_elements} elements across {n_users} users")
-    if policy is not AllocationPolicy.CONTIGUOUS_EQUAL:
-        raise ValueError(f"unsupported allocation policy: {policy}")
     blocks = tuple(np.array_split(np.arange(n_elements), n_users))
     return ElementAllocation(n_elements=n_elements, blocks=blocks)
 

@@ -5,7 +5,7 @@ import pytest
 
 from risim.channel import (
     RisDescriptor, array_response, array_response_tilted, direct_channel,
-    realize, ris_rx_channel, tx_ris_channel,
+    ris_rx_channel, tx_ris_channel,
 )
 from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
@@ -233,19 +233,3 @@ def test_draw_counts_independent_of_lattice_and_tilt():
         ris_rx_channel(ris, rx, LOS_73GHZ, rng)
         probes.append(rng.random())
     assert probes[0] == probes[1] == probes[2]
-
-
-def test_realize_bundle_deterministic():
-    tx, rx = Point3(0, 20, 2), Point3(75, 35, 1)
-    ris = RisDescriptor(position=Point3(75, 30, 2), n_elements=16)
-    cs = sample_clusters(EnvironmentConfig(), tx, ris.position, rx,
-                         np.random.default_rng(4))
-    r1 = realize(ris, cs, tx, rx, LOS_73GHZ, NLOS_73GHZ, LosModel(),
-                 np.random.default_rng(9))
-    r2 = realize(ris, cs, tx, rx, LOS_73GHZ, NLOS_73GHZ, LosModel(),
-                 np.random.default_rng(9))
-    np.testing.assert_array_equal(r1.tx_ris, r2.tx_ris)
-    np.testing.assert_array_equal(r1.ris_rx, r2.ris_rx)
-    assert r1.tx_rx == r2.tx_rx
-    assert r1.tx_ris.shape == (16,) and r1.ris_rx.shape == (16,)
-    assert isinstance(r1.tx_ris_los, bool) and isinstance(r1.tx_rx_los, bool)

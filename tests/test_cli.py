@@ -129,3 +129,21 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
                                 "n_trails": 4}))
     assert main(["validate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"n_trials": "100"}, "n_trials must be an integer"),
+    ({"budget": {"tx_power_dbm": "30"}}, "budget.tx_power_dbm must be a number"),
+    ({"master_seed": 1.5}, "master_seed must be an integer"),
+    ({"shadow_los_paths": "no"}, "shadow_los_paths must be true or false"),
+    ({"ris_list": {"a": 1}}, "ris_list must be a list"),
+], ids=["trials_string", "power_string", "seed_fraction", "flag_string",
+        "ris_list_object"])
+def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out

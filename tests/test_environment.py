@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from risim.channel import direct_channel
 from risim.environment import (
-    ClusterSet, EnvironmentConfig, Scatterer, complex_normal, excess_phase,
-    load_cluster_set, rebind_receiver, resample_gains, sample_clusters,
-    save_cluster_set,
+    ClusterSet, EnvironmentConfig, complex_normal, rebind_receiver,
+    resample_gains, sample_clusters,
 )
-from risim.geometry import Point3, distance
-from risim.propagation import wavelength, wavenumber
+from risim.geometry import Point3
+from risim.propagation import (
+    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, wavelength, wavenumber,
+)
 
 TX = Point3(0.0, 20.0, 2.0)
 SURFACE = Point3(75.0, 30.0, 2.0)
@@ -81,9 +83,6 @@ def test_distances_consistent_with_positions():
     np.testing.assert_allclose(
         cs.d_to_rx, np.linalg.norm(cs.positions - RX.as_array(), axis=1),
         atol=1e-9)
-    for s in cs.scatterers()[:5]:
-        assert s.d_from_tx == pytest.approx(distance(TX, s.position), abs=1e-9)
-        assert s.d_to_rx == pytest.approx(distance(RX, s.position), abs=1e-9)
 
 
 def test_gain_second_moment():
@@ -115,32 +114,29 @@ def test_rebind_receiver():
 
 
 def test_excess_phase_cases():
+    """The direct link rotates each scatterer's gain by the excess phase
+    k (d_to_surface - d_to_rx)."""
     k = wavenumber(73e9)
     lam = wavelength(73e9)
+    gain = 0.7 * np.exp(1j * 0.4)
 
-    def scat(d_surface, d_rx):
-        return Scatterer(position=Point3(0, 0, 0), gain=1 + 0j, cluster_id=0,
-                         d_from_tx=1.0, d_to_surface=d_surface, d_to_rx=d_rx)
+    def phase_offset(excess):
+        cs = ClusterSet(
+            positions=np.array([[10.0, 5.0, 1.0]]), gains=np.array([gain]),
+            cluster_ids=np.array([0]), d_from_tx=np.array([1.0]),
+            d_to_surface=np.array([5.0 + excess]), d_to_rx=np.array([5.0]),
+            cluster_sizes=(1,),
+        )
+        d, visible = direct_channel(
+            cs, Point3(0, 0, 0), Point3(20, 0, 0), LOS_73GHZ, NLOS_73GHZ,
+            LosModel(mode=LosMode.NEVER), k, np.random.default_rng(0),
+            shadow_scatter=False)
+        assert not visible
+        return np.angle(d * np.conj(gain))
 
-    assert excess_phase(scat(5.0, 5.0), k) == 0.0
-    assert excess_phase(scat(5.0 + lam, 5.0), k) == pytest.approx(0.0, abs=1e-9)
-    assert excess_phase(scat(5.0 + lam / 4, 5.0), k) == pytest.approx(
-        math.pi / 2, abs=1e-9)
-    out = excess_phase(scat(5.0 + 17.3, 5.0), k)
-    assert -math.pi < out <= math.pi
-
-
-def test_save_load_round_trip(tmp_path):
-    cs = _sample(seed=8)
-    path = tmp_path / "clusters.json"
-    save_cluster_set(cs, str(path))
-    back = load_cluster_set(str(path))
-    np.testing.assert_array_equal(back.positions, cs.positions)
-    np.testing.assert_array_equal(back.gains, cs.gains)
-    np.testing.assert_array_equal(back.cluster_ids, cs.cluster_ids)
-    np.testing.assert_array_equal(back.d_to_surface, cs.d_to_surface)
-    assert back.cluster_sizes == cs.cluster_sizes
-    assert back.normalization == cs.normalization
+    assert phase_offset(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert phase_offset(lam) == pytest.approx(0.0, abs=1e-9)
+    assert phase_offset(lam / 4) == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_degenerate_geometry_raises():

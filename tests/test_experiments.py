@@ -1,5 +1,5 @@
+import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from risim.experiments import (
     scenario_from_dict, scenario_to_dict, validate, write_cdf_csv,
     write_metadata, write_sweep_csv, write_sweep_json,
 )
-from risim.geometry import Orientation, Point3
+from risim.geometry import Orientation, Plane, Point3, TiltAxis
 from risim.metrics import LinkBudget, MetricsResult
-from risim.propagation import LosMode, LosModel
+from risim.propagation import LosMode, LosModel, PathlossParams
 
 TX = Point3(0.0, 20.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
@@ -180,6 +180,112 @@ def test_config_dict_round_trip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_scenario(str(bad))
+
+
+def _defaults(cls, parent_default):
+    """Field name -> default; a field without one takes the value it has in
+    the enclosing field's default (pl_los's fields in LOS_73GHZ)."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            out[f.name] = f.default_factory()
+        elif dataclasses.is_dataclass(parent_default):
+            out[f.name] = getattr(parent_default, f.name)
+    return out
+
+
+def _config_children(obj):
+    """(field name, list index or None, nested config object), one level down."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        items = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, item in items:
+            if dataclasses.is_dataclass(item) and not isinstance(item, Point3):
+                yield f.name, i, item
+
+
+def _assert_off_defaults(obj, where, parent_default=None):
+    defaults = _defaults(type(obj), parent_default)
+    for name, default in defaults.items():
+        assert getattr(obj, name) != default, f"{where}.{name} is at its default"
+    for name, _, child in _config_children(obj):
+        _assert_off_defaults(child, f"{where}.{name}", defaults.get(name))
+
+
+def _assert_keys_are_fields(echo, obj):
+    assert list(echo) == [f.name for f in dataclasses.fields(obj)]
+    for name, i, child in _config_children(obj):
+        _assert_keys_are_fields(echo[name] if i is None else echo[name][i], child)
+
+
+def test_schema_echo_parse_is_identity_off_defaults():
+    """Every field at every level moved off its default: a field that the
+    parser or the echo dropped would come back at its default here."""
+    pl = dict(freq_dependence=0.1, freq_hz=28e9, ref_freq_hz=30e9)
+    cfg = ScenarioConfig(
+        tx=Point3(1.0, 2.0, 3.0),
+        rx=[Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.5)],
+        ris_list=[RisDescriptor(
+            position=Point3(75.0, 30.0, 2.0),
+            orient=Orientation(plane=Plane.YZ, tilt_axis=TiltAxis.X,
+                               tilt_rad=0.3),
+            n_elements=64, spacing=0.003, pattern_exponent=0.5,
+            amplitude=0.9)],
+        env=EnvironmentConfig(
+            mean_clusters=2.5, max_scatterers_per_cluster=12,
+            azimuth_spread_deg=7.0, elevation_spread_deg=3.0,
+            cluster_azimuth_limit_deg=60.0, cluster_elevation_limit_deg=30.0,
+            min_range_m=2.0, include_scatter=False),
+        pl_los=PathlossParams(exponent=2.0, shadow_sigma_db=4.0, **pl),
+        pl_nlos=PathlossParams(exponent=3.0, shadow_sigma_db=9.0, **pl),
+        los_model=LosModel(mode=LosMode.ALWAYS, decay_length_m=12.5,
+                           force_if_above_tx=False),
+        budget=LinkBudget(tx_power_dbm=20.0, noise_power_dbm=-90.0),
+        n_trials=77, master_seed=5, direct_phase_sign="aligned",
+        offblock="exclude", shadow_scatter_paths=False,
+        shadow_los_paths=False, resample_geometry=False,
+    )
+    _assert_off_defaults(cfg, "scenario")
+
+    echo = json.loads(json.dumps(scenario_to_dict(cfg)))
+    _assert_keys_are_fields(echo, cfg)
+    parsed = scenario_from_dict(echo)
+    assert parsed == cfg
+    assert scenario_to_dict(parsed) == echo
+
+
+@pytest.mark.parametrize("override", [
+    {"n_trials": True},
+    {"n_trials": 10.5},
+    {"budget": {"noise_power_dbm": False}},
+    {"resample_geometry": 1},
+    {"direct_phase_sign": 1},
+    {"tx": [0, "20", 2]},
+    {"tx": [0, 20]},
+    {"rx": "75,35,1"},
+    {"los_model": {"mode": "sometimes"}},
+    {"ris_list": [{"position": [75, 30, 2], "orient": {"plane": None}}]},
+    {"ris_list": [{"position": [75, 30, 2], "spacing": "0.002"}]},
+])
+def test_mistyped_values_rejected(override):
+    with pytest.raises(ConfigError):
+        scenario_from_dict({"tx": [0, 20, 2], "rx": [75, 35, 1], **override})
+
+
+def test_typed_values_accepted():
+    cfg = scenario_from_dict({
+        "tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": 40.0,
+        "budget": {"tx_power_dbm": 25},
+        "ris_list": [{"position": [75, 30, 2], "spacing": None,
+                      "orient": {"plane": "YZ", "tilt_axis": None}}],
+    })
+    assert cfg.n_trials == 40 and isinstance(cfg.n_trials, int)
+    assert cfg.budget.tx_power_dbm == 25.0
+    assert isinstance(cfg.budget.tx_power_dbm, float)
+    assert cfg.ris_list[0].orient.plane is Plane.YZ
+    assert cfg.ris_list[0].spacing is None
 
 
 def test_unknown_keys_rejected_everywhere():

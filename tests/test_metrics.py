@@ -5,8 +5,7 @@ import pytest
 
 from risim.metrics import (
     LinkBudget, bootstrap_mean_ci, dbm_to_watts, effective_channel,
-    empirical_cdf, ergodic_rate, rate_samples, received_power_approx,
-    snr, summarize, watts_to_dbm,
+    empirical_cdf, ergodic_rate, rate_samples, snr, summarize, watts_to_dbm,
 )
 from risim.riscontrol import PhaseConfig, cascade
 
@@ -107,23 +106,6 @@ def test_bootstrap_ci_behaviour():
     assert (lo, hi) == (lo2, hi2)
     with pytest.raises(ValueError):
         bootstrap_mean_ci(np.array([]))
-
-
-def test_received_power_reference_values():
-    lam = 299_792_458.0 / 73e9
-    # no surface: plain Friis transfer
-    friis = 1.0 * (lam / (4.0 * math.pi * 50.0)) ** 2
-    assert received_power_approx(0, 1.0, 50.0, lam) == pytest.approx(friis, rel=1e-12)
-    # quadrupling the aperture quadruples the amplitude: 16x power
-    ratio = received_power_approx(255, 1.0, 50.0, lam) \
-        / received_power_approx(63, 1.0, 50.0, lam)
-    assert ratio == pytest.approx(16.0, rel=1e-12)
-    assert received_power_approx(255, 1.0, 50.0, lam) == pytest.approx(
-        2.7997282503625676e-06, rel=1e-12)
-    with pytest.raises(ValueError):
-        received_power_approx(255, 1.0, 0.0, lam)
-    with pytest.raises(ValueError):
-        received_power_approx(255, 1.0, 50.0, -lam)
 
 
 def test_power_unit_conversions():

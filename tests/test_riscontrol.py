@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from risim.riscontrol import (
-    AllocationPolicy, ElementAllocation, PhaseConfig, cascade,
-    combined_phase_vector, optimal_phases, partition_elements,
+    ElementAllocation, PhaseConfig, cascade, combined_phase_vector,
+    optimal_phases, partition_elements,
 )
 
 
@@ -159,7 +159,3 @@ def test_combined_phase_vector_mixes_blocks():
     np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
     with pytest.raises(ValueError):
         combined_phase_vector(alloc, [pc0])
-
-
-def test_allocation_policy_enum():
-    assert AllocationPolicy("contiguous_equal") is AllocationPolicy.CONTIGUOUS_EQUAL
