@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    ConfigError, SweepSpec, SweepVariable, load_scenario, run_scenario,
-    run_sweep, scenario_to_dict, validate, write_cdf_csv, write_metadata,
+    ConfigError, SweepSpec, SweepVariable, load_scenario, parse_values,
+    run_scenario, scenario_to_dict, validate, write_cdf_csv, write_metadata,
     write_sweep_csv, write_sweep_json,
 )
-from .figures import reproduce_figure
+from .figures import FigureRun, reproduce_figure, write_runs
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -91,24 +91,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_with_overrides(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    spec = SweepSpec(variable=SweepVariable(args.var), values=values,
+    spec = SweepSpec(variable=SweepVariable(args.var),
+                     values=parse_values(args.values, list, "--values"),
                      target_ris=args.target_ris)
-    rows = run_sweep(cfg, spec, threads=args.threads)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_users = len(cfg.rx)
-    written = []
-    for u in range(n_users):
-        suffix = f"_rx{u}" if n_users > 1 else ""
-        per_rx = [(value, results[u]) for value, results in rows]
-        name = f"sweep_{args.var}{suffix}.{args.format}"
-        writer = write_sweep_csv if args.format == "csv" else write_sweep_json
-        written.append(writer(outdir / name, per_rx))
-    written.append(write_metadata(
-        outdir / f"sweep_{args.var}_meta.json", cfg,
-        {"sweep": {"variable": args.var, "values": values,
-                   "target_ris": args.target_ris}}))
+    written = write_runs([FigureRun(args.var, cfg, spec)], "sweep", args.out,
+                         args.format, args.threads)
     for path in written:
         print(f"wrote {path}")
     return 0

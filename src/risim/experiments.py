@@ -127,6 +127,7 @@ def _require_valid(cfg: ScenarioConfig) -> None:
 
 _KINDS = {float: "a number", int: "an integer", bool: "true or false",
           str: "a string"}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _decode(tp, value, ctx: str):
@@ -154,7 +155,10 @@ def _decode(tp, value, ctx: str):
         return tp(value.lower())
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is float and number:
-        return float(value)
+        # rejects nan, infinities and integers too large for a float
+        if abs(value) <= _FLOAT_MAX:
+            return float(value)
+        raise ConfigError(f"{ctx} must be a finite number")
     if tp is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
     if tp in (bool, str) and isinstance(value, tp):
@@ -212,7 +216,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also integer literals past Python's digit limit
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -369,6 +373,38 @@ class SweepSpec:
     target_ris: int = 0   # which surface RIS_X/RIS_Z/TILT/N_ELEMENTS act on
 
 
+def parse_values(text, kind: type, name: str):
+    """A command-line value parsed like a default of type kind (list, float
+    or int), or a ConfigError naming it.
+
+    text is a comma-separated string or, from Python, a number or a list.
+    A list takes one or more numbers, a float exactly one, an int exactly
+    one whole number, kept exact rather than passed through float.  Every
+    number must be finite; the checks are the config decoder's.
+    """
+    items = text if isinstance(text, (list, tuple)) else [
+        t for t in str(text).split(",") if t.strip()]
+    numbers = [_number(t, name) for t in items]
+    if kind is list and numbers:
+        return _decode(list[float], numbers, name)
+    if kind is not list and len(numbers) == 1:
+        return _decode(kind, numbers[0], name)
+    raise ConfigError(f"{name} takes {'numbers' if kind is list else 'one number'}"
+                      f", got {text!r}")
+
+
+def _number(token, name: str):
+    """An int or float from a string token; other values pass through."""
+    if not isinstance(token, str):
+        return token
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {token!r}")
+
+
 def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
                       ) -> ScenarioConfig:
     """A copy of cfg with one knob moved; the original is left untouched."""
@@ -378,7 +414,7 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
         out.budget = replace(cfg.budget, tx_power_dbm=float(value))
         return out
     if var is SweepVariable.RIS_COUNT:
-        count = int(value)
+        count = _decode(int, float(value), var.value)
         if not 0 <= count <= len(cfg.ris_list):
             raise ConfigError(
                 f"ris_count {count} outside 0..{len(cfg.ris_list)} configured surfaces")
@@ -400,7 +436,7 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
         elif var is SweepVariable.TILT:
             ris = replace(ris, orient=replace(ris.orient, tilt_rad=float(value)))
         elif var is SweepVariable.N_ELEMENTS:
-            ris = replace(ris, n_elements=int(value))
+            ris = replace(ris, n_elements=_decode(int, float(value), var.value))
     except ValueError as exc:
         raise ConfigError(f"sweep value {value!r} rejected: {exc}") from exc
     out.ris_list[spec.target_ris] = ris

@@ -39,11 +39,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @staticmethod
-    def from_sequence(seq) -> "Point3":
-        x, y, z = (float(v) for v in seq)
-        return Point3(x, y, z)
-
 
 @dataclass(frozen=True)
 class Orientation:

@@ -121,10 +121,15 @@ def los_indicator(
 
 
 def element_gain(theta, q: float = 0.285):
-    """Cosine-power element pattern 2(2q+1) cos^(2q)(theta), zero behind.
+    """Cosine-power element pattern 2(2q+1) cos^(2q)(theta), zero for
+    |theta| > pi/2.
 
-    theta is the angle off broadside; the pattern integrates to 4*pi over
-    the front hemisphere for any q >= 0.
+    Taken with theta as the angle off broadside, the pattern integrates to
+    4*pi over the front hemisphere for any q >= 0 and is zero behind.  The
+    channel functions in channel.py pass the surface-frame elevation
+    instead (the angle out of the lattice's horizontal plane), as the paper
+    does: |elevation| <= pi/2 always, so a target behind the surface still
+    gets front-hemisphere gain and the zero branch never fires there.
     """
     if q < 0:
         raise ValueError("pattern exponent q must be non-negative")

@@ -1,8 +1,12 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risim.cli import main
+from risim.experiments import scenario_from_dict, scenario_to_dict
 
 
 @pytest.fixture
@@ -137,8 +141,13 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     ({"master_seed": 1.5}, "master_seed must be an integer"),
     ({"shadow_los_paths": "no"}, "shadow_los_paths must be true or false"),
     ({"ris_list": {"a": 1}}, "ris_list must be a list"),
+    ({"budget": {"tx_power_dbm": math.nan}},
+     "budget.tx_power_dbm must be a finite number"),
+    ({"rx": [75, math.inf, 1]}, "rx[0] must be a finite number"),
+    ({"budget": {"tx_power_dbm": 10**400}},
+     "budget.tx_power_dbm must be a finite number"),
 ], ids=["trials_string", "power_string", "seed_fraction", "flag_string",
-        "ris_list_object"])
+        "ris_list_object", "power_nan", "rx_infinity", "power_400_digits"])
 def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
@@ -147,3 +156,86 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     assert captured.err.startswith("error:")
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,abc"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "nan"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "inf"],
+    ["figure", "F6", "--override", "pt_values=1,x"],
+    ["figure", "F6", "--override", "trials=2.5"],
+    ["figure", "F6", "--override", "z_ris=abc"],
+], ids=["values_text", "values_nan", "values_inf", "override_list_text",
+        "override_trials_fraction", "override_float_text"])
+def test_malformed_cli_values_exit_two(scenario_file, tmp_path, capsys, argv):
+    argv = [a.format(cfg=scenario_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
+# A valid scenario with every field spelled out, including optional ones
+# left null, so that every leaf of the schema can be corrupted.
+_VALID = scenario_to_dict(scenario_from_dict({
+    "tx": [0, 20, 2], "rx": [[70, 32, 1], [70, 35, 1]],
+    "ris_list": [{"position": [70, 30, 2], "n_elements": 16}],
+    "n_trials": 5,
+}))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_CONTAINERS = st.one_of(
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _nodes(node, path=()):
+    """(path, value) for every object and every scalar leaf of a JSON tree."""
+    if isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _nodes(v, path + (i,))
+        return
+    yield path, node
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _nodes(v, path + (k,))
+
+
+def _corruptions(value):
+    """Values that must not pass where value stands: an unknown key for an
+    object, else a wrong JSON type or a non-finite or oversized number."""
+    if isinstance(value, dict):
+        return st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in value).map(lambda k: {**value, k: 0})
+    if isinstance(value, bool):
+        wrong = [st.integers(), st.floats(), st.text(), st.none()]
+    elif isinstance(value, int):
+        wrong = [st.text(), st.booleans(), st.none(), _NON_FINITE,
+                 st.floats(allow_nan=False, allow_infinity=False).filter(
+                     lambda v: not v.is_integer())]
+    elif isinstance(value, float):
+        wrong = [st.text(), st.booleans(), st.none(), _NON_FINITE,
+                 st.sampled_from([10**400, -10**400])]
+    elif isinstance(value, str):
+        wrong = [st.integers(), st.floats(), st.booleans(), st.none()]
+    else:   # null: an optional number or enum
+        wrong = [st.booleans(), _NON_FINITE]
+    return st.one_of(_CONTAINERS, *wrong)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_config_fails_cleanly(tmp_path, data):
+    tree = copy.deepcopy(_VALID)
+    path, value = data.draw(st.sampled_from(list(_nodes(tree))))
+    bad = data.draw(_corruptions(value))
+    if path:
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+    else:
+        tree = bad
+    config = tmp_path / "corrupt.json"
+    config.write_text(json.dumps(tree))
+    assert main(["validate", str(config)]) in (1, 2)

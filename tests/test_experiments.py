@@ -121,6 +121,18 @@ def test_apply_sweep_value_rejects_bad_values():
                           0.1)
 
 
+def test_integral_sweep_values_are_not_truncated():
+    cfg = _cfg()
+    for variable, value in [(SweepVariable.N_ELEMENTS, 16.7),
+                            (SweepVariable.RIS_COUNT, 0.5)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            apply_sweep_value(cfg, SweepSpec(variable, []), value)
+    out = apply_sweep_value(cfg, SweepSpec(SweepVariable.N_ELEMENTS, []), 64.0)
+    assert out.ris_list[0].n_elements == 64
+    out = apply_sweep_value(cfg, SweepSpec(SweepVariable.RIS_COUNT, []), 1.0)
+    assert out.ris_list == cfg.ris_list
+
+
 def test_repeated_sweep_value_draws_fresh_streams():
     rows = run_sweep(_cfg(n_trials=40), SweepSpec(SweepVariable.TX_POWER_DBM,
                                                   [30.0, 30.0]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from risim.experiments import ConfigError, SweepVariable
-from risim.figures import build_figure, reproduce_figure
+from risim.figures import FIGURES, build_figure, reproduce_figure
 from risim.geometry import Plane, Point3
 
 
@@ -55,6 +55,26 @@ def test_overrides_apply_and_unknowns_fail():
         build_figure("F6", {"tilt_deg_values": "0,-10"})
     with pytest.raises(ConfigError, match="unknown figure"):
         build_figure("F1")
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURES))
+def test_every_knob_parses_like_its_default_and_moves_the_runs(fig):
+    _, defaults = FIGURES[fig]
+    runs = build_figure(fig)
+    for key, default in defaults.items():
+        as_text = (",".join(map(str, default)) if isinstance(default, list)
+                   else str(default))
+        assert build_figure(fig, {key: as_text}) == runs
+        moved = ([v + 1 for v in default] if isinstance(default, list)
+                 else default + 1)
+        assert build_figure(fig, {key: moved}) != runs
+
+
+def test_seed_override_is_kept_exact():
+    seed = 2**53 + 1
+    for value in (str(seed), seed):
+        for run in build_figure("F9", {"seed": value}):
+            assert run.cfg.master_seed == seed
 
 
 def test_reproduce_f6_files(tmp_path):
