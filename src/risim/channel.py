@@ -3,6 +3,11 @@ transmitter -> surface (clustered scatter + optional sightline),
 surface -> receiver (pure sightline), and transmitter -> receiver (scalar).
 
 Element lattices are square with a row-major (z, x) scan, x running fastest.
+The x index pairs with sin(el), so it steps along the lattice's vertical axis
+(column 2 of geometry.surface_basis); the z index pairs with sin(az) cos(el)
+and steps along its horizontal axis (column 0).  The steering phase is thus
+separable: one direction's (N,) response is kron(ez, ex) over the (z, x)
+scan, where ez and ex are side-long phase ramps.
 """
 
 from __future__ import annotations
@@ -53,35 +58,38 @@ class RisDescriptor:
         return self.spacing if self.spacing is not None else wavelength(freq_hz) / 2.0
 
 
-def _lattice(side: int) -> tuple[np.ndarray, np.ndarray]:
-    lin = np.arange(side * side)
-    return lin % side, lin // side
-
-
-def _steering_phases(
+def _lattice_factors(
     ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float, tilt: float,
-) -> np.ndarray:
-    """(M, N) lattice phases for M arrival directions, tilt folded in."""
-    xs, zs = _lattice(ris.side)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, side) phase ramps ex, ez for M arrival directions, tilt folded in.
+
+    Element (z, x) responds to direction m with ez[m, z] * ex[m, x]."""
+    idx = np.arange(ris.side)
     d = ris.spacing if ris.spacing is not None else math.pi / k  # half wavelength
     ce = np.cos(el)
-    x_coef = np.sin(el)                                     # pairs with the x index
+    x_coef = np.sin(el)
     z_coef = math.cos(tilt) * np.sin(az) * ce - math.sin(tilt) * np.cos(az) * ce
-    return k * d * (np.outer(x_coef, xs) + np.outer(z_coef, zs))
+    return (np.exp(1j * k * d * np.outer(x_coef, idx)),
+            np.exp(1j * k * d * np.outer(z_coef, idx)))
+
+
+def _sightline(ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
+               phasor: complex) -> np.ndarray:
+    """(N,) response to the one direction (az[0], el[0]), scaled by phasor."""
+    ex, ez = _lattice_factors(ris, az, el, k, ris.orient.tilt_rad)
+    return np.outer(phasor * ez[0], ex[0]).ravel()
 
 
 def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
     """Planar response exp(j k d (x sin(el) + z sin(az) cos(el))), first entry 1."""
-    ph = _steering_phases(ris, np.array([ang.azimuth]), np.array([ang.elevation]),
-                          k, tilt=0.0)
-    return np.exp(1j * ph[0])
+    ex, ez = _lattice_factors(ris, np.array([ang.azimuth]),
+                              np.array([ang.elevation]), k, tilt=0.0)
+    return np.outer(ez[0], ex[0]).ravel()
 
 
 def array_response_tilted(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
     """Response with the lattice's vertical axis pivoted by orient.tilt_rad."""
-    ph = _steering_phases(ris, np.array([ang.azimuth]), np.array([ang.elevation]),
-                          k, tilt=ris.orient.tilt_rad)
-    return np.exp(1j * ph[0])
+    return _sightline(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k, 1.0)
 
 
 def tx_ris_channel(
@@ -106,7 +114,6 @@ def tx_ris_channel(
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
     k = 2.0 * math.pi / wavelength(pl_los.freq_hz)
-    tilt = ris.orient.tilt_rad
     h = np.zeros(ris.n_elements, dtype=complex)
 
     if len(clusters):
@@ -116,8 +123,9 @@ def tx_ris_channel(
             if shadow_scatter else 0.0
         loss_db = pathloss_db(pl_nlos, detour, shadows)
         amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss_db / 10.0))
-        phases = _steering_phases(ris, az, el, k, tilt)
-        h = clusters.normalization * ((clusters.gains * amp) @ np.exp(1j * phases))
+        ex, ez = _lattice_factors(ris, az, el, k, ris.orient.tilt_rad)
+        c = clusters.normalization * clusters.gains * amp
+        h = ((ez.T * c) @ ex).ravel()
 
     d_link = distance(tx, ris.position)
     visible = los_indicator(los, d_link, ris.position.z, tx.z, rng)
@@ -128,8 +136,7 @@ def tx_ris_channel(
         amp = math.sqrt(element_gain(float(el1[0]), ris.pattern_exponent)
                         * 10.0 ** (loss_db / 10.0))
         eta = rng.uniform(0.0, 2.0 * math.pi)
-        ph = _steering_phases(ris, az1, el1, k, tilt)
-        h = h + amp * np.exp(1j * (ph[0] + eta))
+        h = h + _sightline(ris, az1, el1, k, amp * complex(math.cos(eta), math.sin(eta)))
 
     return h, bool(visible)
 
@@ -153,8 +160,7 @@ def ris_rx_channel(
     amp = math.sqrt(element_gain(float(el[0]), ris.pattern_exponent)
                     * 10.0 ** (loss_db / 10.0))
     eta = rng.uniform(0.0, 2.0 * math.pi)
-    ph = _steering_phases(ris, az, el, k, ris.orient.tilt_rad)
-    return amp * np.exp(1j * (ph[0] + eta))
+    return _sightline(ris, az, el, k, amp * complex(math.cos(eta), math.sin(eta)))
 
 
 def direct_channel(

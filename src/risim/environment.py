@@ -87,19 +87,22 @@ def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Rows: forward (tx -> anchor), right, up unit vectors."""
-    forward = anchor - tx
-    norm = np.linalg.norm(forward)
+    """Rows: forward (tx -> anchor), right = forward x z-hat, up = right x
+    forward, as unit vectors; scalar arithmetic, since numpy's per-call cost
+    dwarfs the work on 3-vectors."""
+    fx, fy, fz = (anchor - tx).tolist()
+    norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm == 0.0:
         raise ValueError("transmitter and surface coincide")
-    forward = forward / norm
-    vertical = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, vertical)
-    if np.linalg.norm(right) < 1e-12:   # aiming straight up/down
-        right = np.array([1.0, 0.0, 0.0])
-    right = right / np.linalg.norm(right)
-    up = np.cross(right, forward)
-    return np.vstack([forward, right, up])
+    fx, fy, fz = fx / norm, fy / norm, fz / norm
+    rx, ry = fy, -fx                     # forward x (0, 0, 1)
+    r_norm = math.sqrt(rx * rx + ry * ry)
+    if r_norm < 1e-12:                   # aiming straight up/down
+        rx, ry, r_norm = 1.0, 0.0, 1.0
+    rx, ry = rx / r_norm, ry / r_norm
+    return np.array([[fx, fy, fz],
+                     [rx, ry, 0.0],
+                     [ry * fz, -rx * fz, rx * fy - ry * fx]])
 
 
 def sample_clusters(

@@ -10,7 +10,9 @@ from risim.channel import (
 from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
 )
-from risim.geometry import Angles, Orientation, Point3, angles_at_surface
+from risim.geometry import (
+    Angles, Orientation, Plane, Point3, angles_at_surface, angles_to_targets,
+)
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
     wavenumber,
@@ -233,3 +235,61 @@ def test_draw_counts_independent_of_lattice_and_tilt():
         ris_rx_channel(ris, rx, LOS_73GHZ, rng)
         probes.append(rng.random())
     assert probes[0] == probes[1] == probes[2]
+
+
+def _dense_response(ris, az, el, k):
+    """Reference (M, N) responses: exp(1j * phases) over the full phase matrix."""
+    lin = np.arange(ris.n_elements)
+    xs, zs = lin % ris.side, lin // ris.side
+    d = ris.spacing if ris.spacing is not None else math.pi / k
+    tilt = ris.orient.tilt_rad
+    z_coef = (math.cos(tilt) * np.sin(az) - math.sin(tilt) * np.cos(az)) * np.cos(el)
+    phases = k * d * (np.outer(np.sin(el), xs) + np.outer(z_coef, zs))
+    return np.exp(1j * phases)
+
+
+def _dense_tx_ris(ris, clusters, tx, eta):
+    """Unshadowed, always-visible tx_ris_channel built from _dense_response."""
+    h = np.zeros(ris.n_elements, dtype=complex)
+    if len(clusters):
+        az, el = angles_to_targets(ris.position, ris.orient, clusters.positions)
+        loss = pathloss_db(NLOS_73GHZ, clusters.d_from_tx + clusters.d_to_surface)
+        amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss / 10.0))
+        h = clusters.normalization * (
+            (clusters.gains * amp) @ _dense_response(ris, az, el, K73))
+    return h + _dense_sightline(ris, tx, LOS_73GHZ, eta)
+
+
+def _dense_sightline(ris, end, pl, eta):
+    az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
+    loss = pathloss_db(pl, math.dist(end.as_array(), ris.position.as_array()))
+    amp = math.sqrt(element_gain(el[0], ris.pattern_exponent) * 10.0 ** (loss / 10.0))
+    return amp * np.exp(1j * eta) * _dense_response(ris, az, el, K73)[0]
+
+
+@pytest.mark.parametrize("plane", [Plane.XZ, Plane.YZ])
+@pytest.mark.parametrize("n", [1, 4, 64, 256])
+def test_links_match_dense_reference(plane, n):
+    """The separable kernel equals the dense (S, N) phase-matrix response on
+    both links, for either plane, any tilt, spacing and scatterer count."""
+    tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
+    cs = sample_clusters(EnvironmentConfig(), tx, surface, rx,
+                         np.random.default_rng(n))
+    one = ClusterSet(cs.positions[:1], cs.gains[:1], cs.cluster_ids[:1],
+                     cs.d_from_tx[:1], cs.d_to_surface[:1], cs.d_to_rx[:1], (1,))
+    eta = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi)
+    for tilt in (0.0, -0.6, 0.25, 1.2):
+        for spacing in (None, 0.0031):
+            ris = RisDescriptor(position=surface,
+                                orient=Orientation(plane, tilt_rad=tilt),
+                                n_elements=n, spacing=spacing)
+            for clusters in (ClusterSet.empty(), one, cs):
+                h, _ = tx_ris_channel(ris, clusters, tx, LOS_73GHZ, NLOS_73GHZ,
+                                      ALWAYS, np.random.default_rng(9),
+                                      shadow_scatter=False, shadow_los=False)
+                np.testing.assert_allclose(
+                    h, _dense_tx_ris(ris, clusters, tx, eta), rtol=1e-12, atol=0)
+            g = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(9),
+                               shadow_los=False)
+            np.testing.assert_allclose(
+                g, _dense_sightline(ris, rx, LOS_73GHZ, eta), rtol=1e-12, atol=0)

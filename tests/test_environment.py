@@ -5,7 +5,7 @@ import pytest
 
 from risim.channel import direct_channel
 from risim.environment import (
-    ClusterSet, EnvironmentConfig, complex_normal, rebind_receiver,
+    ClusterSet, EnvironmentConfig, _aim_frame, complex_normal, rebind_receiver,
     resample_gains, sample_clusters,
 )
 from risim.geometry import Point3
@@ -158,3 +158,26 @@ def test_elevations_physical():
     cs = _sample(seed=9, elevation_spread_deg=80.0)
     assert np.all(np.isfinite(cs.positions))
     assert np.all(cs.d_from_tx > 0)
+
+
+def test_aim_frame_matches_cross_product_construction():
+    """Rows are orthonormal and equal the np.cross construction, including
+    the fixed right axis when the aim is vertical."""
+    def reference(tx, anchor):
+        forward = (anchor - tx) / np.linalg.norm(anchor - tx)
+        right = np.cross(forward, [0.0, 0.0, 1.0])
+        if np.linalg.norm(right) < 1e-12:
+            right = np.array([1.0, 0.0, 0.0])
+        right = right / np.linalg.norm(right)
+        return np.vstack([forward, right, np.cross(right, forward)])
+
+    rng = np.random.default_rng(11)
+    pairs = [(rng.normal(size=3) * 50, rng.normal(size=3) * 50) for _ in range(500)]
+    pairs += [(np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, z])) for z in (4.0, -3.0)]
+    for tx, anchor in pairs:
+        frame = _aim_frame(tx, anchor)
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(frame, reference(tx, anchor), atol=1e-15)
+    np.testing.assert_array_equal(_aim_frame(*pairs[-1])[1], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        _aim_frame(np.ones(3), np.ones(3))
