@@ -59,37 +59,37 @@ class RisDescriptor:
 
 
 def _lattice_factors(
-    ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float, tilt: float,
+    ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, side) phase ramps ex, ez for M arrival directions, tilt folded in.
+    """(M, side) phase ramps ex, ez for M arrival directions.
 
-    Element (z, x) responds to direction m with ez[m, z] * ex[m, x]."""
+    Element (z, x) responds to direction m with ez[m, z] * ex[m, x].  The
+    angles are taken in the surface's tilted frame, so the tilt is already in
+    them and enters no second time."""
     idx = np.arange(ris.side)
     d = ris.spacing if ris.spacing is not None else math.pi / k  # half wavelength
-    ce = np.cos(el)
-    x_coef = np.sin(el)
-    z_coef = math.cos(tilt) * np.sin(az) * ce - math.sin(tilt) * np.cos(az) * ce
-    return (np.exp(1j * k * d * np.outer(x_coef, idx)),
-            np.exp(1j * k * d * np.outer(z_coef, idx)))
+    return (np.exp(1j * k * d * np.outer(np.sin(el), idx)),
+            np.exp(1j * k * d * np.outer(np.sin(az) * np.cos(el), idx)))
 
 
 def _sightline(ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
                phasor: complex) -> np.ndarray:
     """(N,) response to the one direction (az[0], el[0]), scaled by phasor."""
-    ex, ez = _lattice_factors(ris, az, el, k, ris.orient.tilt_rad)
+    ex, ez = _lattice_factors(ris, az, el, k)
     return np.outer(phasor * ez[0], ex[0]).ravel()
 
 
 def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
-    """Planar response exp(j k d (x sin(el) + z sin(az) cos(el))), first entry 1."""
-    ex, ez = _lattice_factors(ris, np.array([ang.azimuth]),
-                              np.array([ang.elevation]), k, tilt=0.0)
-    return np.outer(ez[0], ex[0]).ravel()
+    """Planar response exp(j k d (x sin(el) + z sin(az) cos(el))), first entry 1.
 
-
-def array_response_tilted(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
-    """Response with the lattice's vertical axis pivoted by orient.tilt_rad."""
+    With ang from geometry.angles_at_surface this is the plane wave
+    exp(j k u . p_i) for any mounting plane and tilt."""
     return _sightline(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k, 1.0)
+
+
+# Angles in the tilted frame already carry the tilt, so the tilted response
+# is the same function; the name stays for callers that state the tilt.
+array_response_tilted = array_response
 
 
 def tx_ris_channel(
@@ -123,7 +123,7 @@ def tx_ris_channel(
             if shadow_scatter else 0.0
         loss_db = pathloss_db(pl_nlos, detour, shadows)
         amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss_db / 10.0))
-        ex, ez = _lattice_factors(ris, az, el, k, ris.orient.tilt_rad)
+        ex, ez = _lattice_factors(ris, az, el, k)
         c = clusters.normalization * clusters.gains * amp
         h = ((ez.T * c) @ ex).ravel()
 

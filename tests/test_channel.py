@@ -11,7 +11,8 @@ from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
 )
 from risim.geometry import (
-    Angles, Orientation, Plane, Point3, angles_at_surface, angles_to_targets,
+    Angles, Orientation, Plane, Point3, TiltAxis, angles_at_surface,
+    angles_to_targets, surface_basis,
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
@@ -88,20 +89,20 @@ def test_tilted_reduces_to_untilted_at_zero():
 
 
 def test_tilted_broadside_hand_phase():
-    # at broadside only the tilt term survives: phase = -k d z sin(R)
+    # angles are in the tilted frame, so broadside stays in phase across the
+    # lattice whatever the tilt
     tilt = 0.3
     a = array_response_tilted(_ris(4, tilt=tilt), Angles(0.0, 0.0), K73)
-    zs = np.array([0, 0, 1, 1])
-    np.testing.assert_allclose(np.angle(a), -math.pi * math.sin(tilt) * zs,
-                               atol=1e-12)
+    np.testing.assert_allclose(np.angle(a), np.zeros(4), atol=1e-12)
 
 
 def test_tilted_quarter_turn_swaps_axis():
-    # R = pi/2 turns the z coefficient into -cos(az) cos(el)
+    # R = pi/2 leaves the tilted-frame plane wave unchanged:
+    # phase = k d (x sin(el) + z sin(az) cos(el))
     az, el = 0.25, 0.4
     a = array_response_tilted(_ris(4, tilt=math.pi / 2), Angles(az, el), K73)
     xs, zs = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-    expect = math.pi * (xs * math.sin(el) - zs * math.cos(az) * math.cos(el))
+    expect = math.pi * (xs * math.sin(el) + zs * math.sin(az) * math.cos(el))
     np.testing.assert_allclose(np.angle(a), expect, atol=1e-9)
 
 
@@ -242,9 +243,7 @@ def _dense_response(ris, az, el, k):
     lin = np.arange(ris.n_elements)
     xs, zs = lin % ris.side, lin // ris.side
     d = ris.spacing if ris.spacing is not None else math.pi / k
-    tilt = ris.orient.tilt_rad
-    z_coef = (math.cos(tilt) * np.sin(az) - math.sin(tilt) * np.cos(az)) * np.cos(el)
-    phases = k * d * (np.outer(np.sin(el), xs) + np.outer(z_coef, zs))
+    phases = k * d * (np.outer(np.sin(el), xs) + np.outer(np.sin(az) * np.cos(el), zs))
     return np.exp(1j * phases)
 
 
@@ -293,3 +292,30 @@ def test_links_match_dense_reference(plane, n):
                                shadow_los=False)
             np.testing.assert_allclose(
                 g, _dense_sightline(ris, rx, LOS_73GHZ, eta), rtol=1e-12, atol=0)
+
+
+def test_steering_is_the_plane_wave_for_any_plane_and_tilt():
+    """Oracle: element i at p_i = d (x_i b_vertical + z_i b_horizontal), with
+    the b's the tilted columns of surface_basis, responds with exp(j k u . p_i)
+    to the unit direction u towards the target."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        orient = Orientation(plane=Plane(rng.choice(["xz", "yz"])),
+                             tilt_axis=[None, TiltAxis.X, TiltAxis.Y][rng.integers(3)],
+                             tilt_rad=rng.uniform(-math.pi, math.pi))
+        n = int(rng.choice([1, 4, 16, 64]))
+        spacing = [None, rng.uniform(0.001, 0.01)][rng.integers(2)]
+        ris = RisDescriptor(position=Point3(*rng.uniform(-5, 5, 3)), orient=orient,
+                            n_elements=n, spacing=spacing)
+        target = Point3(*rng.uniform(-30, 30, 3))
+        basis = surface_basis(orient)
+        lin = np.arange(n)
+        p = ris.pitch(73e9) * (np.outer(lin % ris.side, basis[:, 2])
+                               + np.outer(lin // ris.side, basis[:, 0]))
+        u = target.as_array() - ris.position.as_array()
+        want = np.exp(1j * K73 * (p @ (u / np.linalg.norm(u))))
+        ang = angles_at_surface(ris.position, orient, target)
+        for fn in (array_response, array_response_tilted):
+            np.testing.assert_allclose(fn(ris, ang, K73), want, atol=1e-9)
+        g = ris_rx_channel(ris, target, LOS_73GHZ, np.random.default_rng(0))
+        np.testing.assert_allclose(g / g[0], want, atol=1e-9)
