@@ -71,8 +71,23 @@ class ScenarioConfig:
         self.ris_list = list(self.ris_list)
 
 
+# Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
+# array, 0.8 GB at MAX_TRIALS.
+MAX_TRIALS = 10 ** 5
+MAX_ELEMENTS = 65536
+
+
 def validate(cfg: ScenarioConfig) -> list[str]:
-    """Collect every violation instead of stopping at the first."""
+    """Collect every violation instead of stopping at the first.
+
+    A config past a resource bound could not run at all: that raises
+    ConfigError instead."""
+    if cfg.n_trials > MAX_TRIALS:
+        raise ConfigError(f"n_trials must be at most {MAX_TRIALS}, got {cfg.n_trials}")
+    for m, ris in enumerate(cfg.ris_list):
+        if ris.n_elements > MAX_ELEMENTS:
+            raise ConfigError(f"ris[{m}] has {ris.n_elements} elements, "
+                              f"at most {MAX_ELEMENTS} are allowed")
     issues: list[str] = []
     if cfg.n_trials < 1:
         issues.append(f"n_trials must be at least 1, got {cfg.n_trials}")

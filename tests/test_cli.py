@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risim.cli import main
-from risim.experiments import scenario_from_dict, scenario_to_dict
+from risim.experiments import (
+    MAX_ELEMENTS, MAX_TRIALS, scenario_from_dict, scenario_to_dict,
+)
 
 
 @pytest.fixture
@@ -156,6 +158,34 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     assert captured.err.startswith("error:")
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"n_trials": 999999999999999999999999999999}, "n_trials must be at most"),
+    ({"n_trials": MAX_TRIALS + 1}, "n_trials must be at most"),
+    ({"ris_list": [{"position": [75, 30, 2], "n_elements": 4 * MAX_ELEMENTS}]},
+     "at most 65536"),
+], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound"])
+def test_oversized_config_exits_two(tmp_path, capsys, override, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
+    for argv in (["validate", str(path)],
+                 ["simulate", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_are_inclusive(tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": MAX_TRIALS,
+        "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS}]}))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
 
 
 @pytest.mark.parametrize("argv", [
