@@ -61,22 +61,12 @@ class RisDescriptor:
 def _lattice_factors(
     ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, side) phase ramps ex, ez for M arrival directions.
-
-    Element (z, x) responds to direction m with ez[m, z] * ex[m, x].  The
-    angles are taken in the surface's tilted frame, so the tilt is already in
-    them and enters no second time."""
+    """(M, side) phase ramps ex, ez for M directions in the tilted surface frame:
+    element (z, x) responds to direction m with ez[m, z] * ex[m, x]."""
     idx = np.arange(ris.side)
     d = ris.spacing if ris.spacing is not None else math.pi / k  # half wavelength
     return (np.exp(1j * k * d * np.outer(np.sin(el), idx)),
             np.exp(1j * k * d * np.outer(np.sin(az) * np.cos(el), idx)))
-
-
-def _sightline(ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
-               phasor: complex) -> np.ndarray:
-    """(N,) response to the one direction (az[0], el[0]), scaled by phasor."""
-    ex, ez = _lattice_factors(ris, az, el, k)
-    return np.outer(phasor * ez[0], ex[0]).ravel()
 
 
 def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
@@ -84,11 +74,11 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
 
     With ang from geometry.angles_at_surface this is the plane wave
     exp(j k u . p_i) for any mounting plane and tilt."""
-    return _sightline(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k, 1.0)
+    ex, ez = _lattice_factors(ris, ang.azimuth, ang.elevation, k)
+    return np.outer(ez, ex).ravel()
 
 
-# Angles in the tilted frame already carry the tilt, so the tilted response
-# is the same function; the name stays for callers that state the tilt.
+# The tilted-frame angles already carry the tilt, so the response is the same.
 array_response_tilted = array_response
 
 
@@ -136,7 +126,8 @@ def tx_ris_channel(
         amp = math.sqrt(element_gain(float(el1[0]), ris.pattern_exponent)
                         * 10.0 ** (loss_db / 10.0))
         eta = rng.uniform(0.0, 2.0 * math.pi)
-        h = h + _sightline(ris, az1, el1, k, amp * complex(math.cos(eta), math.sin(eta)))
+        ex, ez = _lattice_factors(ris, az1, el1, k)
+        h = h + np.outer(amp * np.exp(1j * eta) * ez, ex).ravel()
 
     return h, bool(visible)
 
@@ -160,7 +151,8 @@ def ris_rx_channel(
     amp = math.sqrt(element_gain(float(el[0]), ris.pattern_exponent)
                     * 10.0 ** (loss_db / 10.0))
     eta = rng.uniform(0.0, 2.0 * math.pi)
-    return _sightline(ris, az, el, k, amp * complex(math.cos(eta), math.sin(eta)))
+    ex, ez = _lattice_factors(ris, az, el, k)
+    return np.outer(amp * np.exp(1j * eta) * ez, ex).ravel()
 
 
 def direct_channel(

@@ -87,21 +87,16 @@ def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Rows: forward (tx -> anchor), right = forward x z-hat, up = right x
-    forward, as unit vectors; scalar arithmetic, since numpy's per-call cost
-    dwarfs the work on 3-vectors."""
+    """Rows: forward (tx -> anchor), right (forward x z-hat) and up unit
+    vectors, in scalar arithmetic: numpy calls on 3-vectors cost more."""
     fx, fy, fz = (anchor - tx).tolist()
     norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm == 0.0:
         raise ValueError("transmitter and surface coincide")
     fx, fy, fz = fx / norm, fy / norm, fz / norm
-    rx, ry = fy, -fx                     # forward x (0, 0, 1)
-    r_norm = math.sqrt(rx * rx + ry * ry)
-    if r_norm < 1e-12:                   # aiming straight up/down
-        rx, ry, r_norm = 1.0, 0.0, 1.0
-    rx, ry = rx / r_norm, ry / r_norm
-    return np.array([[fx, fy, fz],
-                     [rx, ry, 0.0],
+    r_norm = math.hypot(fx, fy)     # zero when aiming straight up or down
+    rx, ry = (fy / r_norm, -fx / r_norm) if r_norm >= 1e-12 else (1.0, 0.0)
+    return np.array([[fx, fy, fz], [rx, ry, 0.0],
                      [ry * fz, -rx * fz, rx * fy - ry * fx]])
 
 
