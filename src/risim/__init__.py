@@ -30,8 +30,7 @@ from .propagation import (
     wavelength, wavenumber,
 )
 from .riscontrol import (
-    ElementAllocation, PhaseConfig, cascade, combined_phase_vector,
-    optimal_phases, partition_elements,
+    PhaseConfig, cascade, combined_phase_vector, optimal_phases, partition_elements,
 )
 
 __version__ = "0.1.0"

@@ -32,9 +32,7 @@ from .metrics import (
 from .propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavenumber,
 )
-from .riscontrol import (
-    PhaseConfig, combined_phase_vector, optimal_phases, partition_elements,
-)
+from .riscontrol import combined_phase_vector, optimal_phases, partition_elements
 
 
 class ConfigError(ValueError):
@@ -260,17 +258,17 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per trial and per surface: draw clusters, synthesize the three links,
-    co-phase each user's block against its direct link, and accumulate the
-    effective scalar channel.  The direct link shares the first surface's
-    cluster realization; a surface-free run anchors clusters on the first
-    receiver instead.
+    Per trial: draw clusters, synthesize every surface's three links, then
+    co-phase each user's elements against its direct link over one element
+    axis through all surfaces and sum the effective scalar channel.  The
+    direct link shares the first surface's cluster realization; a
+    surface-free run anchors clusters on the first receiver instead.
     """
     _require_valid(cfg)
-    receivers = cfg.rx
+    receivers, surfaces = cfg.rx, cfg.ris_list
     n_users = len(receivers)
     k = wavenumber(cfg.pl_los.freq_hz)
-    anchors = [r.position for r in cfg.ris_list] or [receivers[0]]
+    anchors = [r.position for r in surfaces] or [receivers[0]]
     seed, sweep = cfg.master_seed, sweep_index
 
     base_sets: list[ClusterSet] | None = None
@@ -281,10 +279,15 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             for m, anchor in enumerate(anchors)
         ]
 
-    allocations = None
-    if n_users > 1:
-        allocations = [partition_elements(r.n_elements, n_users)
-                       for r in cfg.ris_list]
+    # one element axis: every surface's lattice scan, concatenated
+    serves = None
+    if surfaces:
+        owner = np.concatenate([partition_elements(r.n_elements, n_users)
+                                for r in surfaces])
+        amplitude = np.repeat([r.amplitude for r in surfaces],
+                              [r.n_elements for r in surfaces])
+        if n_users > 1 and cfg.offblock == "exclude":
+            serves = owner == np.arange(n_users)[:, None]
 
     def run_trial(t: int) -> np.ndarray:
         sets = []
@@ -296,58 +299,30 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             else:
                 sets.append(resample_gains(base_sets[m], rng))
 
-        hs = []
-        for m, ris in enumerate(cfg.ris_list):
-            h, _ = tx_ris_channel(
-                ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
-                derived_rng(seed, sweep, t, _TX_RIS, m),
-                cfg.shadow_scatter_paths, cfg.shadow_los_paths)
-            hs.append(h)
+        hs = [tx_ris_channel(ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos,
+                             cfg.los_model, derived_rng(seed, sweep, t, _TX_RIS, m),
+                             cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+              for m, ris in enumerate(surfaces)]
+        gs = [[ris_rx_channel(ris, rx, cfg.pl_los,
+                              derived_rng(seed, sweep, t, _RIS_RX, m, u),
+                              cfg.shadow_los_paths)
+               for m, ris in enumerate(surfaces)]
+              for u, rx in enumerate(receivers)]
+        h_d = np.array([
+            direct_channel(sets[0] if u == 0 else rebind_receiver(sets[0], rx),
+                           cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
+                           derived_rng(seed, sweep, t, _DIRECT, u),
+                           cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+            for u, rx in enumerate(receivers)])
+        if not surfaces:
+            return h_d
 
-        gs = [
-            [ris_rx_channel(ris, receivers[u], cfg.pl_los,
-                            derived_rng(seed, sweep, t, _RIS_RX, m, u),
-                            cfg.shadow_los_paths)
-             for m, ris in enumerate(cfg.ris_list)]
-            for u in range(n_users)
-        ]
-
-        directs = []
-        for u in range(n_users):
-            cs = sets[0] if u == 0 else rebind_receiver(sets[0], receivers[u])
-            d, _ = direct_channel(
-                cs, cfg.tx, receivers[u], cfg.pl_los, cfg.pl_nlos,
-                cfg.los_model, k, derived_rng(seed, sweep, t, _DIRECT, u),
-                cfg.shadow_scatter_paths, cfg.shadow_los_paths)
-            directs.append(d)
-
-        phase_vectors = []
-        for m, ris in enumerate(cfg.ris_list):
-            per_user = [
-                optimal_phases(gs[u][m], hs[m], directs[u], ris.amplitude,
-                               cfg.direct_phase_sign)
-                for u in range(n_users)
-            ]
-            if n_users == 1:
-                phase_vectors.append(per_user[0].phases)
-            else:
-                phase_vectors.append(combined_phase_vector(allocations[m], per_user))
-
-        out = np.zeros(n_users, dtype=complex)
-        for u in range(n_users):
-            links = []
-            for m, ris in enumerate(cfg.ris_list):
-                if n_users > 1 and cfg.offblock == "exclude":
-                    blk = allocations[m].blocks[u]
-                    links.append((gs[u][m][blk],
-                                  PhaseConfig(phase_vectors[m][blk], ris.amplitude),
-                                  hs[m][blk]))
-                else:
-                    links.append((gs[u][m],
-                                  PhaseConfig(phase_vectors[m], ris.amplitude),
-                                  hs[m]))
-            out[u] = effective_channel(links, directs[u])
-        return out
+        h = np.concatenate(hs)
+        g = np.array([np.concatenate(row) for row in gs])
+        per_user = [optimal_phases(g[u], h, h_d[u], 1.0, cfg.direct_phase_sign).phases
+                    for u in range(n_users)]
+        phases = per_user[0] if n_users == 1 else combined_phase_vector(owner, per_user)
+        return effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves)
 
     h_eff = np.zeros((n_users, cfg.n_trials), dtype=complex)
     if threads <= 1:

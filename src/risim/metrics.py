@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riscontrol import cascade
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -46,15 +44,26 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts / 1e-3)
 
 
-def effective_channel(links, h_txrx: complex) -> complex:
-    """Direct link plus every surface's cascaded contribution.
+def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
+                      h: np.ndarray, serves: np.ndarray | None = None):
+    """Direct link plus every surface's cascaded contribution, (U,).
 
-    links: iterable of (g, PhaseConfig, h) triples, one per surface.
+    Element-axis convention: the elements of all surfaces are concatenated
+    into one last axis of length N_tot.  h (N_tot,) is the transmitter ->
+    surface link, coefficients (N_tot,) the reflection amplitude times
+    e^{j phase}, g (U, N_tot) one surface -> receiver row per user and h_d
+    (U,) the direct links.  serves (U, N_tot), when given, keeps only the
+    elements each user owns.  Any leading axes broadcast.
+
+    One user needs no surface -> receiver phases: co-phased against h_d with
+    sign s (+1 "paper", -1 "aligned"), its term k is amp_k |g_k||h_k|
+    e^{-js arg h_d}.  That does not hold for two users, each of whom hears
+    the other's elements, co-phased for the other's g.
     """
-    total = complex(h_txrx)
-    for g, config, h in links:
-        total += cascade(g, config, h)
-    return total
+    terms = g * coefficients * h
+    if serves is not None:
+        terms = terms * serves
+    return h_d + terms.sum(axis=-1)
 
 
 def snr(h_effective: complex, budget: LinkBudget):

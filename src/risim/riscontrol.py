@@ -1,5 +1,5 @@
 """Passive phase control: per-element co-phasing against the direct link,
-cascaded-channel composition, and element budgeting across users."""
+cascaded-channel composition, and element ownership across users."""
 
 from __future__ import annotations
 
@@ -27,35 +27,16 @@ class PhaseConfig:
         return self.amplitude * np.exp(1j * self.phases)
 
 
-@dataclass(frozen=True)
-class ElementAllocation:
-    """Disjoint per-user index blocks over one surface's lattice scan."""
-
-    n_elements: int
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        seen = np.concatenate([np.asarray(b, dtype=int) for b in self.blocks]) \
-            if self.blocks else np.empty(0, dtype=int)
-        if len(np.unique(seen)) != len(seen):
-            raise ValueError("user element blocks overlap")
-        if len(seen) and (seen.min() < 0 or seen.max() >= self.n_elements):
-            raise ValueError("element index outside the lattice")
-
-    @property
-    def n_users(self) -> int:
-        return len(self.blocks)
-
-
-def partition_elements(n_elements: int, n_users: int) -> ElementAllocation:
-    """Split the lattice scan into near-equal contiguous blocks, one per user."""
+def partition_elements(n_elements: int, n_users: int) -> np.ndarray:
+    """Owner of each element: near-equal contiguous blocks of the lattice
+    scan, one per user, the larger blocks first."""
     if n_users < 1:
         raise ValueError("need at least one user")
     if n_users > n_elements:
         raise ValueError(
             f"cannot split {n_elements} elements across {n_users} users")
-    blocks = tuple(np.array_split(np.arange(n_elements), n_users))
-    return ElementAllocation(n_elements=n_elements, blocks=blocks)
+    sizes = n_elements // n_users + (np.arange(n_users) < n_elements % n_users)
+    return np.repeat(np.arange(n_users), sizes)
 
 
 def optimal_phases(
@@ -86,18 +67,16 @@ def cascade(g: np.ndarray, config: PhaseConfig, h: np.ndarray) -> complex:
     return complex(np.sum(g * config.coefficients() * h))
 
 
-def combined_phase_vector(
-    allocation: ElementAllocation, per_user: list[PhaseConfig],
-) -> np.ndarray:
-    """One physical phase vector: each block carries its own user's phases.
+def combined_phase_vector(owner: np.ndarray, per_user: list[np.ndarray]
+                          ) -> np.ndarray:
+    """One physical phase vector: each element carries its owner's phase.
 
-    Every element of a passive surface reflects no matter whom it serves,
-    so the off-block entries seen by any one user are simply the phases
-    granted to the other users.
+    per_user holds one full-length phase vector per user.  Every element of
+    a passive surface reflects no matter whom it serves, so the off-block
+    entries seen by any one user are simply the phases granted to the
+    other users.
     """
-    if len(per_user) != allocation.n_users:
-        raise ValueError("one PhaseConfig needed per allocated user")
-    out = np.zeros(allocation.n_elements)
-    for block, pc in zip(allocation.blocks, per_user):
-        out[block] = pc.phases[block]
-    return out
+    stacked = np.stack(per_user)
+    if stacked.shape != (owner.max() + 1, len(owner)):
+        raise ValueError("one full-length phase vector needed per user")
+    return stacked[owner, np.arange(len(owner))]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from risim.experiments import (
     scenario_from_dict, scenario_to_dict, validate, write_cdf_csv,
     write_metadata, write_sweep_csv, write_sweep_json,
 )
-from risim.geometry import Orientation, Plane, Point3, TiltAxis
+from risim.geometry import (
+    Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
+)
 from risim.metrics import LinkBudget, MetricsResult
-from risim.propagation import LosMode, LosModel, PathlossParams
+from risim.propagation import (
+    LOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
+)
 
 TX = Point3(0.0, 20.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
@@ -39,6 +44,36 @@ def test_everything_blocked_gives_zero_rate():
         assert res.ergodic_rate == 0.0
         np.testing.assert_array_equal(res.rate_samples, np.zeros(8))
         assert np.isneginf(res.mean_snr_db)
+
+
+@pytest.mark.parametrize("surfaces", [
+    [RisDescriptor(position=Point3(75.0, 30.0, 2.0), n_elements=64)],
+    [RisDescriptor(position=Point3(70.0, 30.0, 2.0), n_elements=16, amplitude=0.7,
+                   orient=Orientation(plane=Plane.XZ, tilt_rad=-0.3)),
+     RisDescriptor(position=Point3(74.0, 30.0, 2.5), n_elements=256)],
+], ids=["one_surface", "two_surfaces_tilt_amplitude"])
+def test_pure_sightline_matches_closed_form(surfaces):
+    # sightlines only, no shadowing, "aligned": whatever the random sightline
+    # phases, |h_eff| = |h_d| + sum over surfaces of amp N |g||h|
+    cfg = _cfg(ris_list=surfaces, n_trials=20,
+               los_model=LosModel(mode=LosMode.ALWAYS),
+               env=EnvironmentConfig(include_scatter=False),
+               shadow_scatter_paths=False, shadow_los_paths=False,
+               direct_phase_sign="aligned")
+
+    def magnitude(a, b, ris=None):
+        gain = 10.0 ** (pathloss_db(LOS_73GHZ, distance(a, b)) / 10.0)
+        if ris is not None:
+            el = angles_at_surface(ris.position, ris.orient, b).elevation
+            gain *= element_gain(el, ris.pattern_exponent)
+        return math.sqrt(gain)
+
+    h_eff = magnitude(TX, RX) + sum(
+        ris.amplitude * ris.n_elements * magnitude(ris.position, TX, ris)
+        * magnitude(ris.position, RX, ris) for ris in surfaces)
+    rate = math.log2(1.0 + 10.0 ** ((30.0 + 100.0) / 10.0) * h_eff ** 2)
+    res = run_scenario(cfg)[0]
+    np.testing.assert_allclose(res.rate_samples, np.full(20, rate), rtol=1e-12)
 
 
 def test_run_scenario_bitwise_deterministic():

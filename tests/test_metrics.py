@@ -7,26 +7,117 @@ from risim.metrics import (
     LinkBudget, bootstrap_mean_ci, dbm_to_watts, effective_channel,
     empirical_cdf, ergodic_rate, rate_samples, snr, summarize, watts_to_dbm,
 )
-from risim.riscontrol import PhaseConfig, cascade
+from risim.riscontrol import (
+    PhaseConfig, cascade, combined_phase_vector, optimal_phases,
+    partition_elements,
+)
 
 BUDGET = LinkBudget(tx_power_dbm=30.0, noise_power_dbm=-100.0)
 
 
+def _cn(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def test_effective_channel_no_surfaces_is_direct():
-    assert effective_channel([], 0.3 + 0.4j) == 0.3 + 0.4j
+    h_d = np.array([0.3 + 0.4j, -0.1j])
+    empty = np.zeros(0, dtype=complex)
+    out = effective_channel(h_d, np.zeros((2, 0), dtype=complex), empty, empty)
+    np.testing.assert_array_equal(out, h_d)
 
 
 def test_effective_channel_additivity():
     rng = np.random.default_rng(31)
-    links = []
-    manual = 0.1 - 0.2j
-    for _ in range(3):
-        g = rng.normal(size=4) + 1j * rng.normal(size=4)
-        h = rng.normal(size=4) + 1j * rng.normal(size=4)
-        pc = PhaseConfig(phases=rng.uniform(-math.pi, math.pi, size=4))
-        links.append((g, pc, h))
-        manual += cascade(g, pc, h)
-    assert effective_channel(links, 0.1 - 0.2j) == pytest.approx(manual, abs=1e-12)
+    sizes = (4, 9, 1)
+    gs, hs = [_cn(rng, n) for n in sizes], [_cn(rng, n) for n in sizes]
+    configs = [PhaseConfig(phases=rng.uniform(-math.pi, math.pi, size=n),
+                           amplitude=float(rng.uniform(0.1, 1.0))) for n in sizes]
+    manual = 0.1 - 0.2j + sum(cascade(g, pc, h) for g, pc, h in zip(gs, configs, hs))
+    coefficients = np.concatenate([pc.coefficients() for pc in configs])
+    out = effective_channel(np.array([0.1 - 0.2j]), np.concatenate(gs)[None, :],
+                            coefficients, np.concatenate(hs))
+    assert out.shape == (1,)
+    assert out[0] == pytest.approx(manual, abs=1e-12)
+
+
+def _element_axis_channel(h_d, gs, hs, amps, sign, offblock):
+    """The effective channel as run_scenario combines it: every surface's
+    elements on one axis, one owner-gathered phase vector."""
+    n_users = len(h_d)
+    g = np.array([np.concatenate(row) for row in gs])
+    h = np.concatenate(hs)
+    owner = np.concatenate([partition_elements(len(x), n_users) for x in hs])
+    amplitude = np.repeat(amps, [len(x) for x in hs])
+    per_user = [optimal_phases(g[u], h, h_d[u], 1.0, sign).phases
+                for u in range(n_users)]
+    phases = per_user[0] if n_users == 1 else combined_phase_vector(owner, per_user)
+    serves = owner == np.arange(n_users)[:, None] \
+        if n_users > 1 and offblock == "exclude" else None
+    return effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves)
+
+
+def _per_surface_reference(h_d, gs, hs, amps, sign, offblock):
+    """The same channel surface by surface and block by block, from
+    PhaseConfig and cascade."""
+    n_users = len(h_d)
+    out = np.array(h_d, dtype=complex)
+    for m, (h, amp) in enumerate(zip(hs, amps)):
+        blocks = np.array_split(np.arange(len(h)), n_users)
+        phases = np.zeros(len(h))
+        for u, block in enumerate(blocks):
+            phases[block] = optimal_phases(gs[u][m], h, h_d[u], amp, sign).phases[block]
+        for u in range(n_users):
+            keep = blocks[u] if n_users > 1 and offblock == "exclude" \
+                else np.arange(len(h))
+            out[u] += cascade(gs[u][m][keep], PhaseConfig(phases[keep], amp), h[keep])
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(16,), (9, 4), (4, 25, 9)])
+@pytest.mark.parametrize("n_users", [1, 2, 3])
+@pytest.mark.parametrize("offblock", ["include", "exclude"])
+@pytest.mark.parametrize("sign", ["paper", "aligned"])
+def test_effective_channel_matches_per_surface_reference(sizes, n_users,
+                                                         offblock, sign):
+    rng = np.random.default_rng([len(sizes), n_users, len(offblock), len(sign)])
+    h_d = _cn(rng, n_users)
+    hs = [_cn(rng, n) for n in sizes]
+    gs = [[_cn(rng, n) for n in sizes] for _ in range(n_users)]
+    amps = rng.uniform(0.2, 1.0, size=len(sizes))
+    out = _element_axis_channel(h_d, gs, hs, amps, sign, offblock)
+    ref = _per_surface_reference(h_d, gs, hs, amps, sign, offblock)
+    assert out.shape == (n_users,)
+    np.testing.assert_allclose(out, ref, rtol=1e-12)
+    # co-phasing can at best add every cascaded magnitude to the direct link
+    bound = np.abs(h_d) + [sum(a * np.sum(np.abs(g * h))
+                               for a, g, h in zip(amps, row, hs)) for row in gs]
+    assert np.all(np.abs(out) <= bound * (1 + 1e-12))
+
+
+def test_one_user_lands_on_direct_phase():
+    # each co-phased term is amp |g_k||h_k| e^{-js arg h_d}, so the
+    # surface -> receiver phases do not matter with one user
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        sizes = rng.integers(1, 5, size=rng.integers(1, 4)) ** 2
+        h_d = _cn(rng, 1)
+        hs = [_cn(rng, n) for n in sizes]
+        gs = [[_cn(rng, n) for n in sizes]]
+        amps = rng.uniform(0.1, 1.0, size=len(sizes))
+        total = sum(a * np.sum(np.abs(g) * np.abs(h))
+                    for a, g, h in zip(amps, gs[0], hs))
+        unit = np.exp(1j * np.angle(h_d[0]))
+        paper = _element_axis_channel(h_d, gs, hs, amps, "paper", "include")
+        np.testing.assert_allclose(paper, h_d + total * np.conj(unit), rtol=1e-12)
+        aligned = _element_axis_channel(h_d, gs, hs, amps, "aligned", "include")
+        np.testing.assert_allclose(aligned, h_d + total * unit, rtol=1e-12)
+        assert abs(aligned[0]) == pytest.approx(abs(h_d[0]) + total, rel=1e-12)
+        assert abs(paper[0]) <= abs(h_d[0]) + total * (1 + 1e-12)
+        rotated = [[g * np.exp(1j * rng.uniform(-math.pi, math.pi, size=len(g)))
+                    for g in gs[0]]]
+        np.testing.assert_allclose(
+            _element_axis_channel(h_d, rotated, hs, amps, "paper", "include"),
+            paper, rtol=1e-12)
 
 
 def test_snr_values():

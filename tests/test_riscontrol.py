@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from risim.riscontrol import (
-    ElementAllocation, PhaseConfig, cascade, combined_phase_vector,
-    optimal_phases, partition_elements,
+    PhaseConfig, cascade, combined_phase_vector, optimal_phases,
+    partition_elements,
 )
 
 
@@ -115,23 +115,20 @@ def test_cascade_linear_in_amplitude():
 
 
 def test_partition_examples():
-    alloc = partition_elements(256, 2)
-    np.testing.assert_array_equal(alloc.blocks[0], np.arange(0, 128))
-    np.testing.assert_array_equal(alloc.blocks[1], np.arange(128, 256))
-
-    alloc = partition_elements(10, 3)
-    assert [len(b) for b in alloc.blocks] == [4, 3, 3]
-
-    alloc = partition_elements(9, 1)
-    np.testing.assert_array_equal(alloc.blocks[0], np.arange(9))
+    np.testing.assert_array_equal(partition_elements(256, 2),
+                                  np.repeat([0, 1], 128))
+    np.testing.assert_array_equal(partition_elements(10, 3),
+                                  [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+    np.testing.assert_array_equal(partition_elements(9, 1), np.zeros(9))
 
 
 def test_partition_blocks_cover_without_overlap():
-    for n, u in ((256, 3), (64, 5), (16, 16), (100, 7)):
-        alloc = partition_elements(n, u)
-        assert alloc.n_users == u
-        joined = np.sort(np.concatenate(alloc.blocks))
-        np.testing.assert_array_equal(joined, np.arange(n))
+    # owner u holds exactly the u-th array_split block of the lattice scan
+    for n, u in ((256, 3), (64, 5), (16, 16), (100, 7), (8, 5)):
+        owner = partition_elements(n, u)
+        assert owner.shape == (n,)
+        for user, block in enumerate(np.array_split(np.arange(n), u)):
+            np.testing.assert_array_equal(np.flatnonzero(owner == user), block)
 
 
 def test_partition_rejects_bad_counts():
@@ -141,21 +138,20 @@ def test_partition_rejects_bad_counts():
         partition_elements(4, 0)
 
 
-def test_allocation_validation():
-    with pytest.raises(ValueError):
-        ElementAllocation(n_elements=4,
-                          blocks=(np.array([0, 1]), np.array([1, 2])))
-    with pytest.raises(ValueError):
-        ElementAllocation(n_elements=4, blocks=(np.array([0, 4]),))
-    with pytest.raises(ValueError):
-        ElementAllocation(n_elements=4, blocks=(np.array([-1]),))
-
-
 def test_combined_phase_vector_mixes_blocks():
-    alloc = partition_elements(6, 2)
-    pc0 = PhaseConfig(phases=np.full(6, 0.1))
-    pc1 = PhaseConfig(phases=np.full(6, 0.2))
-    out = combined_phase_vector(alloc, [pc0, pc1])
+    owner = partition_elements(6, 2)
+    out = combined_phase_vector(owner, [np.full(6, 0.1), np.full(6, 0.2)])
     np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
     with pytest.raises(ValueError):
-        combined_phase_vector(alloc, [pc0])
+        combined_phase_vector(owner, [np.full(6, 0.1)])
+    with pytest.raises(ValueError):
+        combined_phase_vector(owner, [np.full(5, 0.1), np.full(5, 0.2)])
+
+
+def test_combined_phase_vector_across_surfaces():
+    # two surfaces on one element axis: each surface is split on its own
+    owner = np.concatenate([partition_elements(4, 2), partition_elements(9, 2)])
+    per_user = [np.arange(13) * 1.0, -np.arange(13) * 1.0]
+    out = combined_phase_vector(owner, per_user)
+    np.testing.assert_array_equal(
+        out, [0, 1, -2, -3, 4, 5, 6, 7, 8, -9, -10, -11, -12])
