@@ -70,9 +70,11 @@ class ScenarioConfig:
 
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
-# array, 0.8 GB at MAX_TRIALS.
+# array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
+# g is 268 MB per MAX_ELEMENTS surface.
 MAX_TRIALS = 10 ** 5
 MAX_ELEMENTS = 65536
+MAX_USERS = 256
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -82,6 +84,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     ConfigError instead."""
     if cfg.n_trials > MAX_TRIALS:
         raise ConfigError(f"n_trials must be at most {MAX_TRIALS}, got {cfg.n_trials}")
+    if len(cfg.rx) > MAX_USERS:
+        raise ConfigError(f"at most {MAX_USERS} receivers are allowed, got {len(cfg.rx)}")
     for m, ris in enumerate(cfg.ris_list):
         if ris.n_elements > MAX_ELEMENTS:
             raise ConfigError(f"ris[{m}] has {ris.n_elements} elements, "

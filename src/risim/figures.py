@@ -198,13 +198,14 @@ def write_runs(runs: list[FigureRun], prefix: str, out_dir, fmt: str = "csv",
                threads: int = 1, figure: bool = False) -> list[Path]:
     """Run each sweep and write <prefix>_<name>[_rxU].<fmt>, a CDF file per
     receiver where cdf_at is set, and <prefix>_<name>_meta.json; the meta
-    names the figure and run only when figure is set."""
+    names the figure and run only when figure is set.  Every sweep runs
+    before the directory is made, so a run that fails leaves nothing."""
+    results = [run_sweep(run.cfg, run.sweep, threads=threads) for run in runs]
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     table_writer = write_sweep_csv if fmt == "csv" else write_sweep_json
     written: list[Path] = []
-    for run in runs:
-        rows = run_sweep(run.cfg, run.sweep, threads=threads)
+    for run, rows in zip(runs, results):
         stem = outdir / f"{prefix}_{run.name}"
         n_users = len(run.cfg.rx)
         for u in range(n_users):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risim.cli import main
 from risim.experiments import (
-    MAX_ELEMENTS, MAX_TRIALS, scenario_from_dict, scenario_to_dict,
+    MAX_ELEMENTS, MAX_TRIALS, MAX_USERS, scenario_from_dict, scenario_to_dict,
 )
 
 
@@ -165,7 +165,9 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     ({"n_trials": MAX_TRIALS + 1}, "n_trials must be at most"),
     ({"ris_list": [{"position": [75, 30, 2], "n_elements": 4 * MAX_ELEMENTS}]},
      "at most 65536"),
-], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound"])
+    ({"rx": [[75, 35, 1]] * (MAX_USERS + 1)}, "at most 256 receivers"),
+], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound",
+        "users_over_bound"])
 def test_oversized_config_exits_two(tmp_path, capsys, override, message):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
@@ -182,10 +184,23 @@ def test_oversized_config_exits_two(tmp_path, capsys, override, message):
 def test_bounds_are_inclusive(tmp_path, capsys):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({
-        "tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": MAX_TRIALS,
+        "tx": [0, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS, "n_trials": MAX_TRIALS,
         "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{cfg}", "--var", "n_elements", "--values", f"16,{4 * MAX_ELEMENTS}"],
+    ["figure", "F6", "--override", f"trials={MAX_TRIALS + 1}"],
+], ids=["sweep_elements_over_bound", "figure_trials_over_bound"])
+def test_failed_run_leaves_no_output_directory(scenario_file, tmp_path, capsys,
+                                               argv):
+    out = tmp_path / "out"
+    argv = [a.format(cfg=scenario_file) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
