@@ -57,8 +57,8 @@ def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
 
     One user needs no surface -> receiver phases: co-phased against h_d with
     sign s (+1 "paper", -1 "aligned"), its term k is amp_k |g_k||h_k|
-    e^{-js arg h_d}.  That does not hold for two users, each of whom hears
-    the other's elements, co-phased for the other's g.
+    e^{-js arg h_d}.  With two users that fails for the elements a user
+    does not own: they are co-phased for the other user's g.
     """
     terms = g * coefficients * h
     if serves is not None:
