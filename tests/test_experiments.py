@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from risim import experiments
 from risim.channel import RisDescriptor
 from risim.environment import EnvironmentConfig
 from risim.experiments import (
@@ -406,6 +407,73 @@ def test_derived_rng_streams():
     assert a != derived_rng(1, 0, 6, 2, 0).random()
     assert a != derived_rng(1, 1, 5, 2, 0).random()
     assert a != derived_rng(2, 0, 5, 2, 0).random()
+
+
+@pytest.mark.parametrize("key", [
+    (0, 0, 0, 1, 0),
+    (2 ** 32 - 1, 3, 2 ** 32, 2, 2 ** 64 + 5),
+    (123456789012345678901, 0, 7, 5, 0),
+    (2 ** 32, 2 ** 64 + 5, 0, 6, 2 ** 32 - 1),
+], ids=["zeros", "word_edges", "seed_21_digits", "wide_sweep"])
+def test_derived_rng_is_the_seed_sequence_of_the_key(key):
+    # the stream is PCG64 seeded by SeedSequence(entropy=key) as a tuple
+    want = np.random.default_rng(np.random.SeedSequence(entropy=key))
+    got = derived_rng(*key)
+    assert got.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(got.random(8), want.random(8))
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0, 1), (1, 0, -5, 2), (1, 0, 0, 3, -1)])
+def test_derived_rng_rejects_negative_keys(key):
+    with pytest.raises(ValueError):
+        derived_rng(*key)
+
+
+_TWO_SURFACES = [
+    RisDescriptor(position=Point3(70.0, 30.0, 1.5), n_elements=16, amplitude=0.7,
+                  orient=Orientation(plane=Plane.XZ, tilt_rad=-0.3)),
+    RisDescriptor(position=Point3(74.0, 30.0, 2.5), n_elements=64),
+]
+_TWO_USERS = [Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)]
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "exclude"},
+], ids=["one_user_one_surface", "two_users_two_surfaces"])
+def test_trial_prefix_matches_shorter_run(overrides):
+    # trial t draws from its own streams, so a longer run only appends trials
+    short = run_scenario(_cfg(n_trials=25, **overrides))
+    long = run_scenario(_cfg(n_trials=40, **overrides))
+    for a, b in zip(short, long, strict=True):
+        np.testing.assert_array_equal(a.rate_samples, b.rate_samples[:25])
+
+
+def _end_states(monkeypatch, cfg) -> dict:
+    """Every stream run_scenario derives, keyed by its key, in its end state."""
+    streams = {}
+    derive = experiments.derived_rng
+
+    def keep(*key):
+        streams[key] = derive(*key)
+        return streams[key]
+
+    monkeypatch.setattr(experiments, "derived_rng", keep)
+    run_scenario(cfg)
+    return {key: rng.bit_generator.state for key, rng in streams.items()}
+
+
+def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
+    def cfg(n_elements, tilt):
+        surfaces = [dataclasses.replace(
+            ris, n_elements=n_elements,
+            orient=dataclasses.replace(ris.orient, tilt_rad=tilt))
+            for ris in _TWO_SURFACES]
+        return _cfg(rx=_TWO_USERS, ris_list=surfaces, n_trials=12)
+
+    base = _end_states(monkeypatch, cfg(16, 0.0))
+    assert len(base) == 12 * (2 + 2 + 2 * 2 + 2) + 2
+    assert _end_states(monkeypatch, cfg(256, 0.0)) == base
+    assert _end_states(monkeypatch, cfg(16, -0.5)) == base
 
 
 def test_offblock_choice_changes_multiuser_rates():
