@@ -82,6 +82,33 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
 array_response_tilted = array_response
 
 
+@dataclass(frozen=True, eq=False)
+class Sightline:
+    """A surface's sightline to one endpoint, less its per-trial draws: the
+    hop distance, the unshadowed loss pathloss_db(pl, distance), the element
+    gain at the arrival elevation and the (side,) ramps of the response."""
+
+    distance: float
+    loss_db: float
+    gain: float
+    ez: np.ndarray
+    ex: np.ndarray
+
+    @classmethod
+    def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
+        d = distance(end, ris.position)
+        az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
+        ex, ez = _lattice_factors(ris, az, el, 2.0 * math.pi / wavelength(pl.freq_hz))
+        gain = element_gain(float(el[0]), ris.pattern_exponent)
+        return cls(d, pathloss_db(pl, d), gain, ez[0], ex[0])
+
+    def response(self, shadow_db: float, eta: float) -> np.ndarray:
+        """(N,) vector for one shadow draw and phase eta; loss_db - shadow_db
+        has the bits of pathloss_db(pl, distance, shadow_db)."""
+        amp = math.sqrt(self.gain * 10.0 ** ((self.loss_db - shadow_db) / 10.0))
+        return np.outer(amp * np.exp(1j * eta) * self.ez, self.ex).ravel()
+
+
 def tx_ris_channel(
     ris: RisDescriptor,
     clusters: ClusterSet,
@@ -92,6 +119,7 @@ def tx_ris_channel(
     rng: np.random.Generator,
     shadow_scatter: bool = True,
     shadow_los: bool = True,
+    *, link: Sightline | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
@@ -100,6 +128,7 @@ def tx_ris_channel(
     with per-path loss over the detour distance d_from_tx + d_to_surface.
     The sightline term adds sqrt(element_gain * loss) e^{j eta} response with
     a uniform random phase eta when the blockage draw comes up visible.
+    link, Sightline.between(ris, tx, pl_los), is built here unless passed in.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
@@ -117,17 +146,11 @@ def tx_ris_channel(
         c = clusters.normalization * clusters.gains * amp
         h = ((ez.T * c) @ ex).ravel()
 
-    d_link = distance(tx, ris.position)
-    visible = los_indicator(los, d_link, ris.position.z, tx.z, rng)
+    link = link or Sightline.between(ris, tx, pl_los)
+    visible = los_indicator(los, link.distance, ris.position.z, tx.z, rng)
     if visible:
         shadow = sample_shadow(pl_los.shadow_sigma_db, rng) if shadow_los else 0.0
-        loss_db = pathloss_db(pl_los, d_link, shadow)
-        az1, el1 = angles_to_targets(ris.position, ris.orient, tx.as_array()[None, :])
-        amp = math.sqrt(element_gain(float(el1[0]), ris.pattern_exponent)
-                        * 10.0 ** (loss_db / 10.0))
-        eta = rng.uniform(0.0, 2.0 * math.pi)
-        ex, ez = _lattice_factors(ris, az1, el1, k)
-        h = h + np.outer(amp * np.exp(1j * eta) * ez, ex).ravel()
+        h = h + link.response(shadow, rng.uniform(0.0, 2.0 * math.pi))
 
     return h, bool(visible)
 
@@ -138,21 +161,16 @@ def ris_rx_channel(
     pl: PathlossParams,
     rng: np.random.Generator,
     shadow_los: bool = True,
+    *, link: Sightline | None = None,
 ) -> np.ndarray:
     """(N,) surface -> receiver vector; this hop is modelled as pure sightline.
 
+    link, Sightline.between(ris, rx, pl), is built here unless passed in.
     Draw order on rng: shadow, eta.
     """
-    k = 2.0 * math.pi / wavelength(pl.freq_hz)
-    d_link = distance(ris.position, rx)
+    link = link or Sightline.between(ris, rx, pl)
     shadow = sample_shadow(pl.shadow_sigma_db, rng) if shadow_los else 0.0
-    loss_db = pathloss_db(pl, d_link, shadow)
-    az, el = angles_to_targets(ris.position, ris.orient, rx.as_array()[None, :])
-    amp = math.sqrt(element_gain(float(el[0]), ris.pattern_exponent)
-                    * 10.0 ** (loss_db / 10.0))
-    eta = rng.uniform(0.0, 2.0 * math.pi)
-    ex, ez = _lattice_factors(ris, az, el, k)
-    return np.outer(amp * np.exp(1j * eta) * ez, ex).ravel()
+    return link.response(shadow, rng.uniform(0.0, 2.0 * math.pi))
 
 
 def direct_channel(

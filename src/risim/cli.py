@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    ConfigError, SweepSpec, SweepVariable, load_scenario, parse_values,
+    MAX_THREADS, ConfigError, SweepSpec, SweepVariable, load_scenario, parse_values,
     run_scenario, scenario_to_dict, validate, write_cdf_csv, write_metadata,
     write_sweep_csv, write_sweep_json,
 )
@@ -23,7 +23,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trials (same results any count)")
+                        help=f"trial threads, 1..{MAX_THREADS}; same bytes, no faster")
 
 
 def build_parser() -> argparse.ArgumentParser:

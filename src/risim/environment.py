@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Point3
+from .geometry import Point3, row_norms
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,17 @@ def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
                      [ry * fz, -rx * fz, rx * fy - ry * fx]])
 
 
+@lru_cache(maxsize=64)
+def _anchor(tx: Point3, surface: Point3, rx: Point3):
+    """A cluster draw's fixed part: read-only tx, surface and rx arrays, the
+    tx -> surface span and the aim frame."""
+    txv, sv, rxv = tx.as_array(), surface.as_array(), rx.as_array()
+    frame = _aim_frame(txv, sv)
+    for a in (txv, sv, rxv, frame):
+        a.flags.writeable = False
+    return txv, sv, rxv, float(np.linalg.norm(sv - txv)), frame
+
+
 def sample_clusters(
     cfg: EnvironmentConfig, tx: Point3, surface: Point3, rx: Point3,
     rng: np.random.Generator,
@@ -107,10 +119,7 @@ def sample_clusters(
     """Draw one cluster realization anchored on the tx -> surface sightline."""
     if not cfg.include_scatter:
         return ClusterSet.empty()
-    txv, sv, rxv = tx.as_array(), surface.as_array(), rx.as_array()
-    span = float(np.linalg.norm(sv - txv))
-    if span <= 0.0:
-        raise ValueError("transmitter and surface coincide")
+    txv, sv, rxv, span, frame = _anchor(tx, surface, rx)
 
     n_clusters = max(1, int(rng.poisson(cfg.mean_clusters)))
     sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n_clusters)
@@ -129,12 +138,10 @@ def sample_clusters(
     el = np.clip(el, -np.pi / 2, np.pi / 2)
     r = np.repeat(ranges, sizes)
 
-    frame = _aim_frame(txv, sv)
-    dirs = (
-        np.cos(el)[:, None] * np.cos(az)[:, None] * frame[0]
-        + np.cos(el)[:, None] * np.sin(az)[:, None] * frame[1]
-        + np.sin(el)[:, None] * frame[2]
-    )
+    cos_el = np.cos(el)[:, None]
+    dirs = (cos_el * np.cos(az)[:, None] * frame[0]
+            + cos_el * np.sin(az)[:, None] * frame[1]
+            + np.sin(el)[:, None] * frame[2])
     positions = txv + r[:, None] * dirs
     gains = complex_normal(rng, size=total)
     ids = np.repeat(np.arange(n_clusters), sizes)
@@ -143,9 +150,9 @@ def sample_clusters(
         positions=positions,
         gains=gains,
         cluster_ids=ids,
-        d_from_tx=np.linalg.norm(positions - txv, axis=1),
-        d_to_surface=np.linalg.norm(positions - sv, axis=1),
-        d_to_rx=np.linalg.norm(positions - rxv, axis=1),
+        d_from_tx=row_norms(positions - txv),
+        d_to_surface=row_norms(positions - sv),
+        d_to_rx=row_norms(positions - rxv),
         cluster_sizes=tuple(sizes.tolist()),
     )
 
@@ -159,4 +166,4 @@ def rebind_receiver(cs: ClusterSet, rx: Point3) -> ClusterSet:
     """Same geometry and gains, receiver-side distances recomputed.
 
     Used for additional receivers so every user shares one realization."""
-    return replace(cs, d_to_rx=np.linalg.norm(cs.positions - rx.as_array(), axis=1))
+    return replace(cs, d_to_rx=row_norms(cs.positions - rx.as_array()))

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel
+from .channel import (
+    RisDescriptor, Sightline, direct_channel, ris_rx_channel, tx_ris_channel,
+)
 from .environment import (
     ClusterSet, EnvironmentConfig, rebind_receiver,
     resample_gains, sample_clusters,
@@ -71,10 +73,12 @@ class ScenarioConfig:
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
-# g is 268 MB per MAX_ELEMENTS surface.
+# g is 268 MB per MAX_ELEMENTS surface.  The trial pool starts up to
+# MAX_THREADS OS threads, which buy no speed: trials hold the GIL.
 MAX_TRIALS = 10 ** 5
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
+MAX_THREADS = 64
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -252,10 +256,17 @@ _BOOTSTRAP = 6
 
 def derived_rng(master_seed: int, sweep_index: int, trial: int, *tags: int
                 ) -> np.random.Generator:
-    """Counter-style stream: one generator per (run, trial, component)."""
-    entropy = (int(master_seed), int(sweep_index), int(trial),
-               *(int(t) for t in tags))
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    """Counter-style stream: one generator per (run, trial, component),
+    PCG64 seeded by SeedSequence(entropy=key) with key = (master_seed,
+    sweep_index, trial, *tags).
+
+    SeedSequence splits each int of key into little-endian uint32 words and
+    rejects a negative one.  A key of one-word ints is its own word array,
+    which SeedSequence takes without its slow per-int coercion."""
+    key = [int(n) for n in (master_seed, sweep_index, trial, *tags)]
+    one_word = 0 <= min(key) and max(key) <= 0xFFFFFFFF
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(key, dtype=np.uint32) if one_word else key)))
 
 
 def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
@@ -269,11 +280,17 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     surface-free run anchors clusters on the first receiver instead.
     """
     _require_valid(cfg)
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
     receivers, surfaces = cfg.rx, cfg.ris_list
     n_users = len(receivers)
     k = wavenumber(cfg.pl_los.freq_hz)
     anchors = [r.position for r in surfaces] or [receivers[0]]
     seed, sweep = cfg.master_seed, sweep_index
+    # what every sightline keeps from trial to trial, built once per run
+    tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los) for ris in surfaces]
+    rx_links = [[Sightline.between(ris, rx, cfg.pl_los) for ris in surfaces]
+                for rx in receivers]
 
     base_sets: list[ClusterSet] | None = None
     if not cfg.resample_geometry:
@@ -305,11 +322,12 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
 
         hs = [tx_ris_channel(ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos,
                              cfg.los_model, derived_rng(seed, sweep, t, _TX_RIS, m),
-                             cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+                             cfg.shadow_scatter_paths, cfg.shadow_los_paths,
+                             link=tx_links[m])[0]
               for m, ris in enumerate(surfaces)]
         gs = [[ris_rx_channel(ris, rx, cfg.pl_los,
                               derived_rng(seed, sweep, t, _RIS_RX, m, u),
-                              cfg.shadow_los_paths)
+                              cfg.shadow_los_paths, link=rx_links[u][m])
                for m, ris in enumerate(surfaces)]
               for u, rx in enumerate(receivers)]
         h_d = np.array([
@@ -329,7 +347,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         return effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves)
 
     h_eff = np.zeros((n_users, cfg.n_trials), dtype=complex)
-    if threads <= 1:
+    if threads == 1:
         for t in range(cfg.n_trials):
             h_eff[:, t] = run_trial(t)
     else:

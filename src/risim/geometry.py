@@ -72,6 +72,11 @@ def distance(a: Point3, b: Point3) -> float:
     return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=1), the same arithmetic without its dispatch."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def wrap_angle(x):
     """Wrap to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(x), 2.0 * np.pi)
@@ -111,7 +116,7 @@ def angles_to_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised azimuth/elevation of an (M, 3) array of target positions."""
     rel = np.atleast_2d(targets) - surface_pos.as_array()
-    norms = np.linalg.norm(rel, axis=1)
+    norms = row_norms(rel)
     if np.any(norms == 0.0):
         raise DegenerateGeometryError("target coincides with the surface centre")
     local = rel @ surface_basis(orient)  # rows: (lattice_x, broadside, lattice_z)

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risim.cli import main
 from risim.experiments import (
-    MAX_ELEMENTS, MAX_TRIALS, MAX_USERS, scenario_from_dict, scenario_to_dict,
+    MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, scenario_from_dict,
+    scenario_to_dict,
 )
 
 
@@ -200,6 +201,23 @@ def test_failed_run_leaves_no_output_directory(scenario_file, tmp_path, capsys,
     argv = [a.format(cfg=scenario_file) for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,20"],
+    ["figure", "F6", "--trials", "2"],
+], ids=["simulate", "sweep", "figure"])
+def test_thread_count_out_of_bounds_exits_two(scenario_file, tmp_path, capsys,
+                                              argv, threads):
+    # rejected before a pool exists, so no value here starts a thread
+    out = tmp_path / "out"
+    argv = [a.format(cfg=scenario_file) for a in argv]
+    assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"1..{MAX_THREADS}" in err
     assert not out.exists()
 
 
