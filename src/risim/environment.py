@@ -135,7 +135,7 @@ def sample_clusters(
         0.0, math.radians(cfg.azimuth_spread_deg), size=total)
     el = np.repeat(mean_el, sizes) + rng.normal(
         0.0, math.radians(cfg.elevation_spread_deg), size=total)
-    el = np.clip(el, -np.pi / 2, np.pi / 2)
+    el = el.clip(-np.pi / 2, np.pi / 2)
     r = np.repeat(ranges, sizes)
 
     cos_el = np.cos(el)[:, None]

@@ -117,11 +117,11 @@ def angles_to_targets(
     """Vectorised azimuth/elevation of an (M, 3) array of target positions."""
     rel = np.atleast_2d(targets) - surface_pos.as_array()
     norms = row_norms(rel)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise DegenerateGeometryError("target coincides with the surface centre")
     local = rel @ surface_basis(orient)  # rows: (lattice_x, broadside, lattice_z)
     azimuth = np.arctan2(local[:, 0], local[:, 1])
-    elevation = np.arcsin(np.clip(local[:, 2] / norms, -1.0, 1.0))
+    elevation = np.arcsin((local[:, 2] / norms).clip(-1.0, 1.0))
     return azimuth, elevation
 
 

@@ -81,7 +81,7 @@ def wavenumber(freq_hz: float) -> float:
 def pathloss_db(params: PathlossParams, dist_m, shadow_db=0.0):
     """Pathloss in dB (negative = attenuation). Accepts scalar or array distance."""
     d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("pathloss requires a positive distance")
     lam = wavelength(params.freq_hz)
     slope = params.exponent * (
