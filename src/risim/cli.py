@@ -23,7 +23,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"trial threads, 1..{MAX_THREADS}; same bytes, no faster")
+                        help=f"accepted for compatibility, 1..{MAX_THREADS}; "
+                             "ignored: trials run in order on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +74,7 @@ def _load_with_overrides(args) -> "ScenarioConfig":
 
 def _cmd_simulate(args) -> int:
     cfg = _load_with_overrides(args)
-    results = run_scenario(cfg, threads=args.threads)
+    results = run_scenario(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = write_sweep_csv if args.format == "csv" else write_sweep_json
@@ -95,7 +96,7 @@ def _cmd_sweep(args) -> int:
                      values=parse_values(args.values, list, "--values"),
                      target_ris=args.target_ris)
     written = write_runs([FigureRun(args.var, cfg, spec)], "sweep", args.out,
-                         args.format, args.threads)
+                         args.format)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -113,7 +114,7 @@ def _cmd_figure(args) -> int:
     if args.trials is not None:
         overrides["trials"] = args.trials
     written = reproduce_figure(args.figure_id, overrides, out_dir=args.out,
-                               fmt=args.format, threads=args.threads)
+                               fmt=args.format)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -136,6 +137,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= getattr(args, "threads", 1) <= MAX_THREADS:
+            raise ConfigError(
+                f"threads must lie in 1..{MAX_THREADS}, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@ canned experiment geometries, and result serialization.
 
 Reproducibility contract: every random draw of a run comes from a stream
 derived statelessly from (master_seed, sweep_index, trial, component), so
-results are independent of scheduling and worker count.
+a trial's draws do not depend on the trial count or on the order trials run.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import dataclasses
 import json
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -73,8 +72,8 @@ class ScenarioConfig:
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
-# g is 268 MB per MAX_ELEMENTS surface.  The trial pool starts up to
-# MAX_THREADS OS threads, which buy no speed: trials hold the GIL.
+# g is 268 MB per MAX_ELEMENTS surface.  MAX_THREADS bounds the CLI's
+# --threads, which is checked and then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
@@ -278,10 +277,11 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     axis through all surfaces and sum the effective scalar channel.  The
     direct link shares the first surface's cluster realization; a
     surface-free run anchors clusters on the first receiver instead.
+
+    Trials run in order on the calling thread.  threads is ignored: perfbench
+    still passes it, until the benchmark-only change of ROADMAP item 3.
     """
     _require_valid(cfg)
-    if not 1 <= threads <= MAX_THREADS:
-        raise ConfigError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
     receivers, surfaces = cfg.rx, cfg.ris_list
     n_users = len(receivers)
     k = wavenumber(cfg.pl_los.freq_hz)
@@ -310,7 +310,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         if n_users > 1 and cfg.offblock == "exclude":
             serves = owner == np.arange(n_users)[:, None]
 
-    def run_trial(t: int) -> np.ndarray:
+    h_eff = np.zeros((n_users, cfg.n_trials), dtype=complex)
+    for t in range(cfg.n_trials):
         sets = []
         for m, anchor in enumerate(anchors):
             rng = derived_rng(seed, sweep, t, _CLUSTERS, m)
@@ -337,23 +338,16 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                            cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
             for u, rx in enumerate(receivers)])
         if not surfaces:
-            return h_d
+            h_eff[:, t] = h_d
+            continue
 
         h = np.concatenate(hs)
         g = np.array([np.concatenate(row) for row in gs])
         per_user = [optimal_phases(g[u], h, h_d[u], 1.0, cfg.direct_phase_sign).phases
                     for u in range(n_users)]
         phases = per_user[0] if n_users == 1 else combined_phase_vector(owner, per_user)
-        return effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves)
-
-    h_eff = np.zeros((n_users, cfg.n_trials), dtype=complex)
-    if threads == 1:
-        for t in range(cfg.n_trials):
-            h_eff[:, t] = run_trial(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, column in enumerate(pool.map(run_trial, range(cfg.n_trials))):
-                h_eff[:, t] = column
+        h_eff[:, t] = effective_channel(h_d, g, amplitude * np.exp(1j * phases),
+                                        h, serves)
 
     results = []
     for u in range(n_users):
@@ -457,14 +451,15 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, threads: int = 1
               ) -> list[tuple[float, list[MetricsResult]]]:
-    """One seeded run per sweep value; the value index salts the streams."""
+    """One seeded run per sweep value; the value index salts the streams.
+
+    threads is ignored, as in run_scenario."""
     if not spec.values:
         raise ConfigError("sweep needs at least one value")
     out = []
     for i, value in enumerate(spec.values):
         cfg_i = apply_sweep_value(cfg, spec, value)
-        out.append((float(value), run_scenario(cfg_i, sweep_index=i,
-                                               threads=threads)))
+        out.append((float(value), run_scenario(cfg_i, sweep_index=i)))
     return out
 
 

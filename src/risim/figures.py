@@ -195,12 +195,12 @@ def build_figure(figure_id: str, overrides: dict | None = None) -> list[FigureRu
 
 
 def write_runs(runs: list[FigureRun], prefix: str, out_dir, fmt: str = "csv",
-               threads: int = 1, figure: bool = False) -> list[Path]:
+               figure: bool = False) -> list[Path]:
     """Run each sweep and write <prefix>_<name>[_rxU].<fmt>, a CDF file per
     receiver where cdf_at is set, and <prefix>_<name>_meta.json; the meta
     names the figure and run only when figure is set.  Every sweep runs
     before the directory is made, so a run that fails leaves nothing."""
-    results = [run_sweep(run.cfg, run.sweep, threads=threads) for run in runs]
+    results = [run_sweep(run.cfg, run.sweep) for run in runs]
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     table_writer = write_sweep_csv if fmt == "csv" else write_sweep_json
@@ -226,8 +226,7 @@ def write_runs(runs: list[FigureRun], prefix: str, out_dir, fmt: str = "csv",
 
 
 def reproduce_figure(figure_id: str, overrides: dict | None = None,
-                     out_dir: str = ".", fmt: str = "csv",
-                     threads: int = 1) -> list[Path]:
+                     out_dir: str = ".", fmt: str = "csv") -> list[Path]:
     """Run every canned sweep of a figure and write its result files."""
     return write_runs(build_figure(figure_id, overrides), figure_id.lower(),
-                      out_dir, fmt, threads, figure=True)
+                      out_dir, fmt, figure=True)

@@ -1,14 +1,16 @@
 import copy
 import json
 import math
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from risim import experiments
 from risim.cli import main
 from risim.experiments import (
-    MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, scenario_from_dict,
-    scenario_to_dict,
+    MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, derived_rng,
+    scenario_from_dict, scenario_to_dict,
 )
 
 
@@ -212,13 +214,32 @@ def test_failed_run_leaves_no_output_directory(scenario_file, tmp_path, capsys,
 ], ids=["simulate", "sweep", "figure"])
 def test_thread_count_out_of_bounds_exits_two(scenario_file, tmp_path, capsys,
                                               argv, threads):
-    # rejected before a pool exists, so no value here starts a thread
+    # main checks the flag before any command runs, so nothing is written
     out = tmp_path / "out"
     argv = [a.format(cfg=scenario_file) for a in argv]
     assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"1..{MAX_THREADS}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,20"],
+    ["figure", "F6", "--trials", "2"],
+], ids=["simulate", "sweep", "figure"])
+def test_threads_flag_runs_every_trial_on_the_calling_thread(
+        scenario_file, tmp_path, monkeypatch, argv):
+    callers = []
+
+    def recording(*key):
+        callers.append(threading.get_ident())
+        return derived_rng(*key)
+
+    monkeypatch.setattr(experiments, "derived_rng", recording)
+    argv = [a.format(cfg=scenario_file) for a in argv]
+    assert main(argv + ["--threads", "4", "--out", str(tmp_path / "out")]) == 0
+    assert callers and set(callers) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("argv", [
