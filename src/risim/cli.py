@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
     p_sweep.add_argument("--target-ris", type=int, default=0,
-                         help="surface index the swept variable applies to")
+                         help="surface a ris_x, ris_z, tilt or n_elements sweep moves")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

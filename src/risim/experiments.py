@@ -416,6 +416,10 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
     """A copy of cfg with one knob moved; the original is left untouched."""
     out = replace(cfg, rx=list(cfg.rx), ris_list=list(cfg.ris_list))
     var = spec.variable
+    surface_free = var in (SweepVariable.TX_POWER_DBM, SweepVariable.RIS_COUNT)
+    if surface_free and spec.target_ris != 0:
+        raise ConfigError(f"target_ris does not apply to a {var.value} sweep, "
+                          f"got {spec.target_ris}")
     if var is SweepVariable.TX_POWER_DBM:
         out.budget = replace(cfg.budget, tx_power_dbm=float(value))
         return out
@@ -492,6 +496,8 @@ def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]],
 
 def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
                      key: str = "sweep_value") -> Path:
+    """write_sweep_csv's table as JSON records; a non-finite float, such as
+    the dB SNR of a run whose every trial has zero power, is null."""
     records = [
         {
             key: value,
@@ -505,8 +511,10 @@ def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
         }
         for value, res in rows
     ]
+    records = [{name: None if isinstance(x, float) and not np.isfinite(x) else x
+                for name, x in record.items()} for record in records]
     path = Path(path)
-    path.write_text(json.dumps(records, indent=1) + "\n")
+    path.write_text(json.dumps(records, indent=1, allow_nan=False) + "\n")
     return path
 
 

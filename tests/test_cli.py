@@ -196,7 +196,10 @@ def test_bounds_are_inclusive(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "{cfg}", "--var", "n_elements", "--values", f"16,{4 * MAX_ELEMENTS}"],
     ["figure", "F6", "--override", f"trials={MAX_TRIALS + 1}"],
-], ids=["sweep_elements_over_bound", "figure_trials_over_bound"])
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10", "--target-ris", "7"],
+    ["sweep", "{cfg}", "--var", "ris_count", "--values", "1", "--target-ris", "-3"],
+], ids=["sweep_elements_over_bound", "figure_trials_over_bound",
+        "target_ris_on_tx_power", "target_ris_on_ris_count"])
 def test_failed_run_leaves_no_output_directory(scenario_file, tmp_path, capsys,
                                                argv):
     out = tmp_path / "out"

@@ -155,6 +155,9 @@ def test_apply_sweep_value_rejects_bad_values():
     with pytest.raises(ConfigError):
         apply_sweep_value(_cfg(ris_list=[]), SweepSpec(SweepVariable.TILT, []),
                           0.1)
+    for variable in (SweepVariable.TX_POWER_DBM, SweepVariable.RIS_COUNT):
+        with pytest.raises(ConfigError, match="target_ris"):
+            apply_sweep_value(cfg, SweepSpec(variable, [], target_ris=1), 1)
 
 
 def test_integral_sweep_values_are_not_truncated():
@@ -381,6 +384,20 @@ def test_write_sweep_json(tmp_path):
     assert rec["sweep_value"] == 5.0
     assert rec["ergodic_rate_bps_hz"] == 1.25
     assert rec["n_trials"] == 1 and rec["seed"] == 3
+
+    # a run whose every trial has zero power: RFC 8259 has no -Infinity
+    silent = dataclasses.replace(_fake_result(0.0), mean_snr_db=-math.inf,
+                                 snr_db_trial_mean=-math.inf)
+    path = write_sweep_json(tmp_path / "zero.json", [(5.0, silent)])
+    rec, = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert rec["mean_snr_db"] is None and rec["snr_db_trial_mean"] is None
+    assert rec["ergodic_rate_bps_hz"] == 0.0
+    csv_row = write_sweep_csv(tmp_path / "zero.csv", [(5.0, silent)])
+    assert csv_row.read_text().splitlines()[1].split(",")[2] == "-inf"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
 
 
 def test_write_cdf_csv(tmp_path):
