@@ -23,7 +23,7 @@ from .geometry import (
 )
 from .propagation import (
     LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
-    sample_shadow, wavelength,
+    sample_shadow, wavelength, wavenumber,
 )
 
 
@@ -98,7 +98,7 @@ class Sightline:
     def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
         d = distance(end, ris.position)
         az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
-        ex, ez = _lattice_factors(ris, az, el, 2.0 * math.pi / wavelength(pl.freq_hz))
+        ex, ez = _lattice_factors(ris, az, el, wavenumber(pl.freq_hz))
         gain = element_gain(float(el[0]), ris.pattern_exponent)
         return cls(d, pathloss_db(pl, d), gain, ez[0], ex[0])
 
@@ -132,7 +132,7 @@ def tx_ris_channel(
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
-    k = 2.0 * math.pi / wavelength(pl_los.freq_hz)
+    k = wavenumber(pl_los.freq_hz)
     h = np.zeros(ris.n_elements, dtype=complex)
 
     if len(clusters):
