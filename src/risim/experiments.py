@@ -416,8 +416,8 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
     """A copy of cfg with one knob moved; the original is left untouched."""
     out = replace(cfg, rx=list(cfg.rx), ris_list=list(cfg.ris_list))
     var = spec.variable
-    surface_free = var in (SweepVariable.TX_POWER_DBM, SweepVariable.RIS_COUNT)
-    if surface_free and spec.target_ris != 0:
+    untargeted = var in (SweepVariable.TX_POWER_DBM, SweepVariable.RIS_COUNT)
+    if untargeted and spec.target_ris != 0:
         raise ConfigError(f"target_ris does not apply to a {var.value} sweep, "
                           f"got {spec.target_ris}")
     if var is SweepVariable.TX_POWER_DBM:
@@ -496,8 +496,8 @@ def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]],
 
 def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
                      key: str = "sweep_value") -> Path:
-    """write_sweep_csv's table as JSON records; a non-finite float, such as
-    the dB SNR of a run whose every trial has zero power, is null."""
+    """write_sweep_csv's table plus snr_db_trial_mean, as JSON records; a
+    non-finite float, such as the dB SNR of a zero-power run, is null."""
     records = [
         {
             key: value,
