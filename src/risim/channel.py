@@ -61,12 +61,28 @@ class RisDescriptor:
 def _lattice_factors(
     ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, side) phase ramps ex, ez for M directions in the tilted surface frame:
-    element (z, x) responds to direction m with ez[m, z] * ex[m, x]."""
-    idx = np.arange(ris.side)
+    """(side, M) phase ramps ex, ez for M directions in the tilted surface frame:
+    element (z, x) responds to direction m with ez[z, m] * ex[x, m].
+
+    Row x of a ramp is w^x for the direction's step w = exp(j k d u), built by
+    doubling: rows [n, 2n) are rows [0, n) times w^n, and w^2n squares w^n.
+    That is one complex exp per direction instead of one per element."""
     d = ris.spacing if ris.spacing is not None else math.pi / k  # half wavelength
-    return (np.exp(1j * k * d * np.outer(np.sin(el), idx)),
-            np.exp(1j * k * d * np.outer(np.sin(az) * np.cos(el), idx)))
+    side, m = ris.side, len(el)
+    steps = np.empty(2 * m)
+    np.sin(el, out=steps[:m])
+    np.multiply(np.sin(az), np.cos(el), out=steps[m:])
+    power = np.exp(1j * k * d * steps)
+    ramps = np.empty((side, 2 * m), dtype=complex)
+    ramps[0] = 1.0
+    n = 1
+    while n < side:
+        rows = min(n, side - n)
+        np.multiply(ramps[:rows], power, out=ramps[n:n + rows])
+        n *= 2
+        if n < side:
+            power = power * power
+    return ramps[:, :m], ramps[:, m:]
 
 
 def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
@@ -74,8 +90,8 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
 
     With ang from geometry.angles_at_surface this is the plane wave
     exp(j k u . p_i) for any mounting plane and tilt."""
-    ex, ez = _lattice_factors(ris, ang.azimuth, ang.elevation, k)
-    return np.outer(ez, ex).ravel()
+    ex, ez = _lattice_factors(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k)
+    return (ez * ex.T).ravel()
 
 
 # The tilted-frame angles already carry the tilt, so the response is the same.
@@ -100,7 +116,8 @@ class Sightline:
         az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
         ex, ez = _lattice_factors(ris, az, el, wavenumber(pl.freq_hz))
         gain = element_gain(float(el[0]), ris.pattern_exponent)
-        return cls(d, pathloss_db(pl, d), gain, ez[0], ex[0])
+        return cls(d, pathloss_db(pl, d), gain,
+                   np.ascontiguousarray(ez[:, 0]), np.ascontiguousarray(ex[:, 0]))
 
     def response(self, shadow_db: float, eta: float) -> np.ndarray:
         """(N,) vector for one shadow draw and phase eta; loss_db - shadow_db
@@ -144,7 +161,7 @@ def tx_ris_channel(
         amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss_db / 10.0))
         ex, ez = _lattice_factors(ris, az, el, k)
         c = clusters.normalization * clusters.gains * amp
-        h = ((ez.T * c) @ ex).ravel()
+        h = ((ez * c) @ ex.T).ravel()
 
     link = link or Sightline.between(ris, tx, pl_los)
     visible = los_indicator(los, link.distance, ris.position.z, tx.z, rng)

@@ -103,13 +103,15 @@ def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _anchor(tx: Point3, surface: Point3, rx: Point3):
-    """A cluster draw's fixed part: read-only tx, surface and rx arrays, the
-    tx -> surface span and the aim frame."""
-    txv, sv, rxv = tx.as_array(), surface.as_array(), rx.as_array()
+    """A cluster draw's fixed part: the read-only tx array, the (3, 1, 3)
+    stack of the tx, surface and rx arrays, the tx -> surface span and the
+    aim frame."""
+    txv, sv = tx.as_array(), surface.as_array()
+    ends = np.stack([txv, sv, rx.as_array()])[:, None, :]
     frame = _aim_frame(txv, sv)
-    for a in (txv, sv, rxv, frame):
+    for a in (txv, ends, frame):
         a.flags.writeable = False
-    return txv, sv, rxv, float(np.linalg.norm(sv - txv)), frame
+    return txv, ends, float(np.linalg.norm(sv - txv)), frame
 
 
 def sample_clusters(
@@ -119,7 +121,7 @@ def sample_clusters(
     """Draw one cluster realization anchored on the tx -> surface sightline."""
     if not cfg.include_scatter:
         return ClusterSet.empty()
-    txv, sv, rxv, span, frame = _anchor(tx, surface, rx)
+    txv, ends, span, frame = _anchor(tx, surface, rx)
 
     n_clusters = max(1, int(rng.poisson(cfg.mean_clusters)))
     sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n_clusters)
@@ -131,28 +133,30 @@ def sample_clusters(
     ranges = rng.uniform(cfg.min_range_m, hi, size=n_clusters)
 
     total = int(sizes.sum())
-    az = np.repeat(mean_az, sizes) + rng.normal(
+    ids = np.repeat(np.arange(n_clusters), sizes)
+    az = mean_az[ids] + rng.normal(
         0.0, math.radians(cfg.azimuth_spread_deg), size=total)
-    el = np.repeat(mean_el, sizes) + rng.normal(
+    el = mean_el[ids] + rng.normal(
         0.0, math.radians(cfg.elevation_spread_deg), size=total)
     el = el.clip(-np.pi / 2, np.pi / 2)
-    r = np.repeat(ranges, sizes)
 
     cos_el = np.cos(el)[:, None]
     dirs = (cos_el * np.cos(az)[:, None] * frame[0]
             + cos_el * np.sin(az)[:, None] * frame[1]
             + np.sin(el)[:, None] * frame[2])
-    positions = txv + r[:, None] * dirs
+    positions = txv + ranges[ids][:, None] * dirs
     gains = complex_normal(rng, size=total)
-    ids = np.repeat(np.arange(n_clusters), sizes)
+    # distances to tx, surface and rx in one pass: row_norms over (3, S, 3)
+    rel = positions - ends
+    d_from_tx, d_to_surface, d_to_rx = np.sqrt(np.add.reduce(rel * rel, axis=2))
 
     return ClusterSet(
         positions=positions,
         gains=gains,
         cluster_ids=ids,
-        d_from_tx=row_norms(positions - txv),
-        d_to_surface=row_norms(positions - sv),
-        d_to_rx=row_norms(positions - rxv),
+        d_from_tx=d_from_tx,
+        d_to_surface=d_to_surface,
+        d_to_rx=d_to_rx,
         cluster_sizes=tuple(sizes.tolist()),
     )
 

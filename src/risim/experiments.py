@@ -4,6 +4,13 @@ canned experiment geometries, and result serialization.
 Reproducibility contract: every random draw of a run comes from a stream
 derived statelessly from (master_seed, sweep_index, trial, component), so
 a trial's draws do not depend on the trial count or on the order trials run.
+
+run_scenario works through the trials in blocks.  Each trial's draws and
+link synthesis run one trial at a time and fill one row of the block's
+preallocated h, g and h_d arrays; co-phasing and the effective channel then
+run once for the whole block.  A block holds at most TRIAL_BLOCK trials and
+about _BLOCK_BYTES of link arrays.  Every step is elementwise or sums within
+one trial, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -72,12 +79,17 @@ class ScenarioConfig:
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
-# g is 268 MB per MAX_ELEMENTS surface.  MAX_THREADS bounds the CLI's
+# g is 268 MB per MAX_ELEMENTS surface.  run_scenario keeps a block of up to
+# TRIAL_BLOCK trials' h, g and h_d, holding the block to about _BLOCK_BYTES
+# (1 MiB) unless one trial alone is larger: a config at MAX_USERS x
+# MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the CLI's
 # --threads, which is checked and then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
+TRIAL_BLOCK = 64
+_BLOCK_BYTES = 1 << 20
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -268,18 +280,27 @@ def derived_rng(master_seed: int, sweep_index: int, trial: int, *tags: int
         np.array(key, dtype=np.uint32) if one_word else key)))
 
 
+def _block_size(n_users: int, n_elements: int) -> int:
+    """Trials per block: at most TRIAL_BLOCK, and no more than fit one
+    block's h, g and h_d in about _BLOCK_BYTES."""
+    per_trial = np.dtype(complex).itemsize * ((n_users + 1) * n_elements + n_users)
+    return max(1, min(TRIAL_BLOCK, _BLOCK_BYTES // per_trial))
+
+
 def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per trial: draw clusters, synthesize every surface's three links, then
-    co-phase each user's elements against its direct link over one element
-    axis through all surfaces and sum the effective scalar channel.  The
-    direct link shares the first surface's cluster realization; a
-    surface-free run anchors clusters on the first receiver instead.
+    Per trial: draw clusters and synthesize every surface's three links into
+    one row of the block's arrays, with every surface's elements on one
+    element axis.  Per block: co-phase each element for its owner against
+    the owner's direct link and sum the effective scalar channel of every
+    trial at once.  The direct link shares the first surface's cluster
+    realization; a surface-free run anchors clusters on the first receiver
+    instead.
 
     Trials run in order on the calling thread.  threads is ignored: perfbench
-    still passes it, until the benchmark-only change of ROADMAP item 3.
+    still passes it, until the benchmark-only change of ROADMAP item 1.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -301,6 +322,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         ]
 
     # one element axis: every surface's lattice scan, concatenated
+    edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
+    cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     serves = None
     if surfaces:
         owner = np.concatenate([partition_elements(r.n_elements, n_users)
@@ -310,44 +333,54 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         if n_users > 1 and cfg.offblock == "exclude":
             serves = owner == np.arange(n_users)[:, None]
 
-    h_eff = np.zeros((n_users, cfg.n_trials), dtype=complex)
-    for t in range(cfg.n_trials):
-        sets = []
-        for m, anchor in enumerate(anchors):
-            rng = derived_rng(seed, sweep, t, _CLUSTERS, m)
-            if cfg.resample_geometry:
-                sets.append(sample_clusters(cfg.env, cfg.tx, anchor,
-                                            receivers[0], rng))
-            else:
-                sets.append(resample_gains(base_sets[m], rng))
+    block = min(_block_size(n_users, edges[-1]), cfg.n_trials)
+    h = np.empty((block, edges[-1]), dtype=complex)
+    g = np.empty((block, n_users, edges[-1]), dtype=complex)
+    h_d = np.empty((block, n_users), dtype=complex)
+    h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
+    for start in range(0, cfg.n_trials, block):
+        stop = min(start + block, cfg.n_trials)
+        for i, t in enumerate(range(start, stop)):
+            sets = []
+            for m, anchor in enumerate(anchors):
+                rng = derived_rng(seed, sweep, t, _CLUSTERS, m)
+                if cfg.resample_geometry:
+                    sets.append(sample_clusters(cfg.env, cfg.tx, anchor,
+                                                receivers[0], rng))
+                else:
+                    sets.append(resample_gains(base_sets[m], rng))
 
-        hs = [tx_ris_channel(ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos,
-                             cfg.los_model, derived_rng(seed, sweep, t, _TX_RIS, m),
-                             cfg.shadow_scatter_paths, cfg.shadow_los_paths,
-                             link=tx_links[m])[0]
-              for m, ris in enumerate(surfaces)]
-        gs = [[ris_rx_channel(ris, rx, cfg.pl_los,
-                              derived_rng(seed, sweep, t, _RIS_RX, m, u),
-                              cfg.shadow_los_paths, link=rx_links[u][m])
-               for m, ris in enumerate(surfaces)]
-              for u, rx in enumerate(receivers)]
-        h_d = np.array([
-            direct_channel(sets[0] if u == 0 else rebind_receiver(sets[0], rx),
-                           cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
-                           derived_rng(seed, sweep, t, _DIRECT, u),
-                           cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
-            for u, rx in enumerate(receivers)])
+            for m, ris in enumerate(surfaces):
+                h[i, cols[m]] = tx_ris_channel(
+                    ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
+                    derived_rng(seed, sweep, t, _TX_RIS, m),
+                    cfg.shadow_scatter_paths, cfg.shadow_los_paths,
+                    link=tx_links[m])[0]
+            for u, rx in enumerate(receivers):
+                for m, ris in enumerate(surfaces):
+                    g[i, u, cols[m]] = ris_rx_channel(
+                        ris, rx, cfg.pl_los, derived_rng(seed, sweep, t, _RIS_RX, m, u),
+                        cfg.shadow_los_paths, link=rx_links[u][m])
+            for u, rx in enumerate(receivers):
+                h_d[i, u] = direct_channel(
+                    sets[0] if u == 0 else rebind_receiver(sets[0], rx),
+                    cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
+                    derived_rng(seed, sweep, t, _DIRECT, u),
+                    cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+
+        n = stop - start
         if not surfaces:
-            h_eff[:, t] = h_d
+            h_eff[:, start:stop] = h_d[:n].T
             continue
-
-        h = np.concatenate(hs)
-        g = np.array([np.concatenate(row) for row in gs])
-        per_user = [optimal_phases(g[u], h, h_d[u], 1.0, cfg.direct_phase_sign).phases
-                    for u in range(n_users)]
-        phases = per_user[0] if n_users == 1 else combined_phase_vector(owner, per_user)
-        h_eff[:, t] = effective_channel(h_d, g, amplitude * np.exp(1j * phases),
-                                        h, serves)
+        if n_users == 1:
+            phases = optimal_phases(g[:n, 0], h[:n], h_d[:n], 1.0,
+                                    cfg.direct_phase_sign).phases
+        else:
+            phases = combined_phase_vector(owner, g[:n], h[:n], h_d[:n],
+                                           cfg.direct_phase_sign)
+        coefficients = amplitude * np.exp(1j * phases)
+        h_eff[:, start:stop] = effective_channel(
+            h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
     results = []
     for u in range(n_users):
@@ -496,14 +529,13 @@ def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]],
 
 def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
                      key: str = "sweep_value") -> Path:
-    """write_sweep_csv's table plus snr_db_trial_mean, as JSON records; a
-    non-finite float, such as the dB SNR of a zero-power run, is null."""
+    """write_sweep_csv's table as JSON records; a non-finite float, such as
+    the dB SNR of a zero-power run, is null."""
     records = [
         {
             key: value,
             "ergodic_rate_bps_hz": res.ergodic_rate,
             "mean_snr_db": res.mean_snr_db,
-            "snr_db_trial_mean": res.snr_db_trial_mean,
             "rate_ci_low": res.rate_ci_low,
             "rate_ci_high": res.rate_ci_high,
             "n_trials": res.n_trials,

@@ -18,15 +18,12 @@ class LinkBudget:
 class MetricsResult:
     """Aggregates of one Monte Carlo run for a single receiver.
 
-    mean_snr_db is 10 log10 of the trial-average linear SNR (the default
-    reporting convention); snr_db_trial_mean averages the per-trial dB
-    values instead.  Both are kept because the two conventions diverge
-    under heavy shadowing.
+    mean_snr_db is 10 log10 of the trial-average linear SNR, which stays
+    finite when some trials have zero power.
     """
 
     ergodic_rate: float            # b/s/Hz, E[log2(1 + SNR)]
     mean_snr_db: float
-    snr_db_trial_mean: float
     rate_samples: np.ndarray       # per-trial rates, trial order
     n_trials: int
     seed: int
@@ -53,7 +50,9 @@ def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
     surface link, coefficients (N_tot,) the reflection amplitude times
     e^{j phase}, g (U, N_tot) one surface -> receiver row per user and h_d
     (U,) the direct links.  serves (U, N_tot), when given, keeps only the
-    elements each user owns.  Any leading axes broadcast.
+    elements each user owns.  Leading axes broadcast against g's
+    (..., U, N_tot): a block of B trials passes g (B, U, N_tot), h_d (B, U),
+    and h and coefficients as (B, 1, N_tot).
 
     One user needs no surface -> receiver phases: co-phased against h_d with
     sign s (+1 "paper", -1 "aligned"), its term k is amp_k |g_k||h_k|
@@ -92,11 +91,9 @@ def summarize(h_effective: np.ndarray, budget: LinkBudget, seed: int = 0) -> Met
     lin = snr(np.asarray(h_effective), budget)
     with np.errstate(divide="ignore"):
         mean_db = float(10.0 * np.log10(np.mean(lin))) if len(lin) else math.nan
-        trial_db = float(np.mean(10.0 * np.log10(lin))) if len(lin) else math.nan
     return MetricsResult(
         ergodic_rate=rate,
         mean_snr_db=mean_db,
-        snr_db_trial_mean=trial_db,
         rate_samples=samples,
         n_trials=len(samples),
         seed=seed,

@@ -42,7 +42,7 @@ def partition_elements(n_elements: int, n_users: int) -> np.ndarray:
 def optimal_phases(
     g: np.ndarray,
     h: np.ndarray,
-    h_txrx: complex,
+    h_txrx: complex | np.ndarray,
     amplitude: float = 1.0,
     direct_phase_sign: str = "paper",
 ) -> PhaseConfig:
@@ -51,7 +51,8 @@ def optimal_phases(
     Each element k gets -(arg g_k + arg h_k + arg h_txrx), so the cascaded
     sum lands at phase -arg(h_txrx).  The "aligned" variant flips the direct
     link's sign so the sum lands at +arg(h_txrx) and adds constructively
-    with it.  arg(0) counts as 0.
+    with it.  arg(0) counts as 0.  h_txrx is a scalar or an array that
+    broadcasts against g, such as one (B, 1) column for a block of B trials.
     """
     if direct_phase_sign not in ("paper", "aligned"):
         raise ValueError(f"unknown direct_phase_sign: {direct_phase_sign!r}")
@@ -67,16 +68,19 @@ def cascade(g: np.ndarray, config: PhaseConfig, h: np.ndarray) -> complex:
     return complex(np.sum(g * config.coefficients() * h))
 
 
-def combined_phase_vector(owner: np.ndarray, per_user: list[np.ndarray]
+def combined_phase_vector(owner: np.ndarray, g: np.ndarray, h: np.ndarray,
+                          h_d: np.ndarray, direct_phase_sign: str = "paper"
                           ) -> np.ndarray:
-    """One physical phase vector: each element carries its owner's phase.
+    """One physical phase vector: each element co-phased for its owner.
 
-    per_user holds one full-length phase vector per user.  Every element of
-    a passive surface reflects no matter whom it serves, so the off-block
-    entries seen by any one user are simply the phases granted to the
-    other users.
+    g is (..., U, N) with one surface -> receiver row per user, h (..., N)
+    and h_d (..., U); leading axes, such as a block of trials, carry through
+    to the (..., N) result.  Element k gets optimal_phases of its owner's
+    g and h_d, in one call over every element.  Every element of a passive
+    surface reflects no matter whom it serves, so the off-block entries
+    seen by any one user are simply the phases granted to the other users.
     """
-    stacked = np.stack(per_user)
-    if stacked.shape != (owner.max() + 1, len(owner)):
-        raise ValueError("one full-length phase vector needed per user")
-    return stacked[owner, np.arange(len(owner))]
+    if g.shape[-2:] != (owner.max() + 1, len(owner)):
+        raise ValueError("one full-length surface -> receiver row needed per user")
+    own_g = g[..., owner, np.arange(len(owner))]
+    return optimal_phases(own_g, h, h_d[..., owner], 1.0, direct_phase_sign).phases

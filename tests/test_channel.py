@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, array_response, array_response_tilted, direct_channel,
-    ris_rx_channel, tx_ris_channel,
+    RisDescriptor, _lattice_factors, array_response, array_response_tilted,
+    direct_channel, ris_rx_channel, tx_ris_channel,
 )
 from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
@@ -44,6 +44,36 @@ def test_descriptor_validation():
     lam = 299_792_458.0 / 73e9
     assert ris.pitch(73e9) == pytest.approx(lam / 2)
     assert RisDescriptor(position=ORIGIN, spacing=0.003).pitch(73e9) == 0.003
+
+
+def _exact_ramp(theta, side):
+    """(side, M) exp(j x theta) with each x * theta carried exactly: theta
+    splits into a 44-bit head and a short tail, both partial products are
+    exact for x < 512, and only the exps and one complex product round.
+    Rounding x * theta to one double instead would cost up to half an ulp
+    of a phase of hundreds of radians, about 1e-13 on its own."""
+    x = np.arange(side)[:, None]
+    c = theta * (2.0 ** 9 + 1.0)
+    head = c - (c - theta)
+    tail = theta - head
+    return np.exp(1j * (x * head)) * np.exp(1j * (x * tail))
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 5, 16, 256])
+@pytest.mark.parametrize("spacing", [None, 0.01], ids=["half_wavelength", "1cm"])
+def test_lattice_ramps_match_direct_exp(side, spacing):
+    # the ramps are built by doubling from one exp per direction
+    rng = np.random.default_rng(side)
+    az = np.concatenate([[0.0, math.pi / 2, -math.pi],
+                         rng.uniform(-math.pi, math.pi, size=200)])
+    el = np.concatenate([[0.0, math.pi / 2, -math.pi / 2],
+                         rng.uniform(-math.pi / 2, math.pi / 2, size=200)])
+    ex, ez = _lattice_factors(_ris(side * side, spacing=spacing), az, el, K73)
+    d = spacing if spacing is not None else math.pi / K73
+    for ramp, u in ((ex, np.sin(el)), (ez, np.sin(az) * np.cos(el))):
+        assert ramp.shape == (side, len(az))
+        want = _exact_ramp(K73 * d * u, side)
+        assert np.max(np.abs(ramp - want)) <= 1e-13   # |want| = 1
 
 
 def test_array_response_broadside_is_ones():

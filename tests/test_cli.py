@@ -59,7 +59,7 @@ def test_simulate_json_format(scenario_file, tmp_path):
     rec, = json.loads((out / "metrics.json").read_text())
     assert rec["receiver"] == 0
     assert rec["n_trials"] == 12 and rec["seed"] == 3
-    assert "snr_db_trial_mean" in rec
+    assert "mean_snr_db" in rec and "snr_db_trial_mean" not in rec
 
 
 def test_simulate_seed_and_trials_overrides(scenario_file, tmp_path):

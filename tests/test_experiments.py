@@ -362,7 +362,6 @@ def test_rx_accepts_single_triple_or_list():
 
 def _fake_result(rate):
     return MetricsResult(ergodic_rate=rate, mean_snr_db=10.0,
-                         snr_db_trial_mean=9.5,
                          rate_samples=np.array([rate]), n_trials=1, seed=3,
                          rate_ci_low=rate - 0.1, rate_ci_high=rate + 0.1)
 
@@ -386,11 +385,10 @@ def test_write_sweep_json(tmp_path):
     assert rec["n_trials"] == 1 and rec["seed"] == 3
 
     # a run whose every trial has zero power: RFC 8259 has no -Infinity
-    silent = dataclasses.replace(_fake_result(0.0), mean_snr_db=-math.inf,
-                                 snr_db_trial_mean=-math.inf)
+    silent = dataclasses.replace(_fake_result(0.0), mean_snr_db=-math.inf)
     path = write_sweep_json(tmp_path / "zero.json", [(5.0, silent)])
     rec, = json.loads(path.read_text(), parse_constant=_reject_constant)
-    assert rec["mean_snr_db"] is None and rec["snr_db_trial_mean"] is None
+    assert rec["mean_snr_db"] is None
     assert rec["ergodic_rate_bps_hz"] == 0.0
     csv_row = write_sweep_csv(tmp_path / "zero.csv", [(5.0, silent)])
     assert csv_row.read_text().splitlines()[1].split(",")[2] == "-inf"
@@ -454,6 +452,38 @@ def test_trial_prefix_matches_shorter_run(overrides):
     long = run_scenario(_cfg(n_trials=40, **overrides))
     for a, b in zip(short, long, strict=True):
         np.testing.assert_array_equal(a.rate_samples, b.rate_samples[:25])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "include"},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "exclude"},
+    {"resample_geometry": False},
+    {"ris_list": []},
+], ids=["two_users_include", "two_users_exclude", "frozen_geometry", "no_surface"])
+def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
+    # trials are co-phased and combined a block at a time; every block size,
+    # including one that does not divide the trial count, gives the same bytes
+    cfg = _cfg(n_trials=23, **overrides)
+    runs = []
+    for block in (1, 7, cfg.n_trials):
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+        runs.append(run_scenario(cfg))
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other, strict=True):
+            assert a.rate_samples.tobytes() == b.rate_samples.tobytes()
+            assert (a.rate_ci_low, a.rate_ci_high) == (b.rate_ci_low, b.rate_ci_high)
+
+
+def test_block_size_fits_its_memory_budget():
+    assert experiments.TRIAL_BLOCK <= 64
+    assert experiments._block_size(1, 256) == experiments.TRIAL_BLOCK
+    assert experiments._block_size(1, 0) == experiments.TRIAL_BLOCK
+    assert experiments._block_size(
+        experiments.MAX_USERS, experiments.MAX_ELEMENTS) == 1
+    for users, elements in ((2, 512), (16, 4096), (256, 256)):
+        block = experiments._block_size(users, elements)
+        per_trial = 16 * ((users + 1) * elements + users)
+        assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
 
 
 def _end_states(monkeypatch, cfg) -> dict:

@@ -138,20 +138,41 @@ def test_partition_rejects_bad_counts():
         partition_elements(4, 0)
 
 
+def _cn(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def test_combined_phase_vector_mixes_blocks():
     owner = partition_elements(6, 2)
-    out = combined_phase_vector(owner, [np.full(6, 0.1), np.full(6, 0.2)])
-    np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
+    rng = np.random.default_rng(7)
+    g, h, h_d = _cn(rng, 2, 6), _cn(rng, 6), _cn(rng, 2)
+    out = combined_phase_vector(owner, g, h, h_d, "paper")
+    per_user = [optimal_phases(g[u], h, h_d[u]).phases for u in range(2)]
+    # each element carries its owner's co-phase
+    np.testing.assert_array_equal(out[:3], per_user[0][:3])
+    np.testing.assert_array_equal(out[3:], per_user[1][3:])
+    aligned = combined_phase_vector(owner, g, h, h_d, "aligned")
+    np.testing.assert_array_equal(
+        aligned[3:], optimal_phases(g[1], h, h_d[1], 1.0, "aligned").phases[3:])
+    # a leading trial axis carries through, trial by trial
+    gb, hb, h_db = _cn(rng, 4, 2, 6), _cn(rng, 4, 6), _cn(rng, 4, 2)
+    block = combined_phase_vector(owner, gb, hb, h_db)
+    assert block.shape == (4, 6)
+    for t in range(4):
+        np.testing.assert_array_equal(
+            block[t], combined_phase_vector(owner, gb[t], hb[t], h_db[t]))
     with pytest.raises(ValueError):
-        combined_phase_vector(owner, [np.full(6, 0.1)])
+        combined_phase_vector(owner, g[:1], h, h_d[:1])
     with pytest.raises(ValueError):
-        combined_phase_vector(owner, [np.full(5, 0.1), np.full(5, 0.2)])
+        combined_phase_vector(owner, g[:, :5], h[:5], h_d)
 
 
 def test_combined_phase_vector_across_surfaces():
     # two surfaces on one element axis: each surface is split on its own
     owner = np.concatenate([partition_elements(4, 2), partition_elements(9, 2)])
-    per_user = [np.arange(13) * 1.0, -np.arange(13) * 1.0]
-    out = combined_phase_vector(owner, per_user)
-    np.testing.assert_array_equal(
-        out, [0, 1, -2, -3, 4, 5, 6, 7, 8, -9, -10, -11, -12])
+    rng = np.random.default_rng(13)
+    g, h, h_d = _cn(rng, 2, 13), _cn(rng, 13), _cn(rng, 2)
+    out = combined_phase_vector(owner, g, h, h_d)
+    per_user = [optimal_phases(g[u], h, h_d[u]).phases for u in range(2)]
+    picks = [0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+    np.testing.assert_array_equal(out, [per_user[u][k] for k, u in enumerate(picks)])
