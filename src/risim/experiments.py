@@ -5,12 +5,11 @@ Reproducibility contract: every random draw of a run comes from a stream
 derived statelessly from (master_seed, sweep_index, trial, component), so
 a trial's draws do not depend on the trial count or on the order trials run.
 
-run_scenario works through the trials in blocks.  Each trial's draws and
-link synthesis run one trial at a time and fill one row of the block's
-preallocated h, g and h_d arrays; co-phasing and the effective channel then
-run once for the whole block.  A block holds at most TRIAL_BLOCK trials and
-about _BLOCK_BYTES of link arrays.  Every step is elementwise or sums within
-one trial, so results do not depend on the block size.
+run_scenario takes the trials in blocks: each trial's draws and links fill
+one row of the block's h, g and h_d arrays, then co-phasing and the
+effective channel run once for the whole block (see the resource bounds for
+its size).  Every step is elementwise or sums within one trial, so results
+do not depend on the block size.
 """
 
 from __future__ import annotations
