@@ -3,8 +3,8 @@ assisting mmWave links: clustered scatter channels, co-phased surface
 control, and seeded ergodic-rate / SNR experiments."""
 
 from .channel import (
-    RisDescriptor, array_response, array_response_tilted, direct_channel,
-    ris_rx_channel, tx_ris_channel,
+    RisDescriptor, array_response, direct_channel, ris_rx_channel,
+    tx_ris_channel,
 )
 from .environment import (
     ClusterSet, EnvironmentConfig, complex_normal, rebind_receiver,
@@ -18,19 +18,17 @@ from .experiments import (
 from .figures import build_figure, reproduce_figure
 from .geometry import (
     Angles, DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
-    angles_at_surface, distance, rotate_element, rotation_matrix, wrap_angle,
+    angles_at_surface, distance, rotation_matrix, wrap_angle,
 )
 from .metrics import (
-    LinkBudget, MetricsResult, bootstrap_mean_ci, dbm_to_watts, effective_channel,
-    empirical_cdf, ergodic_rate, rate_samples, snr, summarize, watts_to_dbm,
+    LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
+    empirical_cdf, snr, summarize,
 )
 from .propagation import (
     LOS_73GHZ, NLOS_73GHZ, SPEED_OF_LIGHT, LosMode, LosModel, PathlossParams,
     element_gain, los_indicator, los_probability, pathloss_db, sample_shadow,
     wavelength, wavenumber,
 )
-from .riscontrol import (
-    PhaseConfig, cascade, combined_phase_vector, optimal_phases, partition_elements,
-)
+from .riscontrol import combined_phase_vector, optimal_phases, partition_elements
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .geometry import (
 )
 from .propagation import (
     LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
-    sample_shadow, wavelength, wavenumber,
+    sample_shadow, wavenumber,
 )
 
 
@@ -53,9 +53,6 @@ class RisDescriptor:
     @property
     def side(self) -> int:
         return math.isqrt(self.n_elements)
-
-    def pitch(self, freq_hz: float) -> float:
-        return self.spacing if self.spacing is not None else wavelength(freq_hz) / 2.0
 
 
 def _lattice_factors(
@@ -92,10 +89,6 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
     exp(j k u . p_i) for any mounting plane and tilt."""
     ex, ez = _lattice_factors(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k)
     return (ez * ex.T).ravel()
-
-
-# The tilted-frame angles already carry the tilt, so the response is the same.
-array_response_tilted = array_response
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,7 +141,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"threads must lie in 1..{MAX_THREADS}, got {args.threads}")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: the --out directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

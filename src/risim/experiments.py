@@ -244,11 +244,13 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except ValueError as exc:   # also integer literals past Python's digit limit
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:   # also integer literals past Python's digit limit
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -372,8 +374,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             h_eff[:, start:stop] = h_d[:n].T
             continue
         if n_users == 1:
-            phases = optimal_phases(g[:n, 0], h[:n], h_d[:n], 1.0,
-                                    cfg.direct_phase_sign).phases
+            phases = optimal_phases(g[:n, 0], h[:n], h_d[:n], cfg.direct_phase_sign)
         else:
             phases = combined_phase_vector(owner, g[:n], h[:n], h_d[:n],
                                            cfg.direct_phase_sign)

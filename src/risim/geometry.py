@@ -90,11 +90,6 @@ def rotation_matrix(axis: TiltAxis, angle: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rotate_element(coord: Point3, axis: TiltAxis, angle: float) -> Point3:
-    rotated = rotation_matrix(axis, angle) @ coord.as_array()
-    return Point3(*rotated)
-
-
 # Untilted local bases, columns = (lattice_x, broadside, lattice_z) in
 # global coordinates.  Both choices are right-handed.
 _BASE_FRAMES = {

@@ -31,16 +31,6 @@ class MetricsResult:
     rate_ci_high: float = math.nan
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts / 1e-3)
-
-
 def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
                       h: np.ndarray, serves: np.ndarray | None = None):
     """Direct link plus every surface's cascaded contribution, (U,).
@@ -73,26 +63,15 @@ def snr(h_effective: complex, budget: LinkBudget):
     return out if out.ndim else float(out)
 
 
-def rate_samples(h_effective: np.ndarray, budget: LinkBudget) -> np.ndarray:
-    return np.log2(1.0 + snr(np.asarray(h_effective), budget))
-
-
-def ergodic_rate(h_effective: np.ndarray, budget: LinkBudget) -> tuple[float, np.ndarray]:
-    """Sample-mean spectral efficiency and the per-trial rate vector.
-
-    The mean is taken over the trial-ordered array, so the result does not
-    depend on how trials were scheduled."""
-    samples = rate_samples(h_effective, budget)
-    return float(np.mean(samples)), samples
-
-
 def summarize(h_effective: np.ndarray, budget: LinkBudget, seed: int = 0) -> MetricsResult:
-    rate, samples = ergodic_rate(h_effective, budget)
+    """Per-trial rates log2(1 + SNR) and their mean over the trial-ordered
+    array, so the result does not depend on how trials were scheduled."""
     lin = snr(np.asarray(h_effective), budget)
+    samples = np.log2(1.0 + lin)
     with np.errstate(divide="ignore"):
         mean_db = float(10.0 * np.log10(np.mean(lin))) if len(lin) else math.nan
     return MetricsResult(
-        ergodic_rate=rate,
+        ergodic_rate=float(np.mean(samples)),
         mean_snr_db=mean_db,
         rate_samples=samples,
         n_trials=len(samples),
@@ -111,16 +90,15 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def bootstrap_mean_ci(
     samples: np.ndarray,
+    rng: np.random.Generator,
     n_boot: int = 1000,
     confidence: float = 0.95,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the sample mean."""
+    """Percentile bootstrap interval for the sample mean, resampled from rng:
+    the caller passes each run's own stream."""
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("bootstrap needs at least one sample")
-    if rng is None:
-        rng = np.random.default_rng(0)
     idx = rng.integers(0, len(samples), size=(n_boot, len(samples)))
     means = samples[idx].mean(axis=1)
     tail = (1.0 - confidence) / 2.0

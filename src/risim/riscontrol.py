@@ -1,30 +1,11 @@
-"""Passive phase control: per-element co-phasing against the direct link,
-cascaded-channel composition, and element ownership across users."""
+"""Passive phase control: per-element co-phasing against the direct link
+and element ownership across users."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import wrap_angle
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Reflection coefficients of one surface: unit-modulus phases scaled
-    by a common amplitude."""
-
-    phases: np.ndarray   # (N,) radians, each wrapped to (-pi, pi]
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        if not 0.0 < self.amplitude <= 1.0:
-            raise ValueError("amplitude must lie in (0, 1]")
-
-    def coefficients(self) -> np.ndarray:
-        return self.amplitude * np.exp(1j * self.phases)
 
 
 def partition_elements(n_elements: int, n_users: int) -> np.ndarray:
@@ -43,10 +24,10 @@ def optimal_phases(
     g: np.ndarray,
     h: np.ndarray,
     h_txrx: complex | np.ndarray,
-    amplitude: float = 1.0,
     direct_phase_sign: str = "paper",
-) -> PhaseConfig:
-    """Per-element phases that co-phase every cascaded term.
+) -> np.ndarray:
+    """Per-element phases that co-phase every cascaded term, each wrapped to
+    (-pi, pi].
 
     Each element k gets -(arg g_k + arg h_k + arg h_txrx), so the cascaded
     sum lands at phase -arg(h_txrx).  The "aligned" variant flips the direct
@@ -57,15 +38,7 @@ def optimal_phases(
     if direct_phase_sign not in ("paper", "aligned"):
         raise ValueError(f"unknown direct_phase_sign: {direct_phase_sign!r}")
     sign = 1.0 if direct_phase_sign == "paper" else -1.0
-    raw = -(np.angle(g) + np.angle(h) + sign * np.angle(h_txrx))
-    return PhaseConfig(phases=wrap_angle(raw), amplitude=amplitude)
-
-
-def cascade(g: np.ndarray, config: PhaseConfig, h: np.ndarray) -> complex:
-    """Sum over elements of g_k * amplitude e^{j phase_k} * h_k."""
-    if len(g) != len(h) or len(g) != len(config.phases):
-        raise ValueError("mismatched element counts in cascade")
-    return complex(np.sum(g * config.coefficients() * h))
+    return wrap_angle(-(np.angle(g) + np.angle(h) + sign * np.angle(h_txrx)))
 
 
 def combined_phase_vector(owner: np.ndarray, g: np.ndarray, h: np.ndarray,
@@ -83,4 +56,4 @@ def combined_phase_vector(owner: np.ndarray, g: np.ndarray, h: np.ndarray,
     if g.shape[-2:] != (owner.max() + 1, len(owner)):
         raise ValueError("one full-length surface -> receiver row needed per user")
     own_g = g[..., owner, np.arange(len(owner))]
-    return optimal_phases(own_g, h, h_d[..., owner], 1.0, direct_phase_sign).phases
+    return optimal_phases(own_g, h, h_d[..., owner], direct_phase_sign)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, _lattice_factors, array_response, array_response_tilted,
-    direct_channel, ris_rx_channel, tx_ris_channel,
+    RisDescriptor, _lattice_factors, array_response, direct_channel,
+    ris_rx_channel, tx_ris_channel,
 )
 from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
@@ -16,7 +16,7 @@ from risim.geometry import (
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
-    wavenumber,
+    wavelength, wavenumber,
 )
 
 K73 = wavenumber(73e9)
@@ -39,11 +39,7 @@ def test_descriptor_validation():
         RisDescriptor(position=ORIGIN, spacing=0.0)
     with pytest.raises(ValueError):
         RisDescriptor(position=ORIGIN, amplitude=1.5)
-    ris = RisDescriptor(position=ORIGIN, n_elements=64)
-    assert ris.side == 8
-    lam = 299_792_458.0 / 73e9
-    assert ris.pitch(73e9) == pytest.approx(lam / 2)
-    assert RisDescriptor(position=ORIGIN, spacing=0.003).pitch(73e9) == 0.003
+    assert RisDescriptor(position=ORIGIN, n_elements=64).side == 8
 
 
 def _exact_ramp(theta, side):
@@ -108,21 +104,27 @@ def test_array_response_unit_modulus_and_leading_one():
 
 
 def test_tilted_reduces_to_untilted_at_zero():
+    # a zero tilt about either axis leaves the tilted-frame angles, and so
+    # the response, as the untilted mount gives them
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.choice([1, 4, 16, 64]))
-        ang = Angles(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
-        ris = _ris(n)
-        np.testing.assert_allclose(
-            array_response_tilted(ris, ang, K73), array_response(ris, ang, K73),
-            atol=1e-12)
+        plane = Plane(rng.choice(["xz", "yz"]))
+        target = Point3(*rng.uniform(-30.0, 30.0, size=3))
+        flat = Orientation(plane=plane)
+        want = array_response(_ris(n), angles_at_surface(ORIGIN, flat, target), K73)
+        for axis in TiltAxis:
+            zero = Orientation(plane=plane, tilt_axis=axis, tilt_rad=0.0)
+            ang = angles_at_surface(ORIGIN, zero, target)
+            np.testing.assert_allclose(array_response(_ris(n), ang, K73), want,
+                                       atol=1e-12)
 
 
 def test_tilted_broadside_hand_phase():
     # angles are in the tilted frame, so broadside stays in phase across the
     # lattice whatever the tilt
     tilt = 0.3
-    a = array_response_tilted(_ris(4, tilt=tilt), Angles(0.0, 0.0), K73)
+    a = array_response(_ris(4, tilt=tilt), Angles(0.0, 0.0), K73)
     np.testing.assert_allclose(np.angle(a), np.zeros(4), atol=1e-12)
 
 
@@ -130,7 +132,7 @@ def test_tilted_quarter_turn_swaps_axis():
     # R = pi/2 leaves the tilted-frame plane wave unchanged:
     # phase = k d (x sin(el) + z sin(az) cos(el))
     az, el = 0.25, 0.4
-    a = array_response_tilted(_ris(4, tilt=math.pi / 2), Angles(az, el), K73)
+    a = array_response(_ris(4, tilt=math.pi / 2), Angles(az, el), K73)
     xs, zs = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
     expect = math.pi * (xs * math.sin(el) + zs * math.sin(az) * math.cos(el))
     np.testing.assert_allclose(np.angle(a), expect, atol=1e-9)
@@ -198,7 +200,7 @@ def test_ris_rx_rank_one_structure():
         * 10.0 ** (pathloss_db(LOS_73GHZ, d) / 10.0)
     np.testing.assert_allclose(np.abs(g) ** 2, expect_pow, rtol=1e-12)
     # separable: phase progression matches the array response exactly
-    a = array_response_tilted(ris, ang, K73)
+    a = array_response(ris, ang, K73)
     np.testing.assert_allclose(g / g[0], a / a[0], rtol=1e-10, atol=1e-12)
 
 
@@ -340,12 +342,12 @@ def test_steering_is_the_plane_wave_for_any_plane_and_tilt():
         target = Point3(*rng.uniform(-30, 30, 3))
         basis = surface_basis(orient)
         lin = np.arange(n)
-        p = ris.pitch(73e9) * (np.outer(lin % ris.side, basis[:, 2])
-                               + np.outer(lin // ris.side, basis[:, 0]))
+        pitch = spacing if spacing is not None else wavelength(73e9) / 2.0
+        p = pitch * (np.outer(lin % ris.side, basis[:, 2])
+                     + np.outer(lin // ris.side, basis[:, 0]))
         u = target.as_array() - ris.position.as_array()
         want = np.exp(1j * K73 * (p @ (u / np.linalg.norm(u))))
         ang = angles_at_surface(ris.position, orient, target)
-        for fn in (array_response, array_response_tilted):
-            np.testing.assert_allclose(fn(ris, ang, K73), want, atol=1e-9)
+        np.testing.assert_allclose(array_response(ris, ang, K73), want, atol=1e-9)
         g = ris_rx_channel(ris, target, LOS_73GHZ, np.random.default_rng(0))
         np.testing.assert_allclose(g / g[0], want, atol=1e-9)

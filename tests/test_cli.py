@@ -209,6 +209,27 @@ def test_failed_run_leaves_no_output_directory(scenario_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{missing}"],
+    ["sweep", "{missing}", "--var", "tx_power_dbm", "--values", "10"],
+    ["validate", "{missing}"],
+    ["simulate", "{cfg}", "--out", "{file}"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10", "--out", "{file}"],
+    ["figure", "F6", "--trials", "2", "--out", "{file}"],
+], ids=["simulate_missing_config", "sweep_missing_config",
+        "validate_missing_config", "simulate_out_is_file", "sweep_out_is_file",
+        "figure_out_is_file"])
+def test_io_errors_exit_two(scenario_file, tmp_path, capsys, argv):
+    # the message names the path at fault, and the file --out names survives
+    missing, taken = tmp_path / "missing.json", tmp_path / "taken"
+    taken.write_text("keep")
+    argv = [a.format(cfg=scenario_file, missing=missing, file=taken) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and (str(missing) in err or str(taken) in err)
+    assert taken.read_text() == "keep"
+
+
 @pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
 @pytest.mark.parametrize("argv", [
     ["simulate", "{cfg}"],

@@ -5,7 +5,7 @@ import pytest
 
 from risim.geometry import (
     DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
-    angles_at_surface, distance, rotate_element, rotation_matrix,
+    angles_at_surface, distance, rotation_matrix,
     surface_basis, wrap_angle,
 )
 
@@ -30,31 +30,26 @@ def test_distance_triangle_inequality():
 
 
 def test_rotate_identity_at_zero():
-    p = Point3(1.3, -2.0, 0.7)
+    p = np.array([1.3, -2.0, 0.7])
     for axis in TiltAxis:
-        out = rotate_element(p, axis, 0.0)
-        assert (out.x, out.y, out.z) == (p.x, p.y, p.z)
+        np.testing.assert_array_equal(rotation_matrix(axis, 0.0) @ p, p)
 
 
 def test_rotate_hand_case():
-    out = rotate_element(Point3(0, 0, 1), TiltAxis.X, math.pi / 2)
-    assert out.x == pytest.approx(0.0, abs=1e-12)
-    assert out.y == pytest.approx(-1.0, abs=1e-12)
-    assert out.z == pytest.approx(0.0, abs=1e-12)
+    out = rotation_matrix(TiltAxis.X, math.pi / 2) @ np.array([0.0, 0.0, 1.0])
+    np.testing.assert_allclose(out, [0.0, -1.0, 0.0], atol=1e-12)
 
 
 def test_rotate_round_trip_and_norm():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        p = Point3(*rng.uniform(-5, 5, 3))
+        p = rng.uniform(-5, 5, 3)
         angle = rng.uniform(-math.pi, math.pi)
         axis = TiltAxis.X if rng.random() < 0.5 else TiltAxis.Y
-        back = rotate_element(rotate_element(p, axis, angle), axis, -angle)
-        assert math.dist((back.x, back.y, back.z), (p.x, p.y, p.z)) < 1e-12
-        norm0 = math.sqrt(p.x**2 + p.y**2 + p.z**2)
-        rot = rotate_element(p, axis, angle)
-        norm1 = math.sqrt(rot.x**2 + rot.y**2 + rot.z**2)
-        assert norm1 == pytest.approx(norm0, rel=1e-12)
+        rot = rotation_matrix(axis, angle) @ p
+        back = rotation_matrix(axis, -angle) @ rot
+        assert math.dist(back, p) < 1e-12
+        assert np.linalg.norm(rot) == pytest.approx(np.linalg.norm(p), rel=1e-12)
 
 
 def test_rotation_matrices_orthonormal():
