@@ -13,7 +13,7 @@ from .environment import (
 from .experiments import (
     ConfigError, ScenarioConfig, SweepSpec, SweepVariable, derived_rng,
     load_scenario, run_scenario, run_sweep, scenario_from_dict,
-    scenario_to_dict, validate,
+    scenario_to_dict, stream_states, validate,
 )
 from .figures import build_figure, reproduce_figure
 from .geometry import (

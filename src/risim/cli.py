@@ -133,6 +133,15 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _check_out(out: str) -> None:
+    """--out must be a directory, or a path mkdir can make one at: checked
+    before the first trial, though the directory is made only after the runs."""
+    path = Path(out).absolute()
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"--out {out}: {found} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -140,6 +149,8 @@ def main(argv=None) -> int:
         if not 1 <= getattr(args, "threads", 1) <= MAX_THREADS:
             raise ConfigError(
                 f"threads must lie in 1..{MAX_THREADS}, got {args.threads}")
+        if hasattr(args, "out"):
+            _check_out(args.out)
         return args.func(args)
     except (ConfigError, OSError) as exc:   # OSError: the --out directory
         print(f"error: {exc}", file=sys.stderr)

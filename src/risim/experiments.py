@@ -4,6 +4,10 @@ canned experiment geometries, and result serialization.
 Reproducibility contract: every random draw of a run comes from a stream
 derived statelessly from (master_seed, sweep_index, trial, component), so
 a trial's draws do not depend on the trial count or on the order trials run.
+Each stream is PCG64 seeded by SeedSequence(entropy=key), bit for bit; the
+seed words of a whole block's streams come from one vectorized pass of
+SeedSequence's hash per key width (stream_states), and derived_rng turns
+one row of them into a generator.
 
 run_scenario takes the trials in blocks: each trial's draws and links fill
 one row of the block's h, g and h_d arrays, then co-phasing and the
@@ -15,7 +19,9 @@ do not depend on the block size.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -28,8 +34,7 @@ from .channel import (
     RisDescriptor, Sightline, direct_channel, ris_rx_channel, tx_ris_channel,
 )
 from .environment import (
-    ClusterSet, EnvironmentConfig, rebind_receiver,
-    resample_gains, sample_clusters,
+    EnvironmentConfig, rebind_receiver, resample_gains, sample_clusters,
 )
 from .geometry import Point3, distance
 from .metrics import (
@@ -266,19 +271,161 @@ _BASE_GEOMETRY = 5
 _BOOTSTRAP = 6
 
 
-def derived_rng(master_seed: int, sweep_index: int, trial: int, *tags: int
-                ) -> np.random.Generator:
-    """Counter-style stream: one generator per (run, trial, component),
-    PCG64 seeded by SeedSequence(entropy=key) with key = (master_seed,
-    sweep_index, trial, *tags).
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) at its default pool
+# of 4 uint32 words.  Each call of its hash XORs a word with a running
+# constant, multiplies it by the constant's next value and folds the high
+# half in; the constants advance whatever the words are, so every call's
+# pair is fixed by its position alone.  _pool_states runs the hash on many
+# keys at once with those pairs precomputed.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED     # drawing the state out of it
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    SeedSequence splits each int of key into little-endian uint32 words and
-    rejects a negative one.  A key of one-word ints is its own word array,
-    which SeedSequence takes without its slow per-int coercion."""
-    key = [int(n) for n in (master_seed, sweep_index, trial, *tags)]
-    one_word = 0 <= min(key) and max(key) <= 0xFFFFFFFF
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        np.array(key, dtype=np.uint32) if one_word else key)))
+
+def _hash_pairs(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of n consecutive hash calls."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)
+    return c[:-1, None], c[1:, None]
+
+
+_DRAW = _hash_pairs(_INIT_B, _MULT_B, 8)   # generate_state(4, np.uint64)
+
+
+@functools.lru_cache
+def _mix_schedule(n_words: int):
+    """The hash pairs of SeedSequence.mix_entropy on n_words words, grouped
+    by step: the 4 calls that fill the pool; per pool word, the 3 that hash
+    it into the other lanes (its own lane gets a zero pair, discarded); per
+    word past the pool, the 4 that hash it into every lane."""
+    head = _POOL * _POOL
+    x, m = _hash_pairs(_INIT_A, _MULT_A, head + _POOL * max(0, n_words - _POOL))
+    cross = []
+    for s in range(_POOL):
+        calls = slice(_POOL + (_POOL - 1) * s, _POOL + (_POOL - 1) * (s + 1))
+        cross.append((np.insert(x[calls], s, 0, axis=0),
+                      np.insert(m[calls], s, 0, axis=0)))
+    later = zip(x[head:].reshape(-1, _POOL, 1), m[head:].reshape(-1, _POOL, 1))
+    return (x[:_POOL], m[:_POOL]), cross, list(later)
+
+
+def _hash(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    v = (v ^ x) * m
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _pool_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(w).generate_state(4, np.uint64) for every column w of
+    the (n_words, K) uint32 array words, as a (K, 4) array.  Each step of
+    mix_entropy is one array expression over all K keys and 4 lanes."""
+    n_words, n_keys = words.shape
+    fill, cross, later = _mix_schedule(n_words)
+    pool = np.zeros((_POOL, n_keys), dtype=np.uint32)
+    pool[:n_words] = words[:_POOL]
+    pool = _hash(pool, *fill)
+    for s, (x, m) in enumerate(cross):
+        mixed = _mix(pool, _hash(pool[s], x, m))
+        mixed[s] = pool[s]
+        pool = mixed
+    for w, (x, m) in zip(words[_POOL:], later):
+        pool = _mix(pool, _hash(w, x, m))
+    # 8 uint32 words drawn cycling the pool, joined into uint64s little-endian
+    out = _hash(np.concatenate([pool, pool]), *_DRAW)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _words(n) -> list[int]:
+    """SeedSequence's split of one key int into little-endian uint32 words."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"stream keys take non-negative integers, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def stream_states(master_seed: int, sweep_index: int, keys) -> np.ndarray:
+    """PCG64 seed words of the streams keyed (master_seed, sweep_index,
+    *key), one (4,) uint64 row per key of keys, in order.
+
+    Row i is SeedSequence(entropy=(master_seed, sweep_index, *keys[i]))
+    .generate_state(4, np.uint64), bit for bit: each int splits into
+    little-endian uint32 words, a negative one raises ValueError, and the
+    hash runs as one vectorized pass per distinct word count.  keys is a
+    sequence of int tuples (trial, *tags), or a 2-D integer array with one
+    key per row; an array of one-word ints skips the per-int split.  The
+    tests compare rows with numpy's own SeedSequence, so a numpy change to
+    its hash shows there."""
+    prefix = _words(master_seed) + _words(sweep_index)
+    if (isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.size
+            and keys.dtype.kind in "iu"
+            and keys.min() >= 0 and keys.max() <= _MASK32):
+        words = np.empty((len(prefix) + keys.shape[1], len(keys)), dtype=np.uint32)
+        words[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+        words[len(prefix):] = keys.T
+        return _pool_states(words)
+    rows = [prefix + [w for n in key for w in _words(n)] for key in keys]
+    states = np.empty((len(rows), 4), dtype=np.uint64)
+    for n_words in {len(row) for row in rows}:
+        at = [i for i, row in enumerate(rows) if len(row) == n_words]
+        states[at] = _pool_states(np.array([rows[i] for i in at], dtype=np.uint32).T)
+    return states
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The ISeedSequence that hands PCG64 one row of stream_states in place
+    of the SeedSequence that would have generated it.  Built on first use:
+    numpy imports numpy.random lazily, and importing risim should not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(
+                    "only PCG64's seed, generate_state(4, np.uint64), is held")
+            return self.state
+
+    return SeedWords
+
+
+def derived_rng(state) -> np.random.Generator:
+    """Counter-style stream: one generator per (run, trial, component).
+
+    state is its row of stream_states, so the generator is PCG64 seeded by
+    SeedSequence(entropy=(master_seed, sweep_index, *key)), bit for bit,
+    without a SeedSequence of its own."""
+    state = np.ascontiguousarray(state, dtype=np.uint64)
+    if state.shape != (4,):
+        raise ValueError(f"a stream state is 4 uint64 words, got {state.shape}")
+    return np.random.Generator(np.random.PCG64(_seed_words()(state)))
+
+
+def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
+                  run_keys: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stream states of every key (t, *tag), t in trials, as a (len(trials),
+    len(tags), 4) array, and those of run_keys after them: one pass."""
+    keys = np.column_stack([np.arange(trials.start, trials.stop).repeat(len(tags)),
+                            np.tile(tags, (len(trials), 1))])
+    cut = len(keys)
+    if run_keys is not None:
+        keys = np.concatenate([keys, run_keys])
+    states = stream_states(seed, sweep, keys)
+    return states[:cut].reshape(len(trials), len(tags), 4), states[cut:]
 
 
 def _block_size(n_users: int, n_elements: int) -> int:
@@ -314,13 +461,19 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     rx_links = [[Sightline.between(ris, rx, cfg.pl_los) for ris in surfaces]
                 for rx in receivers]
 
-    base_sets: list[ClusterSet] | None = None
-    if not cfg.resample_geometry:
-        base_sets = [
-            sample_clusters(cfg.env, cfg.tx, anchor, receivers[0],
-                            derived_rng(seed, sweep, 0, _BASE_GEOMETRY, m))
-            for m, anchor in enumerate(anchors)
-        ]
+    # Trial t's streams are keyed (t, *tag): three ints for its clusters,
+    # tx->surface and direct links, four for surface->rx.  One stream_states
+    # pass per key width and block; the run's own streams (frozen geometry,
+    # bootstrap) join the first block's three-int pass.
+    n_anchors, n_surfaces = len(anchors), len(surfaces)
+    tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
+                    + [(_TX_RIS, m) for m in range(n_surfaces)]
+                    + [(_DIRECT, u) for u in range(n_users)])
+    rx_tags = np.array([(_RIS_RX, m, u) for u in range(n_users)
+                        for m in range(n_surfaces)]).reshape(-1, 3)
+    frozen = [] if cfg.resample_geometry else list(range(n_anchors))
+    run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
+                        + [(0, _BOOTSTRAP, u) for u in range(n_users)])
 
     # one element axis: every surface's lattice scan, concatenated
     edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
@@ -341,10 +494,23 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
-        for i, t in enumerate(range(start, stop)):
+        trials, n = range(start, stop), stop - start
+        states, run_states = _trial_states(seed, sweep, trials, tags,
+                                           run_keys if start == 0 else None)
+        if start == 0:
+            boot_states = run_states[len(frozen):]
+            base_sets = [sample_clusters(cfg.env, cfg.tx, anchors[m], receivers[0],
+                                         derived_rng(run_states[m]))
+                         for m in frozen]
+        cluster_st, tx_st, direct_st = np.split(
+            states, [n_anchors, n_anchors + n_surfaces], axis=1)
+        if surfaces:
+            rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
+                n, n_users, n_surfaces, 4)
+        for i in range(n):
             sets = []
             for m, anchor in enumerate(anchors):
-                rng = derived_rng(seed, sweep, t, _CLUSTERS, m)
+                rng = derived_rng(cluster_st[i, m])
                 if cfg.resample_geometry:
                     sets.append(sample_clusters(cfg.env, cfg.tx, anchor,
                                                 receivers[0], rng))
@@ -354,22 +520,21 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             for m, ris in enumerate(surfaces):
                 h[i, cols[m]] = tx_ris_channel(
                     ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
-                    derived_rng(seed, sweep, t, _TX_RIS, m),
+                    derived_rng(tx_st[i, m]),
                     cfg.shadow_scatter_paths, cfg.shadow_los_paths,
                     link=tx_links[m])[0]
             for u, rx in enumerate(receivers):
                 for m, ris in enumerate(surfaces):
                     g[i, u, cols[m]] = ris_rx_channel(
-                        ris, rx, cfg.pl_los, derived_rng(seed, sweep, t, _RIS_RX, m, u),
+                        ris, rx, cfg.pl_los, derived_rng(rx_st[i, u, m]),
                         cfg.shadow_los_paths, link=rx_links[u][m])
             for u, rx in enumerate(receivers):
                 h_d[i, u] = direct_channel(
                     sets[0] if u == 0 else rebind_receiver(sets[0], rx),
                     cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
-                    derived_rng(seed, sweep, t, _DIRECT, u),
+                    derived_rng(direct_st[i, u]),
                     cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
 
-        n = stop - start
         if not surfaces:
             h_eff[:, start:stop] = h_d[:n].T
             continue
@@ -387,7 +552,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
         res.rate_ci_low, res.rate_ci_high = bootstrap_mean_ci(
             res.rate_samples, n_boot=1000,
-            rng=derived_rng(seed, sweep, 0, _BOOTSTRAP, u))
+            rng=derived_rng(boot_states[u]))
         results.append(res)
     return results
 

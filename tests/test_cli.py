@@ -6,7 +6,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from risim import experiments
+from risim import cli, experiments
 from risim.cli import main
 from risim.experiments import (
     MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, derived_rng,
@@ -227,6 +227,28 @@ def test_io_errors_exit_two(scenario_file, tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and (str(missing) in err or str(taken) in err)
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under_file"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{cfg}"],
+    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10"],
+    ["figure", "F6", "--trials", "2"],
+], ids=["simulate", "sweep", "figure"])
+def test_bad_out_fails_before_the_first_trial(scenario_file, tmp_path, capsys,
+                                              monkeypatch, argv, out):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_trials)
+    monkeypatch.setattr(experiments, "run_scenario", no_trials)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    argv = [a.format(cfg=scenario_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
     assert taken.read_text() == "keep"
 
 

@@ -11,8 +11,8 @@ from risim.environment import EnvironmentConfig
 from risim.experiments import (
     SWEEP_HEADER, ConfigError, ScenarioConfig, SweepSpec, SweepVariable,
     apply_sweep_value, derived_rng, load_scenario, run_scenario, run_sweep,
-    scenario_from_dict, scenario_to_dict, validate, write_cdf_csv,
-    write_metadata, write_sweep_csv, write_sweep_json,
+    scenario_from_dict, scenario_to_dict, stream_states, validate,
+    write_cdf_csv, write_metadata, write_sweep_csv, write_sweep_json,
 )
 from risim.geometry import (
     Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
@@ -415,24 +415,82 @@ def test_write_metadata_echoes_config(tmp_path):
         == scenario_to_dict(cfg)
 
 
+def _stream(master_seed, sweep_index, *tail):
+    """derived_rng on the stream keyed (master_seed, sweep_index, *tail)."""
+    return derived_rng(stream_states(master_seed, sweep_index, [tail])[0])
+
+
 def test_derived_rng_streams():
-    a = derived_rng(1, 0, 5, 2, 0).random()
-    assert a == derived_rng(1, 0, 5, 2, 0).random()
-    assert a != derived_rng(1, 0, 5, 2, 1).random()
-    assert a != derived_rng(1, 0, 6, 2, 0).random()
-    assert a != derived_rng(1, 1, 5, 2, 0).random()
-    assert a != derived_rng(2, 0, 5, 2, 0).random()
+    a = _stream(1, 0, 5, 2, 0).random()
+    assert a == _stream(1, 0, 5, 2, 0).random()
+    assert a != _stream(1, 0, 5, 2, 1).random()
+    assert a != _stream(1, 0, 6, 2, 0).random()
+    assert a != _stream(1, 1, 5, 2, 0).random()
+    assert a != _stream(2, 0, 5, 2, 0).random()
     # each stream is PCG64 seeded by SeedSequence(entropy=key) as a tuple
     for key in [(0, 0, 0, 1, 0), (2 ** 32 - 1, 3, 2 ** 32, 2, 2 ** 64 + 5),
                 (123456789012345678901, 0, 7, 5, 0),
                 (2 ** 32, 2 ** 64 + 5, 0, 6, 2 ** 32 - 1)]:
         want = np.random.default_rng(np.random.SeedSequence(entropy=key))
-        got = derived_rng(*key)
+        got = _stream(*key)
         assert got.bit_generator.state == want.bit_generator.state, key
         np.testing.assert_array_equal(got.random(8), want.random(8))
     for key in [(-1, 0, 0, 1), (1, 0, -5, 2), (1, 0, 0, 3, -1)]:
         with pytest.raises(ValueError):
-            derived_rng(*key)
+            _stream(*key)
+
+
+def _assert_seed_sequence_stream(key, state):
+    want = np.random.default_rng(np.random.SeedSequence(entropy=key))
+    got = derived_rng(state)
+    assert got.bit_generator.state == want.bit_generator.state, key
+    np.testing.assert_array_equal(got.random(8), want.random(8))
+
+
+@pytest.mark.parametrize("n_words", range(4, 10))
+def test_stream_states_match_seed_sequence(n_words):
+    # random one-word keys, as an integer array and as int tuples
+    draw = np.random.default_rng(n_words)
+    seed, sweep = (int(w) for w in draw.integers(0, 2 ** 32, size=2))
+    tails = draw.integers(0, 2 ** 32, size=(16, n_words - 2))
+    tails[0], tails[1] = 0, 2 ** 32 - 1
+    states = stream_states(seed, sweep, tails)
+    assert states.shape == (16, 4) and states.dtype == np.uint64
+    np.testing.assert_array_equal(
+        stream_states(seed, sweep, [tuple(t) for t in tails.tolist()]), states)
+    for tail, state in zip(tails.tolist(), states):
+        _assert_seed_sequence_stream((seed, sweep, *tail), state)
+
+
+_TRICKY = [2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 123456789012345678901]
+
+
+@pytest.mark.parametrize("seed, sweep", [(1, 0), (2 ** 32 - 1, 2 ** 32),
+                                         (123456789012345678901, 2 ** 64 + 5)])
+def test_stream_states_of_a_key_do_not_depend_on_its_batch(seed, sweep):
+    tails = [(), (7,), (5, 2, 0), (5, 3, 0, 1), tuple(_TRICKY), (0,) * 7,
+             *[(v,) for v in _TRICKY], *[(3, v, 2) for v in _TRICKY]]
+    alone = [stream_states(seed, sweep, [tail])[0] for tail in tails]
+    for tail, state in zip(tails, alone):
+        _assert_seed_sequence_stream((seed, sweep, *tail), state)
+    # shuffled, the batch mixes word counts from 2 + words(seed, sweep) up
+    order = np.random.default_rng(seed % 1000).permutation(len(tails))
+    batch = stream_states(seed, sweep, [tails[i] for i in order])
+    np.testing.assert_array_equal(batch, np.array(alone)[order])
+    # an integer array past one word per int takes the general path
+    wide = np.array([(5, 2, 2 ** 64 - 1), (5, 2, 0)], dtype=np.uint64)
+    np.testing.assert_array_equal(
+        stream_states(seed, sweep, wide),
+        stream_states(seed, sweep, [(5, 2, 2 ** 64 - 1), (5, 2, 0)]))
+
+
+@pytest.mark.parametrize("seed, sweep, keys", [
+    (-1, 0, [(0, 1)]), (1, -1, [(0, 1)]), (1, 0, [(5, 2, 0), (0, -3)]),
+    (1, 0, np.array([[5, 2, 0], [5, -2, 0]])),
+], ids=["seed", "sweep", "tuple", "array"])
+def test_stream_states_reject_negative_components(seed, sweep, keys):
+    with pytest.raises(ValueError):
+        stream_states(seed, sweep, keys)
 
 
 _TWO_SURFACES = [
@@ -487,12 +545,14 @@ def test_block_size_fits_its_memory_budget():
 
 
 def _end_states(monkeypatch, cfg) -> dict:
-    """Every stream run_scenario derives, keyed by its key, in its end state."""
+    """Every stream run_scenario derives, keyed by its seed words, in its
+    end state."""
     streams = {}
     derive = experiments.derived_rng
 
-    def keep(*key):
-        streams[key] = derive(*key)
+    def keep(state):
+        key = np.asarray(state).tobytes()
+        streams[key] = derive(state)
         return streams[key]
 
     monkeypatch.setattr(experiments, "derived_rng", keep)
@@ -512,6 +572,14 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert len(base) == 12 * (2 + 2 + 2 * 2 + 2) + 2
     assert _end_states(monkeypatch, cfg(256, 0.0)) == base
     assert _end_states(monkeypatch, cfg(16, -0.5)) == base
+    # the streams are those of the documented keys (t, tag, surface[, user])
+    tails = [(0, 6, u) for u in range(2)] + [
+        key for t in range(12) for key in
+        [(t, 1, m) for m in range(2)] + [(t, 2, m) for m in range(2)]
+        + [(t, 3, m, u) for m in range(2) for u in range(2)]
+        + [(t, 4, u) for u in range(2)]]
+    seed = cfg(16, 0.0).master_seed
+    assert {s.tobytes() for s in stream_states(seed, 0, tails)} == set(base)
 
 
 def test_offblock_choice_changes_multiuser_rates():
