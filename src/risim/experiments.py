@@ -7,7 +7,9 @@ a trial's draws do not depend on the trial count or on the order trials run.
 Each stream is PCG64 seeded by SeedSequence(entropy=key), bit for bit; the
 seed words of a whole block's streams come from one vectorized pass of
 SeedSequence's hash per key width (stream_states), and derived_rng turns
-one row of them into a generator.
+one row of them into a generator.  The tests compare every row with
+numpy's own SeedSequence, so a numpy release that changed its hash would
+fail them rather than silently move the streams.
 
 run_scenario takes the trials in blocks: each trial's draws and links fill
 one row of the block's h, g and h_d arrays, then co-phasing and the
@@ -405,9 +407,11 @@ def _seed_words() -> type:
 def derived_rng(state) -> np.random.Generator:
     """Counter-style stream: one generator per (run, trial, component).
 
-    state is its row of stream_states, so the generator is PCG64 seeded by
+    state is its row of stream_states, whose one vectorized pass derives a
+    whole block's rows, so the generator is PCG64 seeded by
     SeedSequence(entropy=(master_seed, sweep_index, *key)), bit for bit,
-    without a SeedSequence of its own."""
+    without a SeedSequence of its own.  The tests check that equality
+    against numpy's SeedSequence."""
     state = np.ascontiguousarray(state, dtype=np.uint64)
     if state.shape != (4,):
         raise ValueError(f"a stream state is 4 uint64 words, got {state.shape}")
