@@ -423,8 +423,8 @@ def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Stream states of every key (t, *tag), t in trials, as a (len(trials),
     len(tags), 4) array, and those of run_keys after them: one pass."""
-    keys = np.column_stack([np.arange(trials.start, trials.stop).repeat(len(tags)),
-                            np.tile(tags, (len(trials), 1))])
+    t = np.arange(trials.start, trials.stop)
+    keys = np.column_stack([t.repeat(len(tags)), np.tile(tags, (len(t), 1))])
     cut = len(keys)
     if run_keys is not None:
         keys = np.concatenate([keys, run_keys])
