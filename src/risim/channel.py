@@ -3,15 +3,20 @@ transmitter -> surface (clustered scatter + optional sightline),
 surface -> receiver (pure sightline), and transmitter -> receiver (scalar).
 
 Element lattices are square with a row-major (z, x) scan, x running fastest.
-The x index pairs with sin(el), so it steps along the lattice's vertical axis
-(column 2 of geometry.surface_basis); the z index pairs with sin(az) cos(el)
-and steps along its horizontal axis (column 0).  The steering phase is thus
-separable: one direction's (N,) response is kron(ez, ex) over the (z, x)
-scan, where ez and ex are side-long phase ramps.
+A direction's unit vector u in the surface frame steers the x index by
+u_z = sin(el), along the lattice's vertical axis, and the z index by
+u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
+response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
+are steered from u alone, with no angle per trial.
+
+The paper's element pattern convention: element_gain is taken at the
+elevation, 2(2q+1) cos^(2q)(el) = 2(2q+1) (1 - u_z^2)^q, not off broadside:
+a target behind the surface still gets front-hemisphere gain.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +24,8 @@ import numpy as np
 
 from .environment import ClusterSet
 from .geometry import (
-    Angles, Orientation, Point3, angles_to_targets, distance, wrap_angle,
+    Angles, Orientation, Point3, angles_to_targets, directions_to_targets,
+    distance,
 )
 from .propagation import (
     LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
@@ -55,21 +61,23 @@ class RisDescriptor:
         return math.isqrt(self.n_elements)
 
 
+def _angle_steps(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """(2, M) ramp steps (u_z, u_x) of M directions given as angles."""
+    return np.stack([np.sin(el), np.sin(az) * np.cos(el)])
+
+
 def _lattice_factors(
-    ris: RisDescriptor, az: np.ndarray, el: np.ndarray, k: float,
+    ris: RisDescriptor, steps: np.ndarray, k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(side, M) phase ramps ex, ez for M directions in the tilted surface frame:
-    element (z, x) responds to direction m with ez[z, m] * ex[x, m].
+    """(side, M) phase ramps ex, ez for the (2, M) steps (u_z, u_x) of M
+    directions: element (z, x) responds to direction m with ez[z, m] * ex[x, m].
 
     Row x of a ramp is w^x for the direction's step w = exp(j k d u), built by
     doubling: rows [n, 2n) are rows [0, n) times w^n, and w^2n squares w^n.
     That is one complex exp per direction instead of one per element."""
     d = ris.spacing if ris.spacing is not None else math.pi / k  # half wavelength
-    side, m = ris.side, len(el)
-    steps = np.empty(2 * m)
-    np.sin(el, out=steps[:m])
-    np.multiply(np.sin(az), np.cos(el), out=steps[m:])
-    power = np.exp(1j * k * d * steps)
+    side, m = ris.side, steps.shape[1]
+    power = np.exp((1j * k * d) * steps.ravel())
     ramps = np.empty((side, 2 * m), dtype=complex)
     ramps[0] = 1.0
     n = 1
@@ -87,7 +95,8 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
 
     With ang from geometry.angles_at_surface this is the plane wave
     exp(j k u . p_i) for any mounting plane and tilt."""
-    ex, ez = _lattice_factors(ris, np.array([ang.azimuth]), np.array([ang.elevation]), k)
+    ex, ez = _lattice_factors(
+        ris, _angle_steps(np.array([ang.azimuth]), np.array([ang.elevation])), k)
     return (ez * ex.T).ravel()
 
 
@@ -107,7 +116,7 @@ class Sightline:
     def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
         d = distance(end, ris.position)
         az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
-        ex, ez = _lattice_factors(ris, az, el, wavenumber(pl.freq_hz))
+        ex, ez = _lattice_factors(ris, _angle_steps(az, el), wavenumber(pl.freq_hz))
         gain = element_gain(float(el[0]), ris.pattern_exponent)
         return cls(d, pathloss_db(pl, d), gain,
                    np.ascontiguousarray(ez[:, 0]), np.ascontiguousarray(ex[:, 0]))
@@ -116,7 +125,7 @@ class Sightline:
         """(N,) vector for one shadow draw and phase eta; loss_db - shadow_db
         has the bits of pathloss_db(pl, distance, shadow_db)."""
         amp = math.sqrt(self.gain * 10.0 ** ((self.loss_db - shadow_db) / 10.0))
-        return np.outer(amp * np.exp(1j * eta) * self.ez, self.ex).ravel()
+        return ((amp * cmath.exp(1j * eta) * self.ez)[:, None] * self.ex).ravel()
 
 
 def tx_ris_channel(
@@ -134,27 +143,26 @@ def tx_ris_channel(
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
     Scattered component: normalization * sum_s gain_s
-        sqrt(element_gain(el_s) * loss_s) * response(az_s, el_s),
-    with per-path loss over the detour distance d_from_tx + d_to_surface.
+        sqrt(2(2q+1) (1 - u_z,s^2)^q * loss_s) * response(u_s),
+    with u_s the unit vector to scatterer s and per-path loss over the
+    detour distance d_from_tx + d_to_surface.
     The sightline term adds sqrt(element_gain * loss) e^{j eta} response with
     a uniform random phase eta when the blockage draw comes up visible.
     link, Sightline.between(ris, tx, pl_los), is built here unless passed in.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
-    k = wavenumber(pl_los.freq_hz)
     h = np.zeros(ris.n_elements, dtype=complex)
-
     if len(clusters):
-        az, el = angles_to_targets(ris.position, ris.orient, clusters.positions)
-        detour = clusters.d_from_tx + clusters.d_to_surface
+        u = directions_to_targets(ris.position, ris.orient, clusters.positions)
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
-        loss_db = pathloss_db(pl_nlos, detour, shadows)
-        amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss_db / 10.0))
-        ex, ez = _lattice_factors(ris, az, el, k)
-        c = clusters.normalization * clusters.gains * amp
-        h = ((ez * c) @ ex.T).ravel()
+        loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_surface, shadows)
+        q = ris.pattern_exponent
+        scale = clusters.normalization * math.sqrt(2.0 * (2.0 * q + 1.0))
+        amp = scale * (1.0 - u[2] * u[2]) ** (0.5 * q) * 10.0 ** (loss_db / 20.0)
+        ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl_los.freq_hz))
+        h = ((ez * (clusters.gains * amp)) @ ex.T).ravel()
 
     link = link or Sightline.between(ris, tx, pl_los)
     visible = los_indicator(los, link.distance, ris.position.z, tx.z, rng)
@@ -204,13 +212,12 @@ def direct_channel(
     """
     total = 0.0 + 0.0j
     if len(clusters):
-        detour = clusters.d_from_tx + clusters.d_to_rx
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
-        loss_db = pathloss_db(pl_nlos, detour, shadows)
-        phase = wrap_angle(k * (clusters.d_to_surface - clusters.d_to_rx))
-        total = clusters.normalization * np.sum(
-            clusters.gains * np.exp(1j * phase) * np.sqrt(10.0 ** (loss_db / 10.0)))
+        loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_rx, shadows)
+        phase = k * (clusters.d_to_surface - clusters.d_to_rx)
+        total = clusters.normalization * (
+            clusters.gains @ (np.exp(1j * phase) * 10.0 ** (loss_db / 20.0)))
 
     d_link = distance(tx, rx)
     visible = los_indicator(los, d_link, rx.z, tx.z, rng)
@@ -218,6 +225,6 @@ def direct_channel(
         shadow = sample_shadow(pl_los.shadow_sigma_db, rng) if shadow_los else 0.0
         loss_db = pathloss_db(pl_los, d_link, shadow)
         eta = rng.uniform(0.0, 2.0 * math.pi)
-        total = total + math.sqrt(10.0 ** (loss_db / 10.0)) * np.exp(1j * eta)
+        total = total + 10.0 ** (loss_db / 20.0) * cmath.exp(1j * eta)
 
     return complex(total), bool(visible)

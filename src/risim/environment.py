@@ -80,10 +80,9 @@ class ClusterSet:
         )
 
 
-def complex_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    """CN(0, 1) draws: unit second moment, independent re/im parts."""
-    re = rng.normal(0.0, math.sqrt(0.5), size=size)
-    im = rng.normal(0.0, math.sqrt(0.5), size=size)
+def complex_normal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """CN(0, 1) draws: one normal call, every real part then every imaginary."""
+    re, im = rng.normal(0.0, math.sqrt(0.5), size=2 if size is None else (2, size))
     return re + 1j * im
 
 
@@ -140,11 +139,13 @@ def sample_clusters(
         0.0, math.radians(cfg.elevation_spread_deg), size=total)
     el = el.clip(-np.pi / 2, np.pi / 2)
 
-    cos_el = np.cos(el)[:, None]
-    dirs = (cos_el * np.cos(az)[:, None] * frame[0]
-            + cos_el * np.sin(az)[:, None] * frame[1]
-            + np.sin(el)[:, None] * frame[2])
-    positions = txv + ranges[ids][:, None] * dirs
+    # (forward, right, up) rows of each direction, mapped by the aim frame
+    local = np.empty((3, total))
+    cos_el = np.cos(el)
+    np.multiply(cos_el, np.cos(az), out=local[0])
+    np.multiply(cos_el, np.sin(az), out=local[1])
+    np.sin(el, out=local[2])
+    positions = txv + ranges[ids][:, None] * (local.T @ frame)
     gains = complex_normal(rng, size=total)
     # distances to tx, surface and rx in one pass: row_norms over (3, S, 3)
     rel = positions - ends

@@ -91,6 +91,7 @@ class ScenarioConfig:
 # MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the CLI's
 # --threads, which is checked and then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
+MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
@@ -111,6 +112,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         if ris.n_elements > MAX_ELEMENTS:
             raise ConfigError(f"ris[{m}] has {ris.n_elements} elements, "
                               f"at most {MAX_ELEMENTS} are allowed")
+    for label, p in [("tx", cfg.tx), *((f"rx[{u}]", r) for u, r in enumerate(cfg.rx)),
+                     *((f"ris[{m}]", r.position) for m, r in enumerate(cfg.ris_list))]:
+        if max(abs(p.x), abs(p.y), abs(p.z)) > MAX_COORDINATE:
+            raise ConfigError(f"{label} coordinates must lie within ±{MAX_COORDINATE:g} m")
     issues: list[str] = []
     if cfg.n_trials < 1:
         issues.append(f"n_trials must be at least 1, got {cfg.n_trials}")

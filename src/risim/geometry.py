@@ -106,18 +106,25 @@ def surface_basis(orient: Orientation) -> np.ndarray:
     return basis
 
 
+def directions_to_targets(
+    surface_pos: Point3, orient: Orientation, targets: np.ndarray
+) -> np.ndarray:
+    """(3, M) unit vectors to an (M, 3) array of targets in the tilted surface
+    frame, rows (lattice_x, broadside, lattice_z); normed in that frame, so
+    that |u_z| = |sin(el)| <= 1 holds in floating point too."""
+    local = surface_basis(orient).T @ (np.atleast_2d(targets) - surface_pos.as_array()).T
+    norms = np.sqrt(np.add.reduce(local * local))
+    if not norms.all():
+        raise DegenerateGeometryError("target coincides with the surface centre")
+    return local / norms
+
+
 def angles_to_targets(
     surface_pos: Point3, orient: Orientation, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised azimuth/elevation of an (M, 3) array of target positions."""
-    rel = np.atleast_2d(targets) - surface_pos.as_array()
-    norms = row_norms(rel)
-    if (norms == 0.0).any():
-        raise DegenerateGeometryError("target coincides with the surface centre")
-    local = rel @ surface_basis(orient)  # rows: (lattice_x, broadside, lattice_z)
-    azimuth = np.arctan2(local[:, 0], local[:, 1])
-    elevation = np.arcsin((local[:, 2] / norms).clip(-1.0, 1.0))
-    return azimuth, elevation
+    u = directions_to_targets(surface_pos, orient, targets)
+    return np.arctan2(u[0], u[1]), np.arcsin(u[2])
 
 
 def angles_at_surface(surface_pos: Point3, orient: Orientation, target: Point3) -> Angles:

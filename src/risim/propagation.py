@@ -3,6 +3,7 @@ line-of-sight blockage, and the cosine-power element pattern."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,17 +80,22 @@ def wavenumber(freq_hz: float) -> float:
 
 
 def pathloss_db(params: PathlossParams, dist_m, shadow_db=0.0):
-    """Pathloss in dB (negative = attenuation). Accepts scalar or array distance."""
-    d = np.asarray(dist_m, dtype=float)
-    if (d <= 0).any():
-        raise ValueError("pathloss requires a positive distance")
+    """Pathloss in dB (negative = attenuation) at a float distance, in plain
+    math, or an array of them; the two paths agree to two ulps."""
+    if isinstance(dist_m, float):
+        d, lo, hi, log10 = dist_m, dist_m, dist_m, math.log10
+    else:   # initial=1.0 passes an empty array and hides no bad distance
+        d, log10 = np.asarray(dist_m, dtype=float), np.log10
+        lo, hi = d.min(initial=1.0), d.max(initial=1.0)
+    if not 0.0 < lo <= hi < math.inf:   # a nan fails every comparison
+        raise ValueError("pathloss requires a positive, finite distance")
     lam = wavelength(params.freq_hz)
     slope = params.exponent * (
         1.0 + params.freq_dependence
         * (params.freq_hz - params.ref_freq_hz) / params.ref_freq_hz
     )
-    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * slope * np.log10(d) - shadow_db
-    return out if out.ndim else float(out)
+    out = -20.0 * math.log10(4.0 * math.pi / lam) - 10.0 * slope * log10(d) - shadow_db
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def sample_shadow(sigma_db: float, rng: np.random.Generator, size=None):
@@ -104,7 +110,7 @@ def los_probability(model: LosModel, dist_m: float, endpoint_z: float, tx_z: flo
         return 0.0
     if model.force_if_above_tx and endpoint_z >= tx_z:
         return 1.0
-    return float(np.exp(-dist_m / model.decay_length_m))
+    return math.exp(-dist_m / model.decay_length_m)
 
 
 def los_indicator(
@@ -121,16 +127,8 @@ def los_indicator(
 
 
 def element_gain(theta, q: float = 0.285):
-    """Cosine-power element pattern 2(2q+1) cos^(2q)(theta), zero for
-    |theta| > pi/2.
-
-    Taken with theta as the angle off broadside, the pattern integrates to
-    4*pi over the front hemisphere for any q >= 0 and is zero behind.  The
-    channel functions in channel.py pass the surface-frame elevation
-    instead (the angle out of the lattice's horizontal plane), as the paper
-    does: |elevation| <= pi/2 always, so a target behind the surface still
-    gets front-hemisphere gain and the zero branch never fires there.
-    """
+    """Cosine-power pattern 2(2q+1) cos^(2q)(theta), zero for |theta| > pi/2:
+    off broadside, 4*pi over the front hemisphere; channel.py names the paper's use."""
     if q < 0:
         raise ValueError("pattern exponent q must be non-negative")
     th = np.asarray(theta, dtype=float)

@@ -11,8 +11,8 @@ from risim.environment import (
     ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
 )
 from risim.geometry import (
-    Angles, Orientation, Plane, Point3, TiltAxis, angles_at_surface,
-    angles_to_targets, surface_basis,
+    Angles, DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
+    angles_at_surface, angles_to_targets, directions_to_targets, surface_basis,
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
@@ -64,9 +64,10 @@ def test_lattice_ramps_match_direct_exp(side, spacing):
                          rng.uniform(-math.pi, math.pi, size=200)])
     el = np.concatenate([[0.0, math.pi / 2, -math.pi / 2],
                          rng.uniform(-math.pi / 2, math.pi / 2, size=200)])
-    ex, ez = _lattice_factors(_ris(side * side, spacing=spacing), az, el, K73)
+    steps = np.stack([np.sin(el), np.sin(az) * np.cos(el)])
+    ex, ez = _lattice_factors(_ris(side * side, spacing=spacing), steps, K73)
     d = spacing if spacing is not None else math.pi / K73
-    for ramp, u in ((ex, np.sin(el)), (ez, np.sin(az) * np.cos(el))):
+    for ramp, u in zip((ex, ez), steps):
         assert ramp.shape == (side, len(az))
         want = _exact_ramp(K73 * d * u, side)
         assert np.max(np.abs(ramp - want)) <= 1e-13   # |want| = 1
@@ -145,6 +146,58 @@ def test_wavenumber_scaling_doubles_phases():
     a1 = array_response(ris, ang, K73)
     a2 = array_response(ris, ang, 2 * K73)
     np.testing.assert_allclose(np.angle(a2), 2 * np.angle(a1), atol=1e-12)
+
+
+def _reference_angles(surface, orient, targets):
+    """Azimuth and elevation by arctan2 and arcsin of the global-frame norm."""
+    rel = targets - surface.as_array()
+    local = rel @ surface_basis(orient)
+    el = np.arcsin((local[:, 2] / np.linalg.norm(rel, axis=1)).clip(-1.0, 1.0))
+    return np.arctan2(local[:, 0], local[:, 1]), el
+
+
+@pytest.mark.parametrize("q", [0.0, 0.285, 1.0])
+def test_direction_cosines_match_the_angles(q):
+    """Scatterers are steered from direction cosines: the ramp steps are
+    sin(el) and sin(az) cos(el), and the paper's elevation pattern is
+    2(2q+1) (1 - u_z^2)^q, for targets on every side of either plane."""
+    rng = np.random.default_rng(17)
+    for plane in Plane:
+        for axis in TiltAxis:
+            orient = Orientation(plane, axis, rng.uniform(-math.pi, math.pi))
+            surface = Point3(*rng.uniform(-5, 5, 3))
+            targets = rng.uniform(-30, 30, size=(500, 3))
+            u = directions_to_targets(surface, orient, targets)
+            az, el = _reference_angles(surface, orient, targets)
+            got_az, got_el = angles_to_targets(surface, orient, targets)
+            np.testing.assert_allclose(got_az, az, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got_el, el, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(u[2], np.sin(el), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(u[0], np.sin(az) * np.cos(el),
+                                       rtol=0, atol=1e-14)
+            pattern = 2 * (2 * q + 1) * (1 - u[2] ** 2) ** q
+            gain = element_gain(el, q)
+            # Towards grazing (|u_z| -> 1) both 1 - u_z^2 and the angle path
+            # lose digits to cancellation, as eps / cos^2(el): compare there
+            # relatively.
+            off = np.abs(u[2]) <= 0.97
+            np.testing.assert_allclose(pattern[off], gain[off], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pattern[~off], gain[~off], rtol=1e-11)
+
+
+def test_scatterer_at_the_surface_centre_raises():
+    tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
+    cs = sample_clusters(EnvironmentConfig(), tx, surface, rx,
+                         np.random.default_rng(2))
+    positions = cs.positions.copy()
+    positions[-1] = surface.as_array()
+    bad = ClusterSet(positions, cs.gains, cs.cluster_ids, cs.d_from_tx,
+                     cs.d_to_surface, cs.d_to_rx, cs.cluster_sizes)
+    for tilt in (0.0, 0.4):
+        ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=tilt))
+        with pytest.raises(DegenerateGeometryError):
+            tx_ris_channel(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS,
+                           np.random.default_rng(0))
 
 
 def test_tx_ris_zero_when_fully_blocked():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from risim import cli, experiments
 from risim.cli import main
 from risim.experiments import (
-    MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, derived_rng,
+    MAX_COORDINATE, MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, derived_rng,
     scenario_from_dict, scenario_to_dict,
 )
 
@@ -169,8 +169,12 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     ({"ris_list": [{"position": [75, 30, 2], "n_elements": 4 * MAX_ELEMENTS}]},
      "at most 65536"),
     ({"rx": [[75, 35, 1]] * (MAX_USERS + 1)}, "at most 256 receivers"),
+    ({"rx": [1e160, 35, 1], "n_trials": 5}, "rx[0] coordinates must lie within"),
+    ({"tx": [0, -2 * MAX_COORDINATE, 2]}, "tx coordinates must lie within"),
+    ({"ris_list": [{"position": [75, 30, 1e200]}]},
+     "ris[0] coordinates must lie within"),
 ], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound",
-        "users_over_bound"])
+        "users_over_bound", "rx_far_out", "tx_past_bound", "ris_far_up"])
 def test_oversized_config_exits_two(tmp_path, capsys, override, message):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
@@ -187,7 +191,8 @@ def test_oversized_config_exits_two(tmp_path, capsys, override, message):
 def test_bounds_are_inclusive(tmp_path, capsys):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({
-        "tx": [0, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS, "n_trials": MAX_TRIALS,
+        "tx": [-MAX_COORDINATE, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS,
+        "n_trials": MAX_TRIALS,
         "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")
