@@ -9,9 +9,9 @@ u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
 are steered from u alone, with no angle per trial.
 
-The paper's element pattern convention: element_gain is taken at the
-elevation, 2(2q+1) cos^(2q)(el) = 2(2q+1) (1 - u_z^2)^q, not off broadside:
-a target behind the surface still gets front-hemisphere gain.
+The paper's element pattern convention: element_gain at the elevation, not
+off broadside, so a target behind the surface gets front-hemisphere gain;
+every link takes its root sqrt(2(2q+1)) cos^q(el) from _pattern_amp.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .geometry import (
     Angles, Orientation, Point3, angles_to_targets, directions_to_targets,
     distance,
 )
-from .propagation import (
+from .propagation import (  # element_gain stays importable for perfbench's tracer
     LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
     sample_shadow, wavenumber,
 )
@@ -59,6 +59,11 @@ class RisDescriptor:
     @property
     def side(self) -> int:
         return math.isqrt(self.n_elements)
+
+
+def _pattern_amp(cos2_el, q: float):
+    """sqrt(element_gain(el, q)) = sqrt(2(2q+1)) cos^q(el), from cos^2(el)."""
+    return math.sqrt(2.0 * (2.0 * q + 1.0)) * cos2_el ** (0.5 * q)
 
 
 def _angle_steps(az: np.ndarray, el: np.ndarray) -> np.ndarray:
@@ -103,12 +108,12 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Sightline:
     """A surface's sightline to one endpoint, less its per-trial draws: the
-    hop distance, the unshadowed loss pathloss_db(pl, distance), the element
-    gain at the arrival elevation and the (side,) ramps of the response."""
+    hop distance, the unshadowed loss pathloss_db(pl, distance), the pattern
+    amplitude at the arrival elevation and the (side,) response ramps."""
 
     distance: float
     loss_db: float
-    gain: float
+    amp: float
     ez: np.ndarray
     ex: np.ndarray
 
@@ -117,14 +122,14 @@ class Sightline:
         d = distance(end, ris.position)
         az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
         ex, ez = _lattice_factors(ris, _angle_steps(az, el), wavenumber(pl.freq_hz))
-        gain = element_gain(float(el[0]), ris.pattern_exponent)
-        return cls(d, pathloss_db(pl, d), gain,
+        amp = _pattern_amp(math.cos(el[0]) ** 2, ris.pattern_exponent)
+        return cls(d, pathloss_db(pl, d), amp,
                    np.ascontiguousarray(ez[:, 0]), np.ascontiguousarray(ex[:, 0]))
 
     def response(self, shadow_db: float, eta: float) -> np.ndarray:
         """(N,) vector for one shadow draw and phase eta; loss_db - shadow_db
         has the bits of pathloss_db(pl, distance, shadow_db)."""
-        amp = math.sqrt(self.gain * 10.0 ** ((self.loss_db - shadow_db) / 10.0))
+        amp = self.amp * 10.0 ** ((self.loss_db - shadow_db) / 20.0)
         return ((amp * cmath.exp(1j * eta) * self.ez)[:, None] * self.ex).ravel()
 
 
@@ -143,10 +148,10 @@ def tx_ris_channel(
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
     Scattered component: normalization * sum_s gain_s
-        sqrt(2(2q+1) (1 - u_z,s^2)^q * loss_s) * response(u_s),
+        _pattern_amp(1 - u_z,s^2) * sqrt(loss_s) * response(u_s),
     with u_s the unit vector to scatterer s and per-path loss over the
     detour distance d_from_tx + d_to_surface.
-    The sightline term adds sqrt(element_gain * loss) e^{j eta} response with
+    The sightline term adds _pattern_amp * sqrt(loss) e^{j eta} response with
     a uniform random phase eta when the blockage draw comes up visible.
     link, Sightline.between(ris, tx, pl_los), is built here unless passed in.
 
@@ -158,11 +163,10 @@ def tx_ris_channel(
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
         loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_surface, shadows)
-        q = ris.pattern_exponent
-        scale = clusters.normalization * math.sqrt(2.0 * (2.0 * q + 1.0))
-        amp = scale * (1.0 - u[2] * u[2]) ** (0.5 * q) * 10.0 ** (loss_db / 20.0)
+        amp = _pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent) \
+            * 10.0 ** (loss_db / 20.0)
         ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl_los.freq_hz))
-        h = ((ez * (clusters.gains * amp)) @ ex.T).ravel()
+        h = ((ez * (clusters.normalization * clusters.gains * amp)) @ ex.T).ravel()
 
     link = link or Sightline.between(ris, tx, pl_los)
     visible = los_indicator(los, link.distance, ris.position.z, tx.z, rng)

@@ -80,22 +80,18 @@ def wavenumber(freq_hz: float) -> float:
 
 
 def pathloss_db(params: PathlossParams, dist_m, shadow_db=0.0):
-    """Pathloss in dB (negative = attenuation) at a float distance, in plain
-    math, or an array of them; the two paths agree to two ulps."""
-    if isinstance(dist_m, float):
-        d, lo, hi, log10 = dist_m, dist_m, dist_m, math.log10
-    else:   # initial=1.0 passes an empty array and hides no bad distance
-        d, log10 = np.asarray(dist_m, dtype=float), np.log10
-        lo, hi = d.min(initial=1.0), d.max(initial=1.0)
-    if not 0.0 < lo <= hi < math.inf:   # a nan fails every comparison
+    """Pathloss in dB (negative = attenuation). Accepts scalar or array distance."""
+    d = np.asarray(dist_m, dtype=float)
+    # initial=1.0 passes an empty array; a nan fails every comparison
+    if not 0.0 < d.min(initial=1.0) <= d.max(initial=1.0) < math.inf:
         raise ValueError("pathloss requires a positive, finite distance")
     lam = wavelength(params.freq_hz)
     slope = params.exponent * (
         1.0 + params.freq_dependence
         * (params.freq_hz - params.ref_freq_hz) / params.ref_freq_hz
     )
-    out = -20.0 * math.log10(4.0 * math.pi / lam) - 10.0 * slope * log10(d) - shadow_db
-    return out if getattr(out, "ndim", 0) else float(out)
+    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * slope * np.log10(d) - shadow_db
+    return out if out.ndim else float(out)
 
 
 def sample_shadow(sigma_db: float, rng: np.random.Generator, size=None):

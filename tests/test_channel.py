@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, _lattice_factors, array_response, direct_channel,
+    RisDescriptor, _lattice_factors, _pattern_amp, array_response, direct_channel,
     ris_rx_channel, tx_ris_channel,
 )
 from risim.environment import (
@@ -160,7 +160,8 @@ def _reference_angles(surface, orient, targets):
 def test_direction_cosines_match_the_angles(q):
     """Scatterers are steered from direction cosines: the ramp steps are
     sin(el) and sin(az) cos(el), and the paper's elevation pattern is
-    2(2q+1) (1 - u_z^2)^q, for targets on every side of either plane."""
+    2(2q+1) (1 - u_z^2)^q, the square of _pattern_amp, for targets on every
+    side of either plane."""
     rng = np.random.default_rng(17)
     for plane in Plane:
         for axis in TiltAxis:
@@ -175,7 +176,9 @@ def test_direction_cosines_match_the_angles(q):
             np.testing.assert_allclose(u[2], np.sin(el), rtol=0, atol=1e-14)
             np.testing.assert_allclose(u[0], np.sin(az) * np.cos(el),
                                        rtol=0, atol=1e-14)
-            pattern = 2 * (2 * q + 1) * (1 - u[2] ** 2) ** q
+            pattern = _pattern_amp(1 - u[2] ** 2, q) ** 2
+            np.testing.assert_allclose(pattern, 2 * (2 * q + 1) * (1 - u[2] ** 2) ** q,
+                                       rtol=4e-15, atol=0)
             gain = element_gain(el, q)
             # Towards grazing (|u_z| -> 1) both 1 - u_z^2 and the angle path
             # lose digits to cancellation, as eps / cos^2(el): compare there

@@ -40,6 +40,9 @@ def test_pathloss_monotone_and_array():
     out = pathloss_db(NLOS_73GHZ, d)
     assert out.shape == d.shape
     assert np.all(np.diff(out) < 0)
+    # a float distance takes the same path and comes back as a float
+    singles = [pathloss_db(NLOS_73GHZ, float(x)) for x in d]
+    assert all(type(v) is float for v in singles) and singles == out.tolist()
 
 
 def test_pathloss_shadow_shift_and_errors():
@@ -53,26 +56,9 @@ def test_pathloss_shadow_shift_and_errors():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_pathloss_rejects_non_positive_and_non_finite_distances(bad):
-    # a float takes the scalar math path, an array the numpy path
     for dist in (bad, np.array([5.0, bad]), np.array(bad)):
         with pytest.raises(ValueError, match="positive, finite distance"):
             pathloss_db(NLOS_73GHZ, dist)
-
-
-def test_pathloss_scalar_and_array_paths_agree():
-    """The paths differ only in math.log10 against np.log10, which agree to
-    one ulp.  Scaled by 10 n (17.3 for the sightline) one ulp of the log can
-    round to two ulps of the loss, as it does for some 100-500 m sightlines."""
-    rng = np.random.default_rng(4)
-    d = np.concatenate([[1.0, 10.0, 1e-3, 1e6], rng.uniform(0.1, 500.0, 5000),
-                        10.0 ** rng.uniform(-3.0, 6.0, 5000)])
-    logs = np.array([math.log10(x) for x in d])
-    assert np.all(np.abs(logs - np.log10(d)) <= np.spacing(np.abs(logs)))
-    for params in (LOS_73GHZ, NLOS_73GHZ):
-        want = pathloss_db(params, d)
-        got = np.array([pathloss_db(params, float(x)) for x in d])
-        assert type(pathloss_db(params, float(d[0]))) is float
-        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
 def test_freq_dependence_inert_at_anchor():
