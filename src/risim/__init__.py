@@ -7,8 +7,8 @@ from .channel import (
     tx_ris_channel,
 )
 from .environment import (
-    ClusterSet, EnvironmentConfig, complex_normal, rebind_receiver,
-    resample_gains, sample_clusters,
+    ClusterDraws, ClusterSet, EnvironmentConfig, complex_normal, place_clusters,
+    rebind_receiver, resample_gains, sample_clusters,
 )
 from .experiments import (
     ConfigError, ScenarioConfig, SweepSpec, SweepVariable, derived_rng,

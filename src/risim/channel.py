@@ -7,7 +7,9 @@ A direction's unit vector u in the surface frame steers the x index by
 u_z = sin(el), along the lattice's vertical axis, and the z index by
 u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
-are steered from u alone, with no angle per trial.
+are steered from u alone, with no angle per trial; tx_ris_channel takes
+their (3, S) directions through u=, so a caller can compute a block's at
+once, and builds them itself otherwise.
 
 The paper's element pattern convention: element_gain at the elevation, not
 off broadside, so a target behind the surface gets front-hemisphere gain;
@@ -143,7 +145,7 @@ def tx_ris_channel(
     rng: np.random.Generator,
     shadow_scatter: bool = True,
     shadow_los: bool = True,
-    *, link: Sightline | None = None,
+    *, link: Sightline | None = None, u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
@@ -153,13 +155,15 @@ def tx_ris_channel(
     detour distance d_from_tx + d_to_surface.
     The sightline term adds _pattern_amp * sqrt(loss) e^{j eta} response with
     a uniform random phase eta when the blockage draw comes up visible.
-    link, Sightline.between(ris, tx, pl_los), is built here unless passed in.
+    link, Sightline.between(ris, tx, pl_los), and u, the (3, S)
+    directions_to_targets of the scatterers, are built here unless passed in.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
     h = np.zeros(ris.n_elements, dtype=complex)
     if len(clusters):
-        u = directions_to_targets(ris.position, ris.orient, clusters.positions)
+        if u is None:
+            u = directions_to_targets(ris.position, ris.orient, clusters.positions)
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
         loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_surface, shadows)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .experiments import (
     MAX_THREADS, ConfigError, SweepSpec, SweepVariable, load_scenario, parse_values,
-    run_scenario, scenario_to_dict, validate, write_cdf_csv, write_metadata,
+    _require_valid, run_scenario, scenario_to_dict, write_cdf_csv, write_metadata,
     write_sweep_csv, write_sweep_json,
 )
 from .figures import FigureRun, reproduce_figure, write_runs
@@ -122,12 +122,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_scenario(args.config)
-    issues = validate(cfg)
-    if issues:
-        print("invalid scenario:")
-        for issue in issues:
-            print(f"- {issue}")
-        return 1
+    _require_valid(cfg)   # collected issues raise ConfigError: exit 2
     print("ok")
     print(json.dumps(scenario_to_dict(cfg), indent=1))
     return 0

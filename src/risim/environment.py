@@ -5,6 +5,11 @@ at the surface; each cluster carries a uniformly drawn range and a Gaussian
 angular spread of scatterers.  The same realization (same gains, same
 normalization) must feed every link of a trial so their small-scale fading
 stays consistent.
+
+Drawing and placing are split: sample_clusters makes one trial's draws and
+nothing else, and place_clusters turns a block of trials' draws into
+positions and distances with one pass over their scatterers, handing each
+trial back its ClusterSet as views.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,26 +107,46 @@ def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _anchor(tx: Point3, surface: Point3, rx: Point3):
-    """A cluster draw's fixed part: the read-only tx array, the (3, 1, 3)
-    stack of the tx, surface and rx arrays, the tx -> surface span and the
-    aim frame."""
-    txv, sv = tx.as_array(), surface.as_array()
-    ends = np.stack([txv, sv, rx.as_array()])[:, None, :]
-    frame = _aim_frame(txv, sv)
-    for a in (txv, ends, frame):
+def _anchor(tx: Point3, anchor: Point3):
+    """A cluster draw's fixed part: the read-only tx array, the tx -> anchor
+    span and the aim frame."""
+    txv, av = tx.as_array(), anchor.as_array()
+    frame = _aim_frame(txv, av)
+    for a in (txv, frame):
         a.flags.writeable = False
-    return txv, ends, float(np.linalg.norm(sv - txv)), frame
+    return txv, float(np.linalg.norm(av - txv)), frame
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ClusterDraws:
+    """One trial's cluster draws, before any geometry: per cluster its size,
+    mean azimuth, mean elevation and range; per scatterer its azimuth and
+    elevation offsets and CN(0, 1) gain.  len() is the scatterer count."""
+
+    sizes: np.ndarray
+    mean_az: np.ndarray
+    mean_el: np.ndarray
+    ranges: np.ndarray
+    az_offsets: np.ndarray
+    el_offsets: np.ndarray
+    gains: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gains)
+
+
+_NO_DRAWS = ClusterDraws(np.empty(0, dtype=int), *[np.empty(0)] * 5,
+                         np.empty(0, dtype=complex))
 
 
 def sample_clusters(
-    cfg: EnvironmentConfig, tx: Point3, surface: Point3, rx: Point3,
-    rng: np.random.Generator,
-) -> ClusterSet:
-    """Draw one cluster realization anchored on the tx -> surface sightline."""
+    cfg: EnvironmentConfig, tx: Point3, anchor: Point3, rng: np.random.Generator,
+) -> ClusterDraws:
+    """Draw one cluster realization aimed along the tx -> anchor sightline;
+    place_clusters turns it into positions and distances."""
     if not cfg.include_scatter:
-        return ClusterSet.empty()
-    txv, ends, span, frame = _anchor(tx, surface, rx)
+        return _NO_DRAWS
+    span = _anchor(tx, anchor)[1]
 
     n_clusters = max(1, int(rng.poisson(cfg.mean_clusters)))
     sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n_clusters)
@@ -132,34 +158,70 @@ def sample_clusters(
     ranges = rng.uniform(cfg.min_range_m, hi, size=n_clusters)
 
     total = int(sizes.sum())
-    ids = np.repeat(np.arange(n_clusters), sizes)
-    az = mean_az[ids] + rng.normal(
-        0.0, math.radians(cfg.azimuth_spread_deg), size=total)
-    el = mean_el[ids] + rng.normal(
-        0.0, math.radians(cfg.elevation_spread_deg), size=total)
+    az = rng.normal(0.0, math.radians(cfg.azimuth_spread_deg), size=total)
+    el = rng.normal(0.0, math.radians(cfg.elevation_spread_deg), size=total)
+    return ClusterDraws(sizes, mean_az, mean_el, ranges, az, el,
+                        complex_normal(rng, size=total))
+
+
+class Placement(NamedTuple):
+    """place_clusters' result: every trial's scatterers on one flat axis.
+
+    positions is (sum S, 3) in trial order, trial i's rows being
+    edges[i]:edges[i + 1]; sets[u][i] is trial i's ClusterSet seen from
+    receiver u, its arrays views of the flat ones."""
+
+    positions: np.ndarray
+    edges: list[int]
+    sets: list[list[ClusterSet]]
+
+
+def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
+                   receivers: Sequence[Point3]) -> Placement:
+    """Positions and distances of every trial's draws, in one pass over them.
+
+    Each scatterer sits at its cluster's range along its direction, the
+    cluster mean plus its offset, elevation clipped to [-pi/2, pi/2], in the
+    aim frame of tx -> anchor.  Its distances to tx, anchor and each
+    receiver come from one norm pass.  Every step is elementwise or within
+    one scatterer, so a trial placed with others gets the bytes it gets
+    placed alone."""
+    txv, _, frame = _anchor(tx, anchor)
+    sizes = np.concatenate([d.sizes for d in draws])
+    counts = [len(d) for d in draws]
+    edges = np.cumsum([0] + counts).tolist()
+    firsts = np.cumsum([0] + [len(d.sizes) for d in draws]).tolist()
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    az = np.concatenate([d.mean_az for d in draws])[cluster] \
+        + np.concatenate([d.az_offsets for d in draws])
+    el = np.concatenate([d.mean_el for d in draws])[cluster] \
+        + np.concatenate([d.el_offsets for d in draws])
     el = el.clip(-np.pi / 2, np.pi / 2)
 
     # (forward, right, up) rows of each direction, mapped by the aim frame
-    local = np.empty((3, total))
+    local = np.empty((3, len(cluster)))
     cos_el = np.cos(el)
     np.multiply(cos_el, np.cos(az), out=local[0])
     np.multiply(cos_el, np.sin(az), out=local[1])
     np.sin(el, out=local[2])
-    positions = txv + ranges[ids][:, None] * (local.T @ frame)
-    gains = complex_normal(rng, size=total)
-    # distances to tx, surface and rx in one pass: row_norms over (3, S, 3)
-    rel = positions - ends
-    d_from_tx, d_to_surface, d_to_rx = np.sqrt(np.add.reduce(rel * rel, axis=2))
+    ranges = np.concatenate([d.ranges for d in draws])
+    xyz = txv[:, None] + ranges[cluster] * (frame.T @ local)   # (3, S)
+    gains = np.concatenate([d.gains for d in draws])
+    ids = cluster - np.repeat(firsts[:-1], counts)
+    # distances to tx, anchor and every receiver in one pass over (2 + U, 3, S)
+    ends = np.stack([txv, anchor.as_array(), *(r.as_array() for r in receivers)])
+    rel = xyz - ends[:, :, None]
+    rel *= rel
+    d_from_tx, d_to_anchor, *d_to_rx = np.sqrt(rel[:, 0] + rel[:, 1] + rel[:, 2])
+    positions = xyz.T
 
-    return ClusterSet(
-        positions=positions,
-        gains=gains,
-        cluster_ids=ids,
-        d_from_tx=d_from_tx,
-        d_to_surface=d_to_surface,
-        d_to_rx=d_to_rx,
-        cluster_sizes=tuple(sizes.tolist()),
-    )
+    sizes = sizes.tolist()
+    trials = [(slice(lo, hi), tuple(sizes[c0:c1])) for lo, hi, c0, c1
+              in zip(edges, edges[1:], firsts, firsts[1:])]
+    sets = [[ClusterSet(positions[at], gains[at], ids[at], d_from_tx[at],
+                        d_to_anchor[at], d_rx[at], trial_sizes)
+             for at, trial_sizes in trials] for d_rx in d_to_rx]
+    return Placement(positions, edges, sets)
 
 
 def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:
@@ -168,7 +230,6 @@ def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:
 
 
 def rebind_receiver(cs: ClusterSet, rx: Point3) -> ClusterSet:
-    """Same geometry and gains, receiver-side distances recomputed.
-
-    Used for additional receivers so every user shares one realization."""
+    """Same geometry and gains, receiver-side distances recomputed: the
+    bytes place_clusters gives rx when placing with it as a receiver."""
     return replace(cs, d_to_rx=row_norms(cs.positions - rx.as_array()))

@@ -11,11 +11,15 @@ one row of them into a generator.  The tests compare every row with
 numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
-run_scenario takes the trials in blocks: each trial's draws and links fill
-one row of the block's h, g and h_d arrays, then co-phasing and the
-effective channel run once for the whole block (see the resource bounds for
-its size).  Every step is elementwise or sums within one trial, so results
-do not depend on the block size.
+run_scenario takes the trials in blocks (see the resource bounds for their
+size).  Per trial it only draws clusters (sample_clusters); the block's
+draws are placed in one pass (place_clusters) and each surface's direction
+cosines to them taken once, then each trial's links fill one row of the
+block's h, g and h_d arrays, steered by the trial's slice of those
+directions (tx_ris_channel's u=).  Co-phasing and the effective channel run
+once for the whole block: one user in closed form, several users through
+combined_phase_vector.  Every step is elementwise or sums within one trial
+or one scatterer, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 import types
 import typing
@@ -35,10 +40,11 @@ import numpy as np
 from .channel import (
     RisDescriptor, Sightline, direct_channel, ris_rx_channel, tx_ris_channel,
 )
-from .environment import (
-    EnvironmentConfig, rebind_receiver, resample_gains, sample_clusters,
+from .environment import (  # rebind_receiver stays importable for perfbench's tracer
+    ClusterSet, EnvironmentConfig, Placement, place_clusters, rebind_receiver,
+    resample_gains, sample_clusters,
 )
-from .geometry import Point3, distance
+from .geometry import Point3, directions_to_targets, distance
 from .metrics import (
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
@@ -46,7 +52,9 @@ from .metrics import (
 from .propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavenumber,
 )
-from .riscontrol import combined_phase_vector, optimal_phases, partition_elements
+from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
+    combined_phase_vector, optimal_phases, partition_elements,
+)
 
 
 class ConfigError(ValueError):
@@ -86,9 +94,10 @@ class ScenarioConfig:
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
 # g is 268 MB per MAX_ELEMENTS surface.  run_scenario keeps a block of up to
-# TRIAL_BLOCK trials' h, g and h_d, holding the block to about _BLOCK_BYTES
-# (1 MiB) unless one trial alone is larger: a config at MAX_USERS x
-# MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the CLI's
+# TRIAL_BLOCK trials' h, g and h_d and its scatterers' distances to every
+# receiver, holding the block to about _BLOCK_BYTES (1 MiB) unless one trial
+# alone is larger: a config at MAX_USERS x MAX_ELEMENTS runs one trial per
+# block.  MAX_THREADS bounds the CLI's
 # --threads, which is checked and then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
@@ -437,24 +446,46 @@ def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
     return states[:cut].reshape(len(trials), len(tags), 4), states[cut:]
 
 
-def _block_size(n_users: int, n_elements: int) -> int:
+def _block_size(n_users: int, n_elements: int, n_scatterers: float = 0.0) -> int:
     """Trials per block: at most TRIAL_BLOCK, and no more than fit one
-    block's h, g and h_d in about _BLOCK_BYTES."""
-    per_trial = np.dtype(complex).itemsize * ((n_users + 1) * n_elements + n_users)
-    return max(1, min(TRIAL_BLOCK, _BLOCK_BYTES // per_trial))
+    block's h, g and h_d, and the n_users receiver distances of its
+    n_scatterers expected scatterers a trial, in about _BLOCK_BYTES."""
+    per_trial = np.dtype(complex).itemsize * ((n_users + 1) * n_elements + n_users) \
+        + np.dtype(float).itemsize * n_users * n_scatterers
+    return max(1, min(TRIAL_BLOCK, int(_BLOCK_BYTES // per_trial)))
+
+
+def _expected_scatterers(env: EnvironmentConfig) -> float:
+    """Mean scatterer count of one draw: E[max(1, Poisson)] clusters of a
+    mean (1 + max) / 2 scatterers each."""
+    if not env.include_scatter:
+        return 0.0
+    clusters = env.mean_clusters + math.exp(-env.mean_clusters)
+    return clusters * (1 + env.max_scatterers_per_cluster) / 2
+
+
+def _with_fresh_gains(base: list[list[ClusterSet]], rngs) -> list[list[ClusterSet]]:
+    """Frozen geometry: base's one placed trial once per generator, with
+    fresh gains drawn from it and shared by every receiver's view."""
+    trials = [resample_gains(base[0][0], rng) for rng in rngs]
+    return [trials] + [[replace(seen, gains=t.gains) for t in trials]
+                       for (seen,) in base[1:]]
 
 
 def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per trial: draw clusters and synthesize every surface's three links into
-    one row of the block's arrays, with every surface's elements on one
-    element axis.  Per block: co-phase each element for its owner against
-    the owner's direct link and sum the effective scalar channel of every
-    trial at once.  The direct link shares the first surface's cluster
-    realization; a surface-free run anchors clusters on the first receiver
-    instead.
+    Per block: draw every trial's clusters, then place them (positions and
+    distances to every endpoint) and take each surface's direction cosines
+    to them in one pass over the block's scatterers.  Per trial: synthesize
+    every surface's three links into one row of the block's arrays, with
+    every surface's elements on one element axis.  Per block again: co-phase
+    each element for its owner against the owner's direct link and sum the
+    effective scalar channel of every trial at once; one user takes the
+    closed form of effective_channel's docstring.  The direct links share
+    the first surface's cluster realization; a surface-free run anchors
+    clusters on the first receiver instead.
 
     Trials run in order on the calling thread.  threads is ignored: perfbench
     still passes it, until the benchmark-only change of ROADMAP item 1.
@@ -464,6 +495,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     n_users = len(receivers)
     k = wavenumber(cfg.pl_los.freq_hz)
     anchors = [r.position for r in surfaces] or [receivers[0]]
+    # only the first anchor's clusters feed the direct links
+    seen_by = [receivers] + [receivers[:1]] * (len(anchors) - 1)
     seed, sweep = cfg.master_seed, sweep_index
     # what every sightline keeps from trial to trial, built once per run
     tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los) for ris in surfaces]
@@ -484,6 +517,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
                         + [(0, _BOOTSTRAP, u) for u in range(n_users)])
 
+    def directions(places: list[Placement]) -> list[np.ndarray]:
+        return [directions_to_targets(ris.position, ris.orient, p.positions)
+                for ris, p in zip(surfaces, places)]
+
     # one element axis: every surface's lattice scan, concatenated
     edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
     cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -495,8 +532,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                               [r.n_elements for r in surfaces])
         if n_users > 1 and cfg.offblock == "exclude":
             serves = owner == np.arange(n_users)[:, None]
+        sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
 
-    block = min(_block_size(n_users, edges[-1]), cfg.n_trials)
+    block = min(_block_size(n_users, edges[-1], _expected_scatterers(cfg.env)),
+                cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
     g = np.empty((block, n_users, edges[-1]), dtype=complex)
     h_d = np.empty((block, n_users), dtype=complex)
@@ -508,30 +547,39 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                                            run_keys if start == 0 else None)
         if start == 0:
             boot_states = run_states[len(frozen):]
-            base_sets = [sample_clusters(cfg.env, cfg.tx, anchors[m], receivers[0],
-                                         derived_rng(run_states[m]))
-                         for m in frozen]
+            base = [place_clusters([sample_clusters(cfg.env, cfg.tx, anchors[m],
+                                                    derived_rng(run_states[m]))],
+                                   cfg.tx, anchors[m], seen_by[m]) for m in frozen]
+            base_steer = directions(base)
         cluster_st, tx_st, direct_st = np.split(
             states, [n_anchors, n_anchors + n_surfaces], axis=1)
         if surfaces:
             rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
                 n, n_users, n_surfaces, 4)
-        for i in range(n):
-            sets = []
-            for m, anchor in enumerate(anchors):
-                rng = derived_rng(cluster_st[i, m])
-                if cfg.resample_geometry:
-                    sets.append(sample_clusters(cfg.env, cfg.tx, anchor,
-                                                receivers[0], rng))
-                else:
-                    sets.append(resample_gains(base_sets[m], rng))
 
+        # sets[m][u][i]: trial i's clusters of anchor m seen from receiver u;
+        # steer[m][i]: their (3, S) directions from surface m
+        if cfg.resample_geometry:
+            places = [place_clusters(
+                [sample_clusters(cfg.env, cfg.tx, anchor, derived_rng(cluster_st[i, m]))
+                 for i in range(n)], cfg.tx, anchor, seen_by[m])
+                for m, anchor in enumerate(anchors)]
+            sets = [p.sets for p in places]
+            steer = [[u[:, lo:hi] for lo, hi in zip(p.edges, p.edges[1:])]
+                     for p, u in zip(places, directions(places))]
+        else:
+            sets = [_with_fresh_gains(p.sets, [derived_rng(cluster_st[i, m])
+                                               for i in range(n)])
+                    for m, p in enumerate(base)]
+            steer = [[u] * n for u in base_steer]
+
+        for i in range(n):
             for m, ris in enumerate(surfaces):
                 h[i, cols[m]] = tx_ris_channel(
-                    ris, sets[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
+                    ris, sets[m][0][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     derived_rng(tx_st[i, m]),
                     cfg.shadow_scatter_paths, cfg.shadow_los_paths,
-                    link=tx_links[m])[0]
+                    link=tx_links[m], u=steer[m][i])[0]
             for u, rx in enumerate(receivers):
                 for m, ris in enumerate(surfaces):
                     g[i, u, cols[m]] = ris_rx_channel(
@@ -539,22 +587,23 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                         cfg.shadow_los_paths, link=rx_links[u][m])
             for u, rx in enumerate(receivers):
                 h_d[i, u] = direct_channel(
-                    sets[0] if u == 0 else rebind_receiver(sets[0], rx),
-                    cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
+                    sets[0][u][i], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
                     derived_rng(direct_st[i, u]),
                     cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
 
         if not surfaces:
             h_eff[:, start:stop] = h_d[:n].T
-            continue
-        if n_users == 1:
-            phases = optimal_phases(g[:n, 0], h[:n], h_d[:n], cfg.direct_phase_sign)
+        elif n_users == 1:
+            # co-phased against h_d, term k is amp_k |g_k||h_k| e^{-j sign arg h_d}
+            cascade = (amplitude * np.abs(g[:n, 0] * h[:n])).sum(axis=1)
+            h_eff[0, start:stop] = h_d[:n, 0] \
+                + cascade * np.exp(-1j * sign * np.angle(h_d[:n, 0]))
         else:
             phases = combined_phase_vector(owner, g[:n], h[:n], h_d[:n],
                                            cfg.direct_phase_sign)
-        coefficients = amplitude * np.exp(1j * phases)
-        h_eff[:, start:stop] = effective_channel(
-            h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
+            coefficients = amplitude * np.exp(1j * phases)
+            h_eff[:, start:stop] = effective_channel(
+                h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
     results = []
     for u in range(n_users):

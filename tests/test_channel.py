@@ -8,7 +8,7 @@ from risim.channel import (
     ris_rx_channel, tx_ris_channel,
 )
 from risim.environment import (
-    ClusterSet, EnvironmentConfig, resample_gains, sample_clusters,
+    ClusterSet, EnvironmentConfig, place_clusters, resample_gains, sample_clusters,
 )
 from risim.geometry import (
     Angles, DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
@@ -23,6 +23,12 @@ K73 = wavenumber(73e9)
 ORIGIN = Point3(0.0, 0.0, 0.0)
 ALWAYS = LosModel(mode=LosMode.ALWAYS)
 NEVER = LosModel(mode=LosMode.NEVER)
+
+
+def _placed(tx, surface, rx, seed):
+    """One trial's clusters anchored on surface, placed and seen from rx."""
+    draws = sample_clusters(EnvironmentConfig(), tx, surface, np.random.default_rng(seed))
+    return place_clusters([draws], tx, surface, [rx]).sets[0][0]
 
 
 def _ris(n=4, tilt=0.0, spacing=None, q=0.285):
@@ -190,8 +196,7 @@ def test_direction_cosines_match_the_angles(q):
 
 def test_scatterer_at_the_surface_centre_raises():
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
-    cs = sample_clusters(EnvironmentConfig(), tx, surface, rx,
-                         np.random.default_rng(2))
+    cs = _placed(tx, surface, rx, 2)
     positions = cs.positions.copy()
     positions[-1] = surface.as_array()
     bad = ClusterSet(positions, cs.gains, cs.cluster_ids, cs.d_from_tx,
@@ -201,6 +206,17 @@ def test_scatterer_at_the_surface_centre_raises():
         with pytest.raises(DegenerateGeometryError):
             tx_ris_channel(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS,
                            np.random.default_rng(0))
+
+
+def test_tx_ris_takes_directions_passed_in():
+    tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
+    cs = _placed(tx, surface, rx, 4)
+    ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=0.4))
+    u = directions_to_targets(surface, ris.orient, cs.positions)
+    built, passed = (tx_ris_channel(ris, cs, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS,
+                                    np.random.default_rng(1), **kw)[0]
+                     for kw in ({}, {"u": u}))
+    assert built.tobytes() == passed.tobytes()
 
 
 def test_tx_ris_zero_when_fully_blocked():
@@ -293,8 +309,7 @@ def test_direct_second_moment_oracle():
     """With frozen geometry and unit-variance gains the mean direct power
     equals normalization^2 times the summed linear detour losses."""
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(75, 35, 1)
-    cs = sample_clusters(EnvironmentConfig(), tx, surface, rx,
-                         np.random.default_rng(12))
+    cs = _placed(tx, surface, rx, 12)
     loss = pathloss_db(NLOS_73GHZ, cs.d_from_tx + cs.d_to_rx)
     expect = cs.normalization ** 2 * np.sum(10.0 ** (loss / 10.0))
 
@@ -313,8 +328,7 @@ def test_draw_counts_independent_of_lattice_and_tilt():
     """Streams advance identically whatever the element count or tilt, which
     is what lets different configurations share common random numbers."""
     tx, rx = Point3(0, 20, 2), Point3(75, 35, 1)
-    cs = sample_clusters(EnvironmentConfig(), tx, Point3(75, 30, 2), rx,
-                         np.random.default_rng(3))
+    cs = _placed(tx, Point3(75, 30, 2), rx, 3)
     probes = []
     for n, tilt in ((16, 0.0), (256, 0.0), (16, 0.3)):
         ris = RisDescriptor(position=Point3(75, 30, 2),
@@ -360,8 +374,7 @@ def test_links_match_dense_reference(plane, n):
     """The separable kernel equals the dense (S, N) phase-matrix response on
     both links, for either plane, any tilt, spacing and scatterer count."""
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
-    cs = sample_clusters(EnvironmentConfig(), tx, surface, rx,
-                         np.random.default_rng(n))
+    cs = _placed(tx, surface, rx, n)
     one = ClusterSet(cs.positions[:1], cs.gains[:1], cs.cluster_ids[:1],
                      cs.d_from_tx[:1], cs.d_to_surface[:1], cs.d_to_rx[:1], (1,))
     eta = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi)

@@ -128,8 +128,10 @@ def test_validate_command(scenario_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1],
                                "n_trials": 0}))
-    assert main(["validate", str(bad)]) == 1
-    assert "n_trials" in capsys.readouterr().out
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario:")
+    assert "n_trials" in err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from risim.channel import direct_channel
 from risim.environment import (
-    ClusterSet, EnvironmentConfig, _aim_frame, complex_normal, rebind_receiver,
-    resample_gains, sample_clusters,
+    ClusterDraws, ClusterSet, EnvironmentConfig, _aim_frame, complex_normal,
+    place_clusters, rebind_receiver, resample_gains, sample_clusters,
 )
 from risim.geometry import Point3
 from risim.propagation import (
@@ -20,7 +20,8 @@ RX = Point3(75.0, 35.0, 1.0)
 
 def _sample(seed=0, **cfg_kwargs):
     cfg = EnvironmentConfig(**cfg_kwargs)
-    return sample_clusters(cfg, TX, SURFACE, RX, np.random.default_rng(seed))
+    draws = sample_clusters(cfg, TX, SURFACE, np.random.default_rng(seed))
+    return place_clusters([draws], TX, SURFACE, [RX]).sets[0][0]
 
 
 def test_normalization_rule():
@@ -58,7 +59,7 @@ def test_cluster_count_mean():
     = 3 + exp(-3)."""
     rng = np.random.default_rng(99)
     cfg = EnvironmentConfig(max_scatterers_per_cluster=2)  # keep draws cheap
-    counts = [sample_clusters(cfg, TX, SURFACE, RX, rng).n_clusters
+    counts = [len(sample_clusters(cfg, TX, SURFACE, rng).sizes)
               for _ in range(10_000)]
     assert np.mean(counts) == pytest.approx(3.0 + math.exp(-3.0), rel=0.03)
 
@@ -141,7 +142,10 @@ def test_excess_phase_cases():
 
 def test_degenerate_geometry_raises():
     with pytest.raises(ValueError):
-        sample_clusters(EnvironmentConfig(), TX, TX, RX, np.random.default_rng(0))
+        sample_clusters(EnvironmentConfig(), TX, TX, np.random.default_rng(0))
+    draws = sample_clusters(EnvironmentConfig(), TX, SURFACE, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        place_clusters([draws], TX, TX, [RX])
 
 
 def test_config_validation():
@@ -181,3 +185,50 @@ def test_aim_frame_matches_cross_product_construction():
     np.testing.assert_array_equal(_aim_frame(*pairs[-1])[1], [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         _aim_frame(np.ones(3), np.ones(3))
+
+
+def test_draw_record_counts_its_scatterers():
+    draws = sample_clusters(EnvironmentConfig(), TX, SURFACE, np.random.default_rng(3))
+    assert isinstance(draws, ClusterDraws)
+    assert len(draws) == draws.sizes.sum() == len(draws.az_offsets) == len(draws.gains)
+    assert len(sample_clusters(EnvironmentConfig(include_scatter=False), TX, SURFACE,
+                               np.random.default_rng(3))) == 0
+
+
+_FIELDS = ("positions", "gains", "cluster_ids", "d_from_tx", "d_to_surface", "d_to_rx")
+
+
+@pytest.mark.parametrize("env", [
+    EnvironmentConfig(), EnvironmentConfig(include_scatter=False),
+    EnvironmentConfig(elevation_spread_deg=80.0),
+], ids=["default", "no_scatter", "clipped_elevations"])
+@pytest.mark.parametrize("anchor", [SURFACE, Point3(70.0, 30.0, 1.5)],
+                         ids=["anchor_a", "anchor_b"])
+def test_a_block_places_each_trial_as_it_places_alone(env, anchor):
+    receivers = [RX, Point3(70.0, 32.0, 1.0)]
+    draws = [sample_clusters(env, TX, anchor, np.random.default_rng(seed))
+             for seed in range(30)]
+    if env.elevation_spread_deg > 45.0:   # some elevations reach the clip
+        assert any(np.abs(d.mean_el.repeat(d.sizes) + d.el_offsets).max() > np.pi / 2
+                   for d in draws)
+    alone = [place_clusters([d], TX, anchor, receivers).sets for d in draws]
+    for block in (1, 7, 23):   # 7 and 23 leave a ragged last block
+        for start in range(0, len(draws), block):
+            placed = place_clusters(draws[start:start + block], TX, anchor, receivers)
+            assert np.diff(placed.edges).tolist() == [
+                len(d) for d in draws[start:start + block]]
+            for i, lo in enumerate(placed.edges[:-1]):
+                for u in range(len(receivers)):
+                    got, want = placed.sets[u][i], alone[start + i][u][0]
+                    for name in _FIELDS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes(), name
+                    assert got.cluster_sizes == want.cluster_sizes
+                    assert got.normalization == want.normalization
+                assert placed.positions[lo:lo + len(got)].tobytes() == \
+                    got.positions.tobytes()
+    # every receiver's distances are rebind_receiver's, bit for bit
+    for (first, other) in alone:
+        moved = rebind_receiver(first[0], receivers[1])
+        assert moved.d_to_rx.tobytes() == other[0].d_to_rx.tobytes()

@@ -17,10 +17,11 @@ from risim.experiments import (
 from risim.geometry import (
     Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
 )
-from risim.metrics import LinkBudget, MetricsResult
+from risim.metrics import LinkBudget, MetricsResult, effective_channel
 from risim.propagation import (
     LOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
 )
+from risim.riscontrol import optimal_phases
 
 TX = Point3(0.0, 20.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
@@ -515,12 +516,15 @@ def test_trial_prefix_matches_shorter_run(overrides):
 @pytest.mark.parametrize("overrides", [
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "include"},
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "exclude"},
+    {"ris_list": _TWO_SURFACES},
     {"resample_geometry": False},
     {"ris_list": []},
-], ids=["two_users_include", "two_users_exclude", "frozen_geometry", "no_surface"])
+], ids=["two_users_include", "two_users_exclude", "two_surfaces_tilted",
+        "frozen_geometry", "no_surface"])
 def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
-    # trials are co-phased and combined a block at a time; every block size,
-    # including one that does not divide the trial count, gives the same bytes
+    # clusters are placed, directions taken, and trials co-phased and
+    # combined a block at a time; every block size, including one that does
+    # not divide the trial count, gives the same bytes
     cfg = _cfg(n_trials=23, **overrides)
     runs = []
     for block in (1, 7, cfg.n_trials):
@@ -530,6 +534,54 @@ def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
         for a, b in zip(runs[0], other, strict=True):
             assert a.rate_samples.tobytes() == b.rate_samples.tobytes()
             assert (a.rate_ci_low, a.rate_ci_high) == (b.rate_ci_low, b.rate_ci_high)
+
+
+@pytest.mark.parametrize("sign", ["paper", "aligned"])
+def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
+    # h_eff = h_d + e^{-j s arg h_d} sum_k amp_k |g_k||h_k| equals co-phasing
+    # with optimal_phases and summing with effective_channel, also where the
+    # direct link is zero (arg 0 = 0) and a surface reflects with amplitude 0.7
+    links = {"h": [], "g": [], "h_d": [], "h_eff": []}
+
+    def keep(name, fn, pick=lambda out: out):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            links[name].append(pick(out))
+            return out
+        return wrapped
+
+    direct = experiments.direct_channel
+
+    def sometimes_blocked(*args, **kwargs):
+        out = direct(*args, **kwargs)
+        return (0j, False) if len(links["h_d"]) % 3 == 0 else out
+
+    monkeypatch.setattr(experiments, "tx_ris_channel",
+                        keep("h", experiments.tx_ris_channel, lambda out: out[0]))
+    monkeypatch.setattr(experiments, "ris_rx_channel",
+                        keep("g", experiments.ris_rx_channel))
+    monkeypatch.setattr(experiments, "direct_channel",
+                        keep("h_d", sometimes_blocked, lambda out: out[0]))
+    summarize = experiments.summarize
+
+    def keep_h_eff(h_eff, *args, **kwargs):
+        links["h_eff"].append(h_eff.copy())
+        return summarize(h_eff, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "summarize", keep_h_eff)
+    cfg = _cfg(ris_list=_TWO_SURFACES, n_trials=20, direct_phase_sign=sign)
+    run_scenario(cfg)
+
+    h = np.array([np.concatenate(links["h"][2 * t:2 * t + 2]) for t in range(20)])
+    g = np.array([np.concatenate(links["g"][2 * t:2 * t + 2]) for t in range(20)])
+    h_d = np.array(links["h_d"])
+    assert (h_d == 0).sum() == 7 and np.all(np.abs(h).sum(axis=1) > 0)
+    amplitude = np.repeat([0.7, 1.0], [16, 64])
+    phases = optimal_phases(g, h, h_d[:, None], sign)
+    coefficients = amplitude * np.exp(1j * phases)
+    want = effective_channel(h_d[:, None], g[:, None], coefficients[:, None],
+                             h[:, None])[:, 0]
+    np.testing.assert_allclose(links["h_eff"][0], want, rtol=1e-13, atol=0)
 
 
 def test_block_size_fits_its_memory_budget():
@@ -542,6 +594,10 @@ def test_block_size_fits_its_memory_budget():
         block = experiments._block_size(users, elements)
         per_trial = 16 * ((users + 1) * elements + users)
         assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
+    # each expected scatterer adds one distance per receiver to a trial
+    assert experiments._block_size(64, 16, 47.0) == \
+        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + 8 * 64 * 47) < \
+        experiments._block_size(64, 16)
 
 
 def _end_states(monkeypatch, cfg) -> dict:
