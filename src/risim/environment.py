@@ -164,6 +164,13 @@ def sample_clusters(
                         complex_normal(rng, size=total))
 
 
+def _norms(rel: np.ndarray) -> np.ndarray:
+    """Column norms of a (3, S) array, summed x, y, z in order as row_norms
+    sums the rows of an (S, 3) one; rel is squared in place."""
+    rel *= rel
+    return np.sqrt(rel[0] + rel[1] + rel[2])
+
+
 class Placement(NamedTuple):
     """place_clusters' result: every trial's scatterers on one flat axis.
 
@@ -183,9 +190,10 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     Each scatterer sits at its cluster's range along its direction, the
     cluster mean plus its offset, elevation clipped to [-pi/2, pi/2], in the
     aim frame of tx -> anchor.  Its distances to tx, anchor and each
-    receiver come from one norm pass.  Every step is elementwise or within
-    one scatterer, so a trial placed with others gets the bytes it gets
-    placed alone."""
+    receiver are taken in the same pass, one endpoint's (3, S) differences
+    at a time, with rebind_receiver's sums.  Every step is elementwise or
+    within one scatterer, so a trial placed with others gets the bytes it
+    gets placed alone."""
     txv, _, frame = _anchor(tx, anchor)
     sizes = np.concatenate([d.sizes for d in draws])
     counts = [len(d) for d in draws]
@@ -208,11 +216,8 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     xyz = txv[:, None] + ranges[cluster] * (frame.T @ local)   # (3, S)
     gains = np.concatenate([d.gains for d in draws])
     ids = cluster - np.repeat(firsts[:-1], counts)
-    # distances to tx, anchor and every receiver in one pass over (2 + U, 3, S)
-    ends = np.stack([txv, anchor.as_array(), *(r.as_array() for r in receivers)])
-    rel = xyz - ends[:, :, None]
-    rel *= rel
-    d_from_tx, d_to_anchor, *d_to_rx = np.sqrt(rel[:, 0] + rel[:, 1] + rel[:, 2])
+    d_from_tx, d_to_anchor, *d_to_rx = [_norms(xyz - end.as_array()[:, None])
+                                        for end in (tx, anchor, *receivers)]
     positions = xyz.T
 
     sizes = sizes.tolist()

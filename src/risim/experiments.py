@@ -605,6 +605,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             h_eff[:, start:stop] = effective_channel(
                 h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
+    places = sets = steer = None   # the last block's arrays: free before the bootstrap
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)

@@ -46,8 +46,9 @@ def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
 
     One user needs no surface -> receiver phases: co-phased against h_d with
     sign s (+1 "paper", -1 "aligned"), its term k is amp_k |g_k||h_k|
-    e^{-js arg h_d}.  With two users that fails for the elements a user
-    does not own: they are co-phased for the other user's g.
+    e^{-js arg h_d}, which is how run_scenario combines one user.  With two
+    users that fails for the elements a user does not own: they are
+    co-phased for the other user's g.
     """
     terms = g * coefficients * h
     if serves is not None:
