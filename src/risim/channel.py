@@ -7,9 +7,11 @@ A direction's unit vector u in the surface frame steers the x index by
 u_z = sin(el), along the lattice's vertical axis, and the z index by
 u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
-are steered from u alone, with no angle per trial; tx_ris_channel takes
-their (3, S) directions through u=, so a caller can compute a block's at
-once, and builds them itself otherwise.
+are steered from u alone, with no angle per trial.  surface_paths and
+direct_paths build what scatter paths keep from draw to draw over any
+scatterer axis, such as a whole block's; a link takes them through paths=
+(or builds its own), then only draws, weights and sums, shadowing each
+loss_db with the bits of pathloss_db(pl_nlos, detour, shadow).
 
 The paper's element pattern convention: element_gain at the elevation, not
 off broadside, so a target behind the surface gets front-hemisphere gain;
@@ -135,6 +137,25 @@ class Sightline:
         return ((amp * cmath.exp(1j * eta) * self.ez)[:, None] * self.ex).ravel()
 
 
+def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: float
+                  ) -> tuple[np.ndarray, ...]:
+    """(loss_db, amp, ez, ex) of the paths to the surface via scatterers (a
+    ClusterSet or Placement): loss unshadowed over d_from_tx + d_to_surface,
+    and pattern amplitude and ramps at their directions u."""
+    u = directions_to_targets(ris.position, ris.orient, scatterers.positions)
+    ex, ez = _lattice_factors(ris, u[2::-2], k)
+    return (pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface),
+            _pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent), ez, ex)
+
+
+def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """surface_paths' (loss_db, phasor) for the receiver at distances
+    d_to_rx: loss over d_from_tx + d_to_rx, exp(j k (d_to_surface - d_to_rx))."""
+    return (pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx),
+            np.exp(1j * (k * (scatterers.d_to_surface - d_to_rx))))
+
+
 def tx_ris_channel(
     ris: RisDescriptor,
     clusters: ClusterSet,
@@ -145,7 +166,7 @@ def tx_ris_channel(
     rng: np.random.Generator,
     shadow_scatter: bool = True,
     shadow_los: bool = True,
-    *, link: Sightline | None = None, u: np.ndarray | None = None,
+    *, link: Sightline | None = None, paths: tuple | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
@@ -155,21 +176,18 @@ def tx_ris_channel(
     detour distance d_from_tx + d_to_surface.
     The sightline term adds _pattern_amp * sqrt(loss) e^{j eta} response with
     a uniform random phase eta when the blockage draw comes up visible.
-    link, Sightline.between(ris, tx, pl_los), and u, the (3, S)
-    directions_to_targets of the scatterers, are built here unless passed in.
+    link, Sightline.between(ris, tx, pl_los), and paths, the surface_paths
+    of clusters, are built here unless passed in.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
     h = np.zeros(ris.n_elements, dtype=complex)
     if len(clusters):
-        if u is None:
-            u = directions_to_targets(ris.position, ris.orient, clusters.positions)
+        loss_db, amp, ez, ex = paths or surface_paths(
+            ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
-        loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_surface, shadows)
-        amp = _pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent) \
-            * 10.0 ** (loss_db / 20.0)
-        ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl_los.freq_hz))
+        amp = amp * 10.0 ** ((loss_db - shadows) / 20.0)
         h = ((ez * (clusters.normalization * clusters.gains * amp)) @ ex.T).ravel()
 
     link = link or Sightline.between(ris, tx, pl_los)
@@ -210,22 +228,23 @@ def direct_channel(
     rng: np.random.Generator,
     shadow_scatter: bool = True,
     shadow_los: bool = True,
+    *, paths: tuple | None = None,
 ) -> tuple[complex, bool]:
     """Scalar transmitter -> receiver link sharing the surface's clusters.
 
     Each scatterer contributes its shared gain, a detour loss over
     d_from_tx + d_to_rx, and the excess phase k (d_to_surface - d_to_rx)
     that accounts for the receiver hearing the bounce at a different delay
-    than the surface does.  Draw order matches tx_ris_channel.
+    than the surface does.  paths, the direct_paths of clusters, is built
+    here unless passed in.  Draw order matches tx_ris_channel.
     """
     total = 0.0 + 0.0j
     if len(clusters):
+        loss_db, phasor = paths or direct_paths(clusters, clusters.d_to_rx, pl_nlos, k)
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
             if shadow_scatter else 0.0
-        loss_db = pathloss_db(pl_nlos, clusters.d_from_tx + clusters.d_to_rx, shadows)
-        phase = k * (clusters.d_to_surface - clusters.d_to_rx)
         total = clusters.normalization * (
-            clusters.gains @ (np.exp(1j * phase) * 10.0 ** (loss_db / 20.0)))
+            clusters.gains @ (phasor * 10.0 ** ((loss_db - shadows) / 20.0)))
 
     d_link = distance(tx, rx)
     visible = los_indicator(los, d_link, rx.z, tx.z, rng)

@@ -13,11 +13,11 @@ fail them rather than silently move the streams.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
 size).  Per trial it only draws clusters (sample_clusters); the block's
-draws are placed in one pass (place_clusters) and each surface's direction
-cosines to them taken once, then each trial's links fill one row of the
-block's h, g and h_d arrays, steered by the trial's slice of those
-directions (tx_ris_channel's u=).  Co-phasing and the effective channel run
-once for the whole block: one user in closed form, several users through
+draws are placed in one pass (place_clusters) and their scatter paths less
+the draws built once (surface_paths, direct_paths); each trial's links take
+their part through paths=, only draw and sum, and fill one row of the
+block's h, g and h_d arrays.  Co-phasing and the effective channel run once
+for the whole block: one user in closed form, several users through
 combined_phase_vector.  Every step is elementwise or sums within one trial
 or one scatterer, so results do not depend on the block size.
 """
@@ -38,13 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
-    RisDescriptor, Sightline, direct_channel, ris_rx_channel, tx_ris_channel,
+    RisDescriptor, Sightline, direct_channel, direct_paths, ris_rx_channel,
+    surface_paths, tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
     ClusterSet, EnvironmentConfig, Placement, place_clusters, rebind_receiver,
     resample_gains, sample_clusters,
 )
-from .geometry import Point3, directions_to_targets, distance
+from .geometry import Point3, distance
 from .metrics import (
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
@@ -92,20 +93,20 @@ class ScenarioConfig:
 
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
-# array, 0.8 GB at MAX_TRIALS; at MAX_USERS, h_eff is 410 MB and each trial's
-# g is 268 MB per MAX_ELEMENTS surface.  run_scenario keeps a block of up to
-# TRIAL_BLOCK trials' h, g and h_d and its scatterers' distances to every
-# receiver, holding the block to about _BLOCK_BYTES (1 MiB) unless one trial
-# alone is larger: a config at MAX_USERS x MAX_ELEMENTS runs one trial per
-# block.  MAX_THREADS bounds the CLI's
-# --threads, which is checked and then ignored: trials run on one thread.
+# array, 0.8 GB at MAX_TRIALS, and gathers its samples 2 MiB at a time; at
+# MAX_USERS, h_eff is 410 MB and each trial's g is 268 MB per MAX_ELEMENTS
+# surface.  run_scenario keeps a block of up to TRIAL_BLOCK trials' h, g and
+# h_d, its scatterers' receiver distances and surface ramps, holding it to
+# about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
+# MAX_USERS x MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the
+# CLI's --threads, which is checked and then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
 TRIAL_BLOCK = 64
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 21
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -446,12 +447,14 @@ def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
     return states[:cut].reshape(len(trials), len(tags), 4), states[cut:]
 
 
-def _block_size(n_users: int, n_elements: int, n_scatterers: float = 0.0) -> int:
+def _block_size(n_users: int, elements: list[int], n_scatterers: float = 0.0) -> int:
     """Trials per block: at most TRIAL_BLOCK, and no more than fit one
-    block's h, g and h_d, and the n_users receiver distances of its
-    n_scatterers expected scatterers a trial, in about _BLOCK_BYTES."""
-    per_trial = np.dtype(complex).itemsize * ((n_users + 1) * n_elements + n_users) \
-        + np.dtype(float).itemsize * n_users * n_scatterers
+    block's h, g and h_d on surfaces of the given element counts, and per
+    each of n_scatterers expected scatterers a trial, n_users receiver
+    distances and two side-long ramps a surface, in about _BLOCK_BYTES."""
+    c = np.dtype(complex).itemsize
+    per_trial = c * ((n_users + 1) * sum(elements) + n_users) \
+        + (c // 2 * n_users + 2 * c * sum(map(math.isqrt, elements))) * n_scatterers
     return max(1, min(TRIAL_BLOCK, int(_BLOCK_BYTES // per_trial)))
 
 
@@ -477,10 +480,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
     Per block: draw every trial's clusters, then place them (positions and
-    distances to every endpoint) and take each surface's direction cosines
-    to them in one pass over the block's scatterers.  Per trial: synthesize
-    every surface's three links into one row of the block's arrays, with
-    every surface's elements on one element axis.  Per block again: co-phase
+    distances to every endpoint) and build their paths on each link in one
+    pass over the block's scatterers.  Per trial: synthesize every surface's
+    three links from its part of those paths into one row of the block's
+    arrays, every surface's elements on one axis.  Per block again: co-phase
     each element for its owner against the owner's direct link and sum the
     effective scalar channel of every trial at once; one user takes the
     closed form of effective_channel's docstring.  The direct links share
@@ -517,9 +520,16 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
                         + [(0, _BOOTSTRAP, u) for u in range(n_users)])
 
-    def directions(places: list[Placement]) -> list[np.ndarray]:
-        return [directions_to_targets(ris.position, ris.orient, p.positions)
-                for ris, p in zip(surfaces, places)]
+    def trial_paths(places: list[Placement]):
+        """[m][i]: placed trial i's surface_paths to surface m; [u][i]: its
+        direct_paths to receiver u, over the first anchor's clusters."""
+        def parts(paths, edges):
+            return [tuple(a[..., lo:hi] for a in paths) for lo, hi in zip(edges, edges[1:])]
+        first = places[0]
+        return ([parts(surface_paths(ris, p, cfg.pl_nlos, k), p.edges)
+                 for ris, p in zip(surfaces, places)],
+                [parts(direct_paths(first, d_rx, cfg.pl_nlos, k), first.edges)
+                 for d_rx in first.d_to_rx])
 
     # one element axis: every surface's lattice scan, concatenated
     edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
@@ -534,8 +544,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             serves = owner == np.arange(n_users)[:, None]
         sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
 
-    block = min(_block_size(n_users, edges[-1], _expected_scatterers(cfg.env)),
-                cfg.n_trials)
+    block = min(_block_size(n_users, [r.n_elements for r in surfaces],
+                            _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
     g = np.empty((block, n_users, edges[-1]), dtype=complex)
     h_d = np.empty((block, n_users), dtype=complex)
@@ -550,7 +560,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             base = [place_clusters([sample_clusters(cfg.env, cfg.tx, anchors[m],
                                                     derived_rng(run_states[m]))],
                                    cfg.tx, anchors[m], seen_by[m]) for m in frozen]
-            base_steer = directions(base)
+            base_paths = trial_paths(base) if frozen else None
         cluster_st, tx_st, direct_st = np.split(
             states, [n_anchors, n_anchors + n_surfaces], axis=1)
         if surfaces:
@@ -558,20 +568,20 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                 n, n_users, n_surfaces, 4)
 
         # sets[m][u][i]: trial i's clusters of anchor m seen from receiver u;
-        # steer[m][i]: their (3, S) directions from surface m
+        # the last block's are freed before this one's are built
+        places = sets = tx_paths = rx_paths = None
         if cfg.resample_geometry:
             places = [place_clusters(
                 [sample_clusters(cfg.env, cfg.tx, anchor, derived_rng(cluster_st[i, m]))
                  for i in range(n)], cfg.tx, anchor, seen_by[m])
                 for m, anchor in enumerate(anchors)]
             sets = [p.sets for p in places]
-            steer = [[u[:, lo:hi] for lo, hi in zip(p.edges, p.edges[1:])]
-                     for p, u in zip(places, directions(places))]
+            tx_paths, rx_paths = trial_paths(places)
         else:
             sets = [_with_fresh_gains(p.sets, [derived_rng(cluster_st[i, m])
                                                for i in range(n)])
                     for m, p in enumerate(base)]
-            steer = [[u] * n for u in base_steer]
+            tx_paths, rx_paths = ([one * n for one in link] for link in base_paths)
 
         for i in range(n):
             for m, ris in enumerate(surfaces):
@@ -579,7 +589,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                     ris, sets[m][0][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     derived_rng(tx_st[i, m]),
                     cfg.shadow_scatter_paths, cfg.shadow_los_paths,
-                    link=tx_links[m], u=steer[m][i])[0]
+                    link=tx_links[m], paths=tx_paths[m][i])[0]
             for u, rx in enumerate(receivers):
                 for m, ris in enumerate(surfaces):
                     g[i, u, cols[m]] = ris_rx_channel(
@@ -589,7 +599,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                 h_d[i, u] = direct_channel(
                     sets[0][u][i], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
                     derived_rng(direct_st[i, u]),
-                    cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+                    cfg.shadow_scatter_paths, cfg.shadow_los_paths,
+                    paths=rx_paths[u][i])[0]
 
         if not surfaces:
             h_eff[:, start:stop] = h_d[:n].T
@@ -605,7 +616,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             h_eff[:, start:stop] = effective_channel(
                 h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
-    places = sets = steer = None   # the last block's arrays: free before the bootstrap
+    places = sets = tx_paths = rx_paths = None   # free the last block before the bootstrap
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)

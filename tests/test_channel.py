@@ -5,7 +5,7 @@ import pytest
 
 from risim.channel import (
     RisDescriptor, _lattice_factors, _pattern_amp, array_response, direct_channel,
-    ris_rx_channel, tx_ris_channel,
+    direct_paths, ris_rx_channel, surface_paths, tx_ris_channel,
 )
 from risim.environment import (
     ClusterSet, EnvironmentConfig, place_clusters, resample_gains, sample_clusters,
@@ -208,15 +208,42 @@ def test_scatterer_at_the_surface_centre_raises():
                            np.random.default_rng(0))
 
 
-def test_tx_ris_takes_directions_passed_in():
-    tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
-    cs = _placed(tx, surface, rx, 4)
-    ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=0.4))
-    u = directions_to_targets(surface, ris.orient, cs.positions)
-    built, passed = (tx_ris_channel(ris, cs, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS,
-                                    np.random.default_rng(1), **kw)[0]
-                     for kw in ({}, {"u": u}))
-    assert built.tobytes() == passed.tobytes()
+def test_links_take_their_part_of_block_paths():
+    """Fed one trial's part of a block's surface_paths and direct_paths, both
+    scatter links return the bytes they build on their own and leave their
+    stream in the same state: two tilted surfaces, a ragged block, no
+    scatter, and unshadowed scatter paths."""
+    tx, rx = Point3(0, 20, 2), Point3(70, 35, 1)
+    surfaces = [
+        RisDescriptor(position=Point3(70, 30, 1.5), n_elements=16,
+                      orient=Orientation(Plane.XZ, tilt_rad=-0.3)),
+        RisDescriptor(position=Point3(74, 30, 2.5), n_elements=64,
+                      orient=Orientation(Plane.YZ, tilt_rad=0.4)),
+    ]
+    for env, shadow in ((EnvironmentConfig(), True), (EnvironmentConfig(), False),
+                        (EnvironmentConfig(include_scatter=False), True)):
+        for ris in surfaces:
+            draws = [sample_clusters(env, tx, ris.position, np.random.default_rng((5, i)))
+                     for i in range(7)]
+            placed = place_clusters(draws, tx, ris.position, [rx])
+            sizes = np.diff(placed.edges)
+            assert len(set(sizes)) > 1 if env.include_scatter else not sizes.any()
+            to_ris = surface_paths(ris, placed, NLOS_73GHZ, K73)
+            to_rx = direct_paths(placed, placed.d_to_rx[0], NLOS_73GHZ, K73)
+            for i, (lo, hi) in enumerate(zip(placed.edges, placed.edges[1:])):
+                parts = [tuple(a[..., lo:hi] for a in paths) for paths in (to_ris, to_rx)]
+                runs = []
+                for ris_paths, rx_paths in ((None, None), parts):
+                    rng = np.random.default_rng((9, i))
+                    h, seen = tx_ris_channel(ris, placed.sets[0][i], tx, LOS_73GHZ,
+                                             NLOS_73GHZ, LosModel(), rng,
+                                             shadow_scatter=shadow, paths=ris_paths)
+                    d, heard = direct_channel(placed.sets[0][i], tx, rx, LOS_73GHZ,
+                                              NLOS_73GHZ, LosModel(), K73, rng,
+                                              shadow_scatter=shadow, paths=rx_paths)
+                    runs.append((h.tobytes(), np.complex128(d).tobytes(), seen, heard,
+                                 rng.bit_generator.state))
+                assert runs[0] == runs[1]
 
 
 def test_tx_ris_zero_when_fully_blocked():

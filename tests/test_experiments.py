@@ -519,11 +519,13 @@ def test_trial_prefix_matches_shorter_run(overrides):
     {"ris_list": _TWO_SURFACES},
     {"resample_geometry": False},
     {"ris_list": []},
+    {"env": EnvironmentConfig(include_scatter=False)},
+    {"ris_list": _TWO_SURFACES, "shadow_scatter_paths": False},
 ], ids=["two_users_include", "two_users_exclude", "two_surfaces_tilted",
-        "frozen_geometry", "no_surface"])
+        "frozen_geometry", "no_surface", "no_scatter", "unshadowed_scatter"])
 def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
-    # clusters are placed, directions taken, and trials co-phased and
-    # combined a block at a time; every block size, including one that does
+    # clusters are placed, their paths' factors built, and trials co-phased
+    # and combined a block at a time; every block size, including one that does
     # not divide the trial count, gives the same bytes
     cfg = _cfg(n_trials=23, **overrides)
     runs = []
@@ -586,18 +588,24 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
 
 def test_block_size_fits_its_memory_budget():
     assert experiments.TRIAL_BLOCK <= 64
-    assert experiments._block_size(1, 256) == experiments.TRIAL_BLOCK
-    assert experiments._block_size(1, 0) == experiments.TRIAL_BLOCK
+    assert experiments._block_size(1, [256]) == experiments.TRIAL_BLOCK
+    assert experiments._block_size(1, []) == experiments.TRIAL_BLOCK
     assert experiments._block_size(
-        experiments.MAX_USERS, experiments.MAX_ELEMENTS) == 1
-    for users, elements in ((2, 512), (16, 4096), (256, 256)):
-        block = experiments._block_size(users, elements)
-        per_trial = 16 * ((users + 1) * elements + users)
+        experiments.MAX_USERS, [experiments.MAX_ELEMENTS]) == 1
+    mean = experiments._expected_scatterers(EnvironmentConfig())
+    for users, elements, scatterers in ((2, [256, 256], 0.0), (16, [4096], 0.0),
+                                        (256, [256], 0.0), (1, [256], mean),
+                                        (2, [16, 64], mean), (1, [], mean)):
+        block = experiments._block_size(users, elements, scatterers)
+        sides = sum(math.isqrt(n) for n in elements)
+        per_trial = 16 * ((users + 1) * sum(elements) + users) \
+            + (8 * users + 2 * 16 * sides) * scatterers
         assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
-    # each expected scatterer adds one distance per receiver to a trial
-    assert experiments._block_size(64, 16, 47.0) == \
-        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + 8 * 64 * 47) < \
-        experiments._block_size(64, 16)
+    # each expected scatterer adds one distance per receiver and two
+    # side-long ramps per surface to a trial
+    assert experiments._block_size(64, [16], 47.0) == \
+        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + (8 * 64 + 2 * 16 * 4) * 47) \
+        < experiments._block_size(64, [16])
 
 
 def _end_states(monkeypatch, cfg) -> dict:

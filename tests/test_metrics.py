@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from risim import metrics
 from risim.metrics import (
     LinkBudget, bootstrap_mean_ci, effective_channel, empirical_cdf, snr,
     summarize,
@@ -201,6 +202,16 @@ def test_bootstrap_ci_behaviour():
     assert (lo, hi) == (lo2, hi2)
     with pytest.raises(ValueError):
         bootstrap_mean_ci(np.array([]), rng=np.random.default_rng(7))
+
+
+def test_bootstrap_gathers_in_chunks_with_the_bits_of_one_gather(monkeypatch):
+    # one row, 7 rows (a ragged last chunk) and all 1000 rows per gather
+    samples = np.random.default_rng(41).exponential(3.0, size=2000)
+    idx = np.random.default_rng(7).integers(0, 2000, size=(1000, 2000))
+    want = np.quantile(samples[idx].mean(axis=1), [0.025, 0.975]).tolist()
+    for chunk in (1, 7 * 8 * 2000, 1 << 40):
+        monkeypatch.setattr(metrics, "_GATHER_BYTES", chunk)
+        assert list(bootstrap_mean_ci(samples, rng=np.random.default_rng(7))) == want
 
 
 def test_rate_samples_matches_definition():
