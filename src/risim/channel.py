@@ -150,8 +150,9 @@ def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: fl
 
 def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """surface_paths' (loss_db, phasor) for the receiver at distances
-    d_to_rx: loss over d_from_tx + d_to_rx, exp(j k (d_to_surface - d_to_rx))."""
+    """(loss_db, phasor) of the direct paths via scatterers (a ClusterSet or
+    Placement) to the receiver at distances d_to_rx: loss unshadowed over
+    d_from_tx + d_to_rx, and exp(j k (d_to_surface - d_to_rx))."""
     return (pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx),
             np.exp(1j * (k * (scatterers.d_to_surface - d_to_rx))))
 
