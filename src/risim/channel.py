@@ -9,9 +9,11 @@ u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
 are steered from u alone, with no angle per trial.  surface_paths and
 direct_paths build what scatter paths keep from draw to draw over any
-scatterer axis, such as a whole block's; a link takes them through paths=
-(or builds its own), then only draws, weights and sums, shadowing each
-loss_db with the bits of pathloss_db(pl_nlos, detour, shadow).
+scatterer axis, such as a whole block's; weighted by normalization times
+gain, a draw only scales each path by 10^(-shadow/20) and sums.  A Sightline
+keeps its fixed response; a draw only makes its coefficient.  run_scenario
+takes a whole block of surface -> receiver and direct draws at once, with
+the kernels that ris_rx_channel and direct_channel run on a block of one.
 
 The paper's element pattern convention: element_gain at the elevation, not
 off broadside, so a target behind the surface gets front-hemisphere gain;
@@ -20,7 +22,6 @@ every link takes its root sqrt(2(2q+1)) cos^q(el) from _pattern_amp.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -109,17 +110,20 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
     return (ez * ex.T).ravel()
 
 
+def _shadow_factor(shadow_db):
+    """10^(-shadow_db/20), the amplitude a path keeps under a shadow."""
+    return np.exp(shadow_db * (-math.log(10.0) / 20.0))
+
+
 @dataclass(frozen=True, eq=False)
 class Sightline:
-    """A surface's sightline to one endpoint, less its per-trial draws: the
-    hop distance, the unshadowed loss pathloss_db(pl, distance), the pattern
-    amplitude at the arrival elevation and the (side,) response ramps."""
+    """A sightline to one endpoint, less its per-trial draws: the hop
+    distance, the unshadowed amplitude pattern amp 10^(loss/20) with loss
+    pathloss_db(pl, distance), and the fixed (N,) response, first entry 1."""
 
     distance: float
-    loss_db: float
-    amp: float
-    ez: np.ndarray
-    ex: np.ndarray
+    gain: float
+    resp: np.ndarray
 
     @classmethod
     def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
@@ -127,34 +131,68 @@ class Sightline:
         az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
         ex, ez = _lattice_factors(ris, _angle_steps(az, el), wavenumber(pl.freq_hz))
         amp = _pattern_amp(math.cos(el[0]) ** 2, ris.pattern_exponent)
-        return cls(d, pathloss_db(pl, d), amp,
-                   np.ascontiguousarray(ez[:, 0]), np.ascontiguousarray(ex[:, 0]))
+        return cls(d, amp * 10.0 ** (pathloss_db(pl, d) / 20.0), (ez * ex.T).ravel())
 
-    def response(self, shadow_db: float, eta: float) -> np.ndarray:
-        """(N,) vector for one shadow draw and phase eta; loss_db - shadow_db
-        has the bits of pathloss_db(pl, distance, shadow_db)."""
-        amp = self.amp * 10.0 ** ((self.loss_db - shadow_db) / 20.0)
-        return ((amp * cmath.exp(1j * eta) * self.ez)[:, None] * self.ex).ravel()
+    @classmethod
+    def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams):
+        """The transmitter -> receiver sightline: no pattern, one element."""
+        d = distance(tx, rx)
+        return cls(d, 10.0 ** (pathloss_db(pl, d) / 20.0), np.ones(1))
+
+    def coefficient(self, shadow_db, eta):
+        """gain 10^(-shadow_db/20) e^{j eta}: the scale of the response for
+        draws of shadow and phase, scalars or arrays."""
+        return self.gain * _shadow_factor(shadow_db) * np.exp(1j * eta)
+
+
+def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
+                    shadow_los: bool = True, los: LosModel | None = None,
+                    end_z: float = 0.0, tx_z: float = 0.0) -> tuple[bool, float, float]:
+    """(visible, shadow_db, eta) of one draw of link, in that order: visibility
+    under los between heights end_z and tx_z (none without los), then if
+    visible the shadow, if shadow_los, and eta = 2 pi U, rng.uniform(0, 2 pi)'s bits."""
+    if los is not None and not los_indicator(los, link.distance, end_z, tx_z, rng):
+        return False, 0.0, 0.0
+    shadow = sample_shadow(pl.shadow_sigma_db, rng) if shadow_los else 0.0
+    return True, shadow, 2.0 * math.pi * rng.random()
 
 
 def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: float
                   ) -> tuple[np.ndarray, ...]:
-    """(loss_db, amp, ez, ex) of the paths to the surface via scatterers (a
-    ClusterSet or Placement): loss unshadowed over d_from_tx + d_to_surface,
-    and pattern amplitude and ramps at their directions u."""
+    """(scale, ez, ex) of the paths to the surface via scatterers (a
+    ClusterSet or Placement): the pattern amplitude times 10^(loss/20), loss
+    unshadowed over d_from_tx + d_to_surface, and the ramps at their
+    directions u.  Paths of weights w (normalization times gain) add up as
+    (ez w scale) @ ex.T, each path shadowed by s scaled by 10^(-s/20)."""
     u = directions_to_targets(ris.position, ris.orient, scatterers.positions)
     ex, ez = _lattice_factors(ris, u[2::-2], k)
-    return (pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface),
-            _pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent), ez, ex)
+    loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface)
+    return (_pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent)
+            * 10.0 ** (loss_db / 20.0), ez, ex)
 
 
 def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(loss_db, phasor) of the direct paths via scatterers (a ClusterSet or
-    Placement) to the receiver at distances d_to_rx: loss unshadowed over
-    d_from_tx + d_to_rx, and exp(j k (d_to_surface - d_to_rx))."""
-    return (pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx),
-            np.exp(1j * (k * (scatterers.d_to_surface - d_to_rx))))
+                 ) -> np.ndarray:
+    """The direct paths via scatterers (a ClusterSet or Placement) to the
+    receiver at distances d_to_rx: exp(j k (d_to_surface - d_to_rx)) times
+    10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
+    loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx)
+    return np.exp(1j * (k * (scatterers.d_to_surface - d_to_rx))) * 10.0 ** (loss_db / 20.0)
+
+
+def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> np.ndarray:
+    """(B,) direct links of B trials: trial i sums its weighted direct_paths
+    paths[edges[i]:edges[i + 1]], each shadowed unless shadows is None, and
+    adds link's coefficient for its row (visible, shadow_db, eta) of draws
+    where visible.  One reduceat takes every sum; a segment's sum does not
+    depend on where it sits, and an empty one would give a[i], not 0."""
+    terms = paths if shadows is None else paths * _shadow_factor(shadows)
+    full = np.diff(edges) > 0
+    total = np.zeros(len(full), dtype=complex)
+    if full.any():
+        total[full] = np.add.reduceat(terms, np.asarray(edges[:-1])[full])
+    visible, shadow, eta = np.asarray(draws, dtype=float).T
+    return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
 
 
 def tx_ris_channel(
@@ -168,91 +206,67 @@ def tx_ris_channel(
     shadow_scatter: bool = True,
     shadow_los: bool = True,
     *, link: Sightline | None = None, paths: tuple | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
-    Scattered component: normalization * sum_s gain_s
-        _pattern_amp(1 - u_z,s^2) * sqrt(loss_s) * response(u_s),
-    with u_s the unit vector to scatterer s and per-path loss over the
-    detour distance d_from_tx + d_to_surface.
-    The sightline term adds _pattern_amp * sqrt(loss) e^{j eta} response with
-    a uniform random phase eta when the blockage draw comes up visible.
-    link, Sightline.between(ris, tx, pl_los), and paths, the surface_paths
-    of clusters, are built here unless passed in.
+    Scattered component: normalization * sum_s gain_s _pattern_amp(1 - u_z,s^2)
+    sqrt(loss_s) response(u_s), u_s the unit vector to scatterer s and loss_s
+    over the detour d_from_tx + d_to_surface; the sightline adds its
+    coefficient, with a uniform random phase eta, times its response if visible.
+    link, Sightline.between(ris, tx, pl_los), and paths, clusters' weighted
+    surface_paths (ez w scale, ex), are built here unless passed in (paths
+    then carries the gains); the vector goes into out if given.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
-    h = np.zeros(ris.n_elements, dtype=complex)
-    if len(clusters):
-        loss_db, amp, ez, ex = paths or surface_paths(
-            ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
-        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
-            if shadow_scatter else 0.0
-        amp = amp * 10.0 ** ((loss_db - shadows) / 20.0)
-        h = ((ez * (clusters.normalization * clusters.gains * amp)) @ ex.T).ravel()
+    h = np.empty(ris.n_elements, dtype=complex) if out is None else out
+    if paths is None:
+        scale, ez, ex = surface_paths(ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
+        paths = np.multiply(ez, clusters.normalization * clusters.gains * scale, out=ez), ex
+    wz, ex = paths
+    if shadow_scatter:
+        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters))
+        wz = wz * _shadow_factor(shadows)
+    np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 
     link = link or Sightline.between(ris, tx, pl_los)
-    visible = los_indicator(los, link.distance, ris.position.z, tx.z, rng)
+    visible, shadow, eta = sightline_draws(link, pl_los, rng, shadow_los, los,
+                                           ris.position.z, tx.z)
     if visible:
-        shadow = sample_shadow(pl_los.shadow_sigma_db, rng) if shadow_los else 0.0
-        h = h + link.response(shadow, rng.uniform(0.0, 2.0 * math.pi))
-
-    return h, bool(visible)
+        h += link.coefficient(shadow, eta) * link.resp
+    return h, visible
 
 
-def ris_rx_channel(
-    ris: RisDescriptor,
-    rx: Point3,
-    pl: PathlossParams,
-    rng: np.random.Generator,
-    shadow_los: bool = True,
-    *, link: Sightline | None = None,
-) -> np.ndarray:
+def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams,
+                   rng: np.random.Generator, shadow_los: bool = True) -> np.ndarray:
     """(N,) surface -> receiver vector; this hop is modelled as pure sightline.
 
-    link, Sightline.between(ris, rx, pl), is built here unless passed in.
-    Draw order on rng: shadow, eta.
+    Draw order on rng: shadow, eta.  run_scenario takes a block's responses,
+    coefficient[:, None] * resp, at once; this takes them for a block of one.
     """
-    link = link or Sightline.between(ris, rx, pl)
-    shadow = sample_shadow(pl.shadow_sigma_db, rng) if shadow_los else 0.0
-    return link.response(shadow, rng.uniform(0.0, 2.0 * math.pi))
+    link = Sightline.between(ris, rx, pl)
+    _, shadow, eta = sightline_draws(link, pl, rng, shadow_los)
+    return (link.coefficient(np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
 
 
-def direct_channel(
-    clusters: ClusterSet,
-    tx: Point3,
-    rx: Point3,
-    pl_los: PathlossParams,
-    pl_nlos: PathlossParams,
-    los: LosModel,
-    k: float,
-    rng: np.random.Generator,
-    shadow_scatter: bool = True,
-    shadow_los: bool = True,
-    *, paths: tuple | None = None,
-) -> tuple[complex, bool]:
+def direct_channel(clusters: ClusterSet, tx: Point3, rx: Point3, pl_los: PathlossParams,
+                   pl_nlos: PathlossParams, los: LosModel, k: float,
+                   rng: np.random.Generator, shadow_scatter: bool = True,
+                   shadow_los: bool = True) -> tuple[complex, bool]:
     """Scalar transmitter -> receiver link sharing the surface's clusters.
 
     Each scatterer contributes its shared gain, a detour loss over
     d_from_tx + d_to_rx, and the excess phase k (d_to_surface - d_to_rx)
     that accounts for the receiver hearing the bounce at a different delay
-    than the surface does.  paths, the direct_paths of clusters, is built
-    here unless passed in.  Draw order matches tx_ris_channel.
+    than the surface does.  Draw order matches tx_ris_channel.  run_scenario
+    takes a block's direct_block at once; this takes it for a block of one.
     """
-    total = 0.0 + 0.0j
-    if len(clusters):
-        loss_db, phasor = paths or direct_paths(clusters, clusters.d_to_rx, pl_nlos, k)
-        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
-            if shadow_scatter else 0.0
-        total = clusters.normalization * (
-            clusters.gains @ (phasor * 10.0 ** ((loss_db - shadows) / 20.0)))
-
-    d_link = distance(tx, rx)
-    visible = los_indicator(los, d_link, rx.z, tx.z, rng)
-    if visible:
-        shadow = sample_shadow(pl_los.shadow_sigma_db, rng) if shadow_los else 0.0
-        loss_db = pathloss_db(pl_los, d_link, shadow)
-        eta = rng.uniform(0.0, 2.0 * math.pi)
-        total = total + 10.0 ** (loss_db / 20.0) * cmath.exp(1j * eta)
-
-    return complex(total), bool(visible)
+    link = Sightline.direct(tx, rx, pl_los)
+    paths = clusters.normalization * clusters.gains \
+        * direct_paths(clusters, clusters.d_to_rx, pl_nlos, k)
+    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
+        if shadow_scatter else None
+    draws = sightline_draws(link, pl_los, rng, shadow_los, los, rx.z, tx.z)
+    total = direct_block(link, paths, [0, len(clusters)], shadows, [draws])
+    return complex(total[0]), draws[0]

@@ -175,11 +175,12 @@ class Placement(NamedTuple):
     """place_clusters' result: every trial's scatterers on one flat axis.
 
     positions is (sum S, 3) in trial order, trial i's rows being
-    edges[i]:edges[i + 1]; the distances, d_to_rx[u] to receiver u, run
-    along the same axis; sets[u][i] is trial i's ClusterSet seen from
+    edges[i]:edges[i + 1]; the gains and the distances, d_to_rx[u] to
+    receiver u, run along the same axis; sets[u][i] is trial i's ClusterSet seen from
     receiver u, its arrays views of the flat ones."""
 
     positions: np.ndarray
+    gains: np.ndarray
     d_from_tx: np.ndarray
     d_to_surface: np.ndarray       # to the anchor
     d_to_rx: list[np.ndarray]
@@ -230,7 +231,7 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     sets = [[ClusterSet(positions[at], gains[at], ids[at], d_from_tx[at],
                         d_to_anchor[at], d_rx[at], trial_sizes)
              for at, trial_sizes in trials] for d_rx in d_to_rx]
-    return Placement(positions, d_from_tx, d_to_anchor, d_to_rx, edges, sets)
+    return Placement(positions, gains, d_from_tx, d_to_anchor, d_to_rx, edges, sets)
 
 
 def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:

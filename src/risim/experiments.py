@@ -12,14 +12,14 @@ numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size).  Per trial it only draws clusters (sample_clusters); the block's
-draws are placed in one pass (place_clusters) and their scatter paths less
-the draws built once (surface_paths, direct_paths); each trial's links take
-their part through paths=, only draw and sum, and fill one row of the
-block's h, g and h_d arrays.  Co-phasing and the effective channel run once
-for the whole block: one user in closed form, several users through
-combined_phase_vector.  Every step is elementwise or sums within one trial
-or one scatterer, so results do not depend on the block size.
+size).  Per trial it only draws: clusters (sample_clusters), the surface
+links' shadows and phases (tx_ris_channel, which also sums its part of the
+block's weighted scatter paths into one row of h) and the other links' draws
+into block arrays.  Placement, scatter paths, the direct and surface ->
+receiver links, co-phasing and the effective channel run once per block: one
+user in closed form, several users through combined_phase_vector.  Every
+step is elementwise or sums within one trial or one scatterer, so results
+do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    RisDescriptor, Sightline, direct_channel, direct_paths, ris_rx_channel,
-    surface_paths, tx_ris_channel,
+from .channel import (  # ris_rx_channel and direct_channel stay importable
+    RisDescriptor, Sightline, direct_block, direct_channel,  # for perfbench's tracer
+    direct_paths, ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
-    ClusterSet, EnvironmentConfig, Placement, place_clusters, rebind_receiver,
-    resample_gains, sample_clusters,
+    EnvironmentConfig, Placement, complex_normal, place_clusters, rebind_receiver,
+    sample_clusters,
 )
 from .geometry import Point3, distance
 from .metrics import (
@@ -51,7 +51,7 @@ from .metrics import (
     empirical_cdf, summarize,
 )
 from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, sample_shadow, wavenumber,
 )
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
     combined_phase_vector, optimal_phases, partition_elements,
@@ -95,11 +95,12 @@ class ScenarioConfig:
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS, and gathers its samples 2 MiB at a time; at
 # MAX_USERS, h_eff is 410 MB and each trial's g is 268 MB per MAX_ELEMENTS
-# surface.  run_scenario keeps a block of up to TRIAL_BLOCK trials' h, g and
-# h_d, its scatterers' receiver distances and surface ramps, holding it to
-# about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
-# MAX_USERS x MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the
-# CLI's --threads, which is checked and then ignored: trials run on one thread.
+# surface.  run_scenario keeps a block of up to TRIAL_BLOCK trials' h, g (one
+# user builds none) and h_d, its scatterers' receiver distances, direct
+# shadows and surface ramps, within about _BLOCK_BYTES (2 MiB) unless one
+# trial alone is larger: a config at MAX_USERS x MAX_ELEMENTS runs one trial
+# per block.  MAX_THREADS bounds the CLI's --threads, which is checked and
+# then ignored: trials run on one thread.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
 MAX_ELEMENTS = 65536
@@ -450,11 +451,12 @@ def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
 def _block_size(n_users: int, elements: list[int], n_scatterers: float = 0.0) -> int:
     """Trials per block: at most TRIAL_BLOCK, and no more than fit one
     block's h, g and h_d on surfaces of the given element counts, and per
-    each of n_scatterers expected scatterers a trial, n_users receiver
-    distances and two side-long ramps a surface, in about _BLOCK_BYTES."""
+    each of n_scatterers expected scatterers a trial, a receiver distance
+    and a direct shadow per user and two side-long ramps a surface, in about
+    _BLOCK_BYTES.  One user builds no g, so it takes less than this."""
     c = np.dtype(complex).itemsize
     per_trial = c * ((n_users + 1) * sum(elements) + n_users) \
-        + (c // 2 * n_users + 2 * c * sum(map(math.isqrt, elements))) * n_scatterers
+        + (c * n_users + 2 * c * sum(map(math.isqrt, elements))) * n_scatterers
     return max(1, min(TRIAL_BLOCK, int(_BLOCK_BYTES // per_trial)))
 
 
@@ -467,31 +469,22 @@ def _expected_scatterers(env: EnvironmentConfig) -> float:
     return clusters * (1 + env.max_scatterers_per_cluster) / 2
 
 
-def _with_fresh_gains(base: list[list[ClusterSet]], rngs) -> list[list[ClusterSet]]:
-    """Frozen geometry: base's one placed trial once per generator, with
-    fresh gains drawn from it and shared by every receiver's view."""
-    trials = [resample_gains(base[0][0], rng) for rng in rngs]
-    return [trials] + [[replace(seen, gains=t.gains) for t in trials]
-                       for (seen,) in base[1:]]
-
-
 def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per block: draw every trial's clusters, then place them (positions and
-    distances to every endpoint) and build their paths on each link in one
-    pass over the block's scatterers.  Per trial: synthesize every surface's
-    three links from its part of those paths into one row of the block's
-    arrays, every surface's elements on one axis.  Per block again: co-phase
-    each element for its owner against the owner's direct link and sum the
-    effective scalar channel of every trial at once; one user takes the
-    closed form of effective_channel's docstring.  The direct links share
-    the first surface's cluster realization; a surface-free run anchors
-    clusters on the first receiver instead.
-
-    Trials run in order on the calling thread.  threads is ignored: perfbench
-    still passes it, until the benchmark-only change of ROADMAP item 1.
+    Per block: draw every trial's clusters, place them and weight their
+    paths on each link in one pass over the block's scatterers.  Per trial:
+    each surface's tx_ris_channel into one row of the block's h, every
+    surface's elements on one axis, and the draws of the other links.  Per
+    block again: the direct links as segment sums plus their sightlines, the
+    surface -> receiver sightlines as one coefficient each, then co-phasing
+    of each element for its owner against the owner's direct link and the
+    effective channel; one user takes the closed form of
+    effective_channel's docstring and builds no g.  The direct links share
+    the first surface's clusters; a surface-free run anchors them on the
+    first receiver.  threads is ignored: perfbench still passes it, until
+    the benchmark-only change of ROADMAP item 1.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -505,6 +498,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los) for ris in surfaces]
     rx_links = [[Sightline.between(ris, rx, cfg.pl_los) for ris in surfaces]
                 for rx in receivers]
+    direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los) for rx in receivers]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
     # tx->surface and direct links, four for surface->rx.  One stream_states
@@ -520,16 +514,12 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
                         + [(0, _BOOTSTRAP, u) for u in range(n_users)])
 
-    def trial_paths(places: list[Placement]):
-        """[m][i]: placed trial i's surface_paths to surface m; [u][i]: its
-        direct_paths to receiver u, over the first anchor's clusters."""
-        def parts(paths, edges):
-            return [tuple(a[..., lo:hi] for a in paths) for lo, hi in zip(edges, edges[1:])]
+    def block_paths(places: list[Placement]):
+        """[m]: surface_paths of places[m] to surface m; [u]: direct_paths of
+        the first anchor's places to receiver u."""
         first = places[0]
-        return ([parts(surface_paths(ris, p, cfg.pl_nlos, k), p.edges)
-                 for ris, p in zip(surfaces, places)],
-                [parts(direct_paths(first, d_rx, cfg.pl_nlos, k), first.edges)
-                 for d_rx in first.d_to_rx])
+        return ([surface_paths(ris, p, cfg.pl_nlos, k) for ris, p in zip(surfaces, places)],
+                [direct_paths(first, d_rx, cfg.pl_nlos, k) for d_rx in first.d_to_rx])
 
     # one element axis: every surface's lattice scan, concatenated
     edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
@@ -547,9 +537,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     block = min(_block_size(n_users, [r.n_elements for r in surfaces],
                             _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
-    g = np.empty((block, n_users, edges[-1]), dtype=complex)
+    g = np.empty((block, n_users, edges[-1]) if n_users > 1 else 0, dtype=complex)
     h_d = np.empty((block, n_users), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
+    shadow_scatter, shadow_los = cfg.shadow_scatter_paths, cfg.shadow_los_paths
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
@@ -560,63 +551,87 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             base = [place_clusters([sample_clusters(cfg.env, cfg.tx, anchors[m],
                                                     derived_rng(run_states[m]))],
                                    cfg.tx, anchors[m], seen_by[m]) for m in frozen]
-            base_paths = trial_paths(base) if frozen else None
+            base_paths = block_paths(base) if frozen else None
         cluster_st, tx_st, direct_st = np.split(
             states, [n_anchors, n_anchors + n_surfaces], axis=1)
-        if surfaces:
-            rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
-                n, n_users, n_surfaces, 4)
+        rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
+            n, n_users, n_surfaces, 4) if surfaces else None
 
-        # sets[m][u][i]: trial i's clusters of anchor m seen from receiver u;
-        # the last block's are freed before this one's are built
-        places = sets = tx_paths = rx_paths = None
+        # places[m]: the block's clusters of anchor m, trial i's at edges[i]:edges[i + 1]
+        # and sets[0][i]; the last block's are freed before this one's are built
+        places = tx_paths = None
         if cfg.resample_geometry:
             places = [place_clusters(
                 [sample_clusters(cfg.env, cfg.tx, anchor, derived_rng(cluster_st[i, m]))
                  for i in range(n)], cfg.tx, anchor, seen_by[m])
                 for m, anchor in enumerate(anchors)]
-            sets = [p.sets for p in places]
-            tx_paths, rx_paths = trial_paths(places)
-        else:
-            sets = [_with_fresh_gains(p.sets, [derived_rng(cluster_st[i, m])
-                                               for i in range(n)])
-                    for m, p in enumerate(base)]
-            tx_paths, rx_paths = ([one * n for one in link] for link in base_paths)
+            surface, direct = block_paths(places)
+        else:   # the base trial once per trial, its paths tiled, with fresh gains
+            places = [p._replace(
+                sets=[p.sets[0] * n], edges=[len(p.gains) * i for i in range(n + 1)],
+                gains=np.concatenate([complex_normal(derived_rng(cluster_st[i, m]),
+                                                     size=len(p.gains)) for i in range(n)]))
+                for m, p in enumerate(base)]
+            surface = [[np.tile(a, n) for a in paths] for paths in base_paths[0]]
+            direct = [np.tile(paths, n) for paths in base_paths[1]]
+        # a path's weight: its trial's normalization sqrt(1 / S) times its gain
+        weights = [np.sqrt(1.0 / np.repeat(c, c)) * p.gains
+                   for p, c in zip(places, (np.diff(p.edges) for p in places))]
+        tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
+                    for (scale, ez, ex), w in zip(surface, weights)]
 
+        at = places[0].edges
+        shadows = np.empty((n_users, at[-1])) if shadow_scatter else [None] * n_users
+        rx_draws, direct_draws = [], []
         for i in range(n):
-            for m, ris in enumerate(surfaces):
-                h[i, cols[m]] = tx_ris_channel(
-                    ris, sets[m][0][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
-                    derived_rng(tx_st[i, m]),
-                    cfg.shadow_scatter_paths, cfg.shadow_los_paths,
-                    link=tx_links[m], paths=tx_paths[m][i])[0]
+            for m, (ris, p, (wz, ex)) in enumerate(zip(surfaces, places, tx_paths)):
+                lo, hi = p.edges[i], p.edges[i + 1]
+                tx_ris_channel(
+                    ris, p.sets[0][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
+                    derived_rng(tx_st[i, m]), shadow_scatter, shadow_los,
+                    link=tx_links[m], paths=(wz[:, lo:hi], ex[:, lo:hi]),
+                    out=h[i, cols[m]])
             for u, rx in enumerate(receivers):
-                for m, ris in enumerate(surfaces):
-                    g[i, u, cols[m]] = ris_rx_channel(
-                        ris, rx, cfg.pl_los, derived_rng(rx_st[i, u, m]),
-                        cfg.shadow_los_paths, link=rx_links[u][m])
-            for u, rx in enumerate(receivers):
-                h_d[i, u] = direct_channel(
-                    sets[0][u][i], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
-                    derived_rng(direct_st[i, u]),
-                    cfg.shadow_scatter_paths, cfg.shadow_los_paths,
-                    paths=rx_paths[u][i])[0]
+                rx_draws += [sightline_draws(rx_links[u][m], cfg.pl_los,
+                                             derived_rng(rx_st[i, u, m]), shadow_los)
+                             for m in range(n_surfaces)]
+                rng = derived_rng(direct_st[i, u])
+                if shadow_scatter:
+                    shadows[u, at[i]:at[i + 1]] = sample_shadow(
+                        cfg.pl_nlos.shadow_sigma_db, rng, size=at[i + 1] - at[i])
+                direct_draws.append(sightline_draws(
+                    direct_links[u], cfg.pl_los, rng, shadow_los, cfg.los_model,
+                    rx.z, cfg.tx.z))
 
+        direct_draws = np.array(direct_draws).reshape(n, n_users, 3)
+        for u, (link, paths) in enumerate(zip(direct_links, direct)):
+            h_d[:n, u] = direct_block(link, weights[0] * paths, at, shadows[u],
+                                      direct_draws[:, u])
+        # each trial's surface -> receiver shadows and phases, (n, U, M) each
+        _, rx_shadow, rx_eta = np.moveaxis(
+            np.array(rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3), 3, 0)
         if not surfaces:
             h_eff[:, start:stop] = h_d[:n].T
         elif n_users == 1:
-            # co-phased against h_d, term k is amp_k |g_k||h_k| e^{-j sign arg h_d}
-            cascade = (amplitude * np.abs(g[:n, 0] * h[:n])).sum(axis=1)
+            # co-phased against h_d, term k is amp_k |g_k||h_k| e^{-j sign arg h_d},
+            # and |g_k| is |c| of its surface: no g is built
+            c = np.abs([link.coefficient(rx_shadow[:, 0, m], rx_eta[:, 0, m])
+                        for m, link in enumerate(rx_links[0])])
+            cascade = (c.T * np.add.reduceat(amplitude * np.abs(h[:n]), edges[:-1], axis=1)
+                       ).sum(axis=1)
             h_eff[0, start:stop] = h_d[:n, 0] \
                 + cascade * np.exp(-1j * sign * np.angle(h_d[:n, 0]))
         else:
+            for u, m in np.ndindex(n_users, n_surfaces):
+                c = rx_links[u][m].coefficient(rx_shadow[:, u, m], rx_eta[:, u, m])
+                g[:n, u, cols[m]] = c[:, None] * rx_links[u][m].resp
             phases = combined_phase_vector(owner, g[:n], h[:n], h_d[:n],
                                            cfg.direct_phase_sign)
             coefficients = amplitude * np.exp(1j * phases)
             h_eff[:, start:stop] = effective_channel(
                 h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
-    places = sets = tx_paths = rx_paths = None   # free the last block before the bootstrap
+    places = tx_paths = None   # free the last block before the bootstrap
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, _lattice_factors, _pattern_amp, array_response, direct_channel,
-    direct_paths, ris_rx_channel, surface_paths, tx_ris_channel,
+    RisDescriptor, Sightline, _lattice_factors, _pattern_amp, array_response,
+    direct_block, direct_channel, direct_paths, ris_rx_channel, sightline_draws,
+    surface_paths, tx_ris_channel,
 )
 from risim.environment import (
     ClusterSet, EnvironmentConfig, place_clusters, resample_gains, sample_clusters,
@@ -16,7 +17,7 @@ from risim.geometry import (
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
-    wavelength, wavenumber,
+    sample_shadow, wavelength, wavenumber,
 )
 
 K73 = wavenumber(73e9)
@@ -209,11 +210,14 @@ def test_scatterer_at_the_surface_centre_raises():
 
 
 def test_links_take_their_part_of_block_paths():
-    """Fed one trial's part of a block's surface_paths and direct_paths, both
-    scatter links return the bytes they build on their own and leave their
-    stream in the same state: two tilted surfaces, a ragged block, no
-    scatter, and unshadowed scatter paths."""
+    """Fed one trial's part of a block's weighted surface_paths,
+    tx_ris_channel returns the bytes it builds on its own; direct_block over
+    a block's weighted direct_paths and each trial's draws gives every trial
+    the bytes of direct_channel; each stream ends in the same state: two
+    tilted surfaces, a ragged block, no scatter, and unshadowed scatter paths."""
     tx, rx = Point3(0, 20, 2), Point3(70, 35, 1)
+    los = LosModel(decay_length_m=80.0)
+    link = Sightline.direct(tx, rx, LOS_73GHZ)
     surfaces = [
         RisDescriptor(position=Point3(70, 30, 1.5), n_elements=16,
                       orient=Orientation(Plane.XZ, tilt_rad=-0.3)),
@@ -228,22 +232,53 @@ def test_links_take_their_part_of_block_paths():
             placed = place_clusters(draws, tx, ris.position, [rx])
             sizes = np.diff(placed.edges)
             assert len(set(sizes)) > 1 if env.include_scatter else not sizes.any()
-            to_ris = surface_paths(ris, placed, NLOS_73GHZ, K73)
-            to_rx = direct_paths(placed, placed.d_to_rx[0], NLOS_73GHZ, K73)
+            # run_scenario's weights: each trial's normalization times the gains
+            weights = np.sqrt(1.0 / np.repeat(sizes, sizes)) * placed.gains
+            scale, ez, ex = surface_paths(ris, placed, NLOS_73GHZ, K73)
+            wz = np.multiply(ez, weights * scale, out=ez)
+            direct = weights * direct_paths(placed, placed.d_to_rx[0], NLOS_73GHZ, K73)
+            alone, shadows, rows = [], [], []
             for i, (lo, hi) in enumerate(zip(placed.edges, placed.edges[1:])):
-                parts = [tuple(a[..., lo:hi] for a in paths) for paths in (to_ris, to_rx)]
                 runs = []
-                for ris_paths, rx_paths in ((None, None), parts):
+                for paths in (None, (wz[:, lo:hi], ex[:, lo:hi])):
                     rng = np.random.default_rng((9, i))
                     h, seen = tx_ris_channel(ris, placed.sets[0][i], tx, LOS_73GHZ,
-                                             NLOS_73GHZ, LosModel(), rng,
-                                             shadow_scatter=shadow, paths=ris_paths)
-                    d, heard = direct_channel(placed.sets[0][i], tx, rx, LOS_73GHZ,
-                                              NLOS_73GHZ, LosModel(), K73, rng,
-                                              shadow_scatter=shadow, paths=rx_paths)
-                    runs.append((h.tobytes(), np.complex128(d).tobytes(), seen, heard,
-                                 rng.bit_generator.state))
+                                             NLOS_73GHZ, los, rng,
+                                             shadow_scatter=shadow, paths=paths)
+                    runs.append((h.tobytes(), seen, rng.bit_generator.state))
                 assert runs[0] == runs[1]
+                # the direct link alone, then its draws as run_scenario takes them
+                rng = np.random.default_rng((8, i))
+                alone.append(direct_channel(placed.sets[0][i], tx, rx, LOS_73GHZ,
+                                            NLOS_73GHZ, los, K73, rng,
+                                            shadow_scatter=shadow))
+                end = rng.bit_generator.state
+                rng = np.random.default_rng((8, i))
+                if shadow:
+                    shadows.append(sample_shadow(NLOS_73GHZ.shadow_sigma_db, rng,
+                                                 size=hi - lo))
+                rows.append(sightline_draws(link, LOS_73GHZ, rng, True, los, rx.z, tx.z))
+                assert rng.bit_generator.state == end
+            block = direct_block(link, direct, placed.edges,
+                                 np.concatenate(shadows) if shadow else None, rows)
+            assert [np.complex128(d).tobytes() for d, _ in alone] == \
+                [d.tobytes() for d in block]
+            assert [heard for _, heard in alone] == [row[0] for row in rows]
+            assert any(row[0] for row in rows) and not all(row[0] for row in rows)
+
+
+def test_phase_draw_has_the_bits_of_a_uniform_draw():
+    """A sightline's phase 2 pi U from rng.random() is bit for bit
+    rng.uniform(0, 2 pi), which numpy computes as low + (high - low) U; a
+    numpy release that changed either would move every phase, and fails here."""
+    link = Sightline.direct(ORIGIN, Point3(3.0, 4.0, 0.0), LOS_73GHZ)
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [2.0 * math.pi * rng.random() for _ in range(3)] == \
+            [ref.uniform(0.0, 2.0 * math.pi) for _ in range(3)]
+        _, shadow, eta = sightline_draws(link, LOS_73GHZ, rng, True)
+        assert (shadow, eta) == (ref.normal(0.0, LOS_73GHZ.shadow_sigma_db),
+                                 ref.uniform(0.0, 2.0 * math.pi))
 
 
 def test_tx_ris_zero_when_fully_blocked():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from risim import experiments
-from risim.channel import RisDescriptor
-from risim.environment import EnvironmentConfig
+from risim.channel import RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel
+from risim.environment import (
+    EnvironmentConfig, complex_normal, place_clusters, sample_clusters,
+)
 from risim.experiments import (
     SWEEP_HEADER, ConfigError, ScenarioConfig, SweepSpec, SweepVariable,
     apply_sweep_value, derived_rng, load_scenario, run_scenario, run_sweep,
@@ -17,11 +19,12 @@ from risim.experiments import (
 from risim.geometry import (
     Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
 )
-from risim.metrics import LinkBudget, MetricsResult, effective_channel
+from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
     LOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
+    wavenumber,
 )
-from risim.riscontrol import optimal_phases
+from risim.riscontrol import optimal_phases, partition_elements
 
 TX = Point3(0.0, 20.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
@@ -521,8 +524,11 @@ def test_trial_prefix_matches_shorter_run(overrides):
     {"ris_list": []},
     {"env": EnvironmentConfig(include_scatter=False)},
     {"ris_list": _TWO_SURFACES, "shadow_scatter_paths": False},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_los_paths": False},
+    {"ris_list": _TWO_SURFACES, "los_model": LosModel(mode=LosMode.NEVER)},
 ], ids=["two_users_include", "two_users_exclude", "two_surfaces_tilted",
-        "frozen_geometry", "no_surface", "no_scatter", "unshadowed_scatter"])
+        "frozen_geometry", "no_surface", "no_scatter", "unshadowed_scatter",
+        "unshadowed_sightlines", "los_never"])
 def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
     # clusters are placed, their paths' factors built, and trials co-phased
     # and combined a block at a time; every block size, including one that does
@@ -540,50 +546,123 @@ def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
 
 @pytest.mark.parametrize("sign", ["paper", "aligned"])
 def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
-    # h_eff = h_d + e^{-j s arg h_d} sum_k amp_k |g_k||h_k| equals co-phasing
-    # with optimal_phases and summing with effective_channel, also where the
-    # direct link is zero (arg 0 = 0) and a surface reflects with amplitude 0.7
-    links = {"h": [], "g": [], "h_d": [], "h_eff": []}
+    # h_eff = h_d + e^{-j s arg h_d} sum_k amp_k |g_k||h_k|, with |g_k| its
+    # surface's |c|, equals co-phasing the full g with optimal_phases and
+    # summing with effective_channel, also where the direct link is zero
+    # (arg 0 = 0) and a surface reflects with amplitude 0.7.  Without scatter
+    # the receiver, 76 m off and below the transmitter, hears it with
+    # probability 0.08.  h and h_d are the block's rows; g comes from
+    # ris_rx_channel on the same streams.
+    blocks = {"h": [], "h_d": [], "h_eff": []}
 
-    def keep(name, fn, pick=lambda out: out):
+    def keep(name, fn, pick):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            links[name].append(pick(out))
+            blocks[name].append(pick(out).copy())
             return out
         return wrapped
 
-    direct = experiments.direct_channel
-
-    def sometimes_blocked(*args, **kwargs):
-        out = direct(*args, **kwargs)
-        return (0j, False) if len(links["h_d"]) % 3 == 0 else out
-
-    monkeypatch.setattr(experiments, "tx_ris_channel",
-                        keep("h", experiments.tx_ris_channel, lambda out: out[0]))
-    monkeypatch.setattr(experiments, "ris_rx_channel",
-                        keep("g", experiments.ris_rx_channel))
-    monkeypatch.setattr(experiments, "direct_channel",
-                        keep("h_d", sometimes_blocked, lambda out: out[0]))
+    for name, attr, pick in (("h", "tx_ris_channel", lambda out: out[0]),
+                             ("h_d", "direct_block", lambda out: out)):
+        monkeypatch.setattr(experiments, attr, keep(name, getattr(experiments, attr), pick))
     summarize = experiments.summarize
 
     def keep_h_eff(h_eff, *args, **kwargs):
-        links["h_eff"].append(h_eff.copy())
+        blocks["h_eff"].append(h_eff.copy())
         return summarize(h_eff, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "summarize", keep_h_eff)
-    cfg = _cfg(ris_list=_TWO_SURFACES, n_trials=20, direct_phase_sign=sign)
+    cfg = _cfg(ris_list=_TWO_SURFACES, n_trials=40, direct_phase_sign=sign,
+               env=EnvironmentConfig(include_scatter=False))
     run_scenario(cfg)
 
-    h = np.array([np.concatenate(links["h"][2 * t:2 * t + 2]) for t in range(20)])
-    g = np.array([np.concatenate(links["g"][2 * t:2 * t + 2]) for t in range(20)])
-    h_d = np.array(links["h_d"])
-    assert (h_d == 0).sum() == 7 and np.all(np.abs(h).sum(axis=1) > 0)
+    h = np.array([np.concatenate(blocks["h"][2 * t:2 * t + 2]) for t in range(40)])
+    h_d = np.concatenate(blocks["h_d"])
+    g = np.array([np.concatenate([ris_rx_channel(ris, RX, LOS_73GHZ, _stream(7, 0, t, 3, m, 0))
+                                  for m, ris in enumerate(_TWO_SURFACES)])
+                  for t in range(40)])
+    assert 0 < (h_d != 0).sum() < 40 and np.all(np.abs(h).sum(axis=1) > 0)
     amplitude = np.repeat([0.7, 1.0], [16, 64])
     phases = optimal_phases(g, h, h_d[:, None], sign)
     coefficients = amplitude * np.exp(1j * phases)
     want = effective_channel(h_d[:, None], g[:, None], coefficients[:, None],
                              h[:, None])[:, 0]
-    np.testing.assert_allclose(links["h_eff"][0], want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(blocks["h_eff"][0], want, rtol=1e-13, atol=0)
+
+
+def _per_trial_rates(cfg) -> list[np.ndarray]:
+    """cfg's rate samples assembled trial by trial from the public link
+    functions on run_scenario's streams, co-phased element by element for
+    its owner with optimal_phases and summed with effective_channel."""
+    users, surfaces, env = cfg.rx, cfg.ris_list, cfg.env
+    anchors = [r.position for r in surfaces] or [users[0]]
+    seen_by = [users] + [users[:1]] * (len(anchors) - 1)
+    k = wavenumber(cfg.pl_los.freq_hz)
+
+    def rng(*key):
+        return _stream(cfg.master_seed, 0, *key)
+
+    def placed(m, draws):
+        return [views[0] for views in
+                place_clusters([draws], cfg.tx, anchors[m], seen_by[m]).sets]
+
+    base = [placed(m, sample_clusters(env, cfg.tx, a, rng(0, 5, m)))
+            for m, a in enumerate(anchors)] if not cfg.resample_geometry else None
+    owner = np.concatenate([partition_elements(r.n_elements, len(users)) for r in surfaces]
+                           + [np.empty(0, dtype=int)])
+    amplitude = np.repeat([r.amplitude for r in surfaces], [r.n_elements for r in surfaces])
+    serves = owner == np.arange(len(users))[:, None] \
+        if cfg.offblock == "exclude" and len(users) > 1 else None
+    h_eff = []
+    for t in range(cfg.n_trials):
+        if cfg.resample_geometry:
+            sets = [placed(m, sample_clusters(env, cfg.tx, a, rng(t, 1, m)))
+                    for m, a in enumerate(anchors)]
+        else:   # fresh gains, shared by every receiver's view
+            sets = []
+            for m, views in enumerate(base):
+                gains = complex_normal(rng(t, 1, m), size=len(views[0]))
+                sets.append([dataclasses.replace(v, gains=gains) for v in views])
+        h = np.concatenate([np.empty(0, dtype=complex)] + [tx_ris_channel(
+            ris, sets[m][0], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, rng(t, 2, m),
+            cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+            for m, ris in enumerate(surfaces)])
+        g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [ris_rx_channel(
+            ris, rx, cfg.pl_los, rng(t, 3, m, u), cfg.shadow_los_paths)
+            for m, ris in enumerate(surfaces)]) for u, rx in enumerate(users)])
+        h_d = np.array([direct_channel(
+            sets[0][u], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
+            rng(t, 4, u), cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+            for u, rx in enumerate(users)])
+        phases = np.empty(len(owner))
+        for u in range(len(users)):
+            mine = owner == u
+            phases[mine] = optimal_phases(g[u, mine], h[mine], h_d[u], cfg.direct_phase_sign)
+        h_eff.append(effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves))
+    h_eff = np.array(h_eff)
+    return [summarize(h_eff[:, u], cfg.budget).rate_samples for u in range(len(users))]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_elements": 64},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "include"},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "exclude"},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "resample_geometry": False},
+    {"resample_geometry": False},
+    {"ris_list": _TWO_SURFACES, "env": EnvironmentConfig(include_scatter=False)},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_scatter_paths": False,
+     "shadow_los_paths": False},
+    {"ris_list": []},
+    {"rx": _TWO_USERS, "ris_list": []},
+    {"ris_list": _TWO_SURFACES, "direct_phase_sign": "aligned"},
+], ids=["one_user_one_surface", "two_users_include", "two_users_exclude",
+        "two_users_frozen", "frozen_geometry", "no_scatter", "unshadowed",
+        "no_surface", "two_users_no_surface", "aligned"])
+def test_run_scenario_matches_per_trial_links(overrides):
+    # the block engine against every trial built alone from the public links
+    cfg = _cfg(n_trials=23, **overrides)
+    for got, want in zip(run_scenario(cfg), _per_trial_rates(cfg), strict=True):
+        np.testing.assert_allclose(got.rate_samples, want, rtol=1e-12, atol=0)
 
 
 def test_block_size_fits_its_memory_budget():
@@ -599,12 +678,12 @@ def test_block_size_fits_its_memory_budget():
         block = experiments._block_size(users, elements, scatterers)
         sides = sum(math.isqrt(n) for n in elements)
         per_trial = 16 * ((users + 1) * sum(elements) + users) \
-            + (8 * users + 2 * 16 * sides) * scatterers
+            + (16 * users + 2 * 16 * sides) * scatterers
         assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
-    # each expected scatterer adds one distance per receiver and two
-    # side-long ramps per surface to a trial
+    # each expected scatterer adds one distance and one direct shadow per
+    # receiver and two side-long ramps per surface to a trial
     assert experiments._block_size(64, [16], 47.0) == \
-        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + (8 * 64 + 2 * 16 * 4) * 47) \
+        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + (16 * 64 + 2 * 16 * 4) * 47) \
         < experiments._block_size(64, [16])
 
 
