@@ -110,16 +110,14 @@ def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
     return (ez * ex.T).ravel()
 
 
-def _shadow_factor(shadow_db):
-    """10^(-shadow_db/20), the amplitude a path keeps under a shadow."""
-    return np.exp(shadow_db * (-math.log(10.0) / 20.0))
+_NEPERS_PER_DB = math.log(10.0) / 20.0   # 10^(x/20) = exp(x * _NEPERS_PER_DB)
 
 
 @dataclass(frozen=True, eq=False)
 class Sightline:
     """A sightline to one endpoint, less its per-trial draws: the hop
-    distance, the unshadowed amplitude pattern amp 10^(loss/20) with loss
-    pathloss_db(pl, distance), and the fixed (N,) response, first entry 1."""
+    distance, the unshadowed gain (pattern amplitude times 10^(loss/20),
+    loss pathloss_db(pl, distance)) and the fixed (N,) response, first 1."""
 
     distance: float
     gain: float
@@ -134,15 +132,14 @@ class Sightline:
         return cls(d, amp * 10.0 ** (pathloss_db(pl, d) / 20.0), (ez * ex.T).ravel())
 
     @classmethod
-    def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams):
-        """The transmitter -> receiver sightline: no pattern, one element."""
+    def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams):   # no pattern, one element
         d = distance(tx, rx)
         return cls(d, 10.0 ** (pathloss_db(pl, d) / 20.0), np.ones(1))
 
     def coefficient(self, shadow_db, eta):
         """gain 10^(-shadow_db/20) e^{j eta}: the scale of the response for
         draws of shadow and phase, scalars or arrays."""
-        return self.gain * _shadow_factor(shadow_db) * np.exp(1j * eta)
+        return self.gain * np.exp(shadow_db * -_NEPERS_PER_DB + 1j * eta)
 
 
 def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
@@ -168,7 +165,7 @@ def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: fl
     ex, ez = _lattice_factors(ris, u[2::-2], k)
     loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface)
     return (_pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent)
-            * 10.0 ** (loss_db / 20.0), ez, ex)
+            * np.exp(loss_db * _NEPERS_PER_DB), ez, ex)
 
 
 def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: float
@@ -177,7 +174,7 @@ def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: fl
     receiver at distances d_to_rx: exp(j k (d_to_surface - d_to_rx)) times
     10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
     loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx)
-    return np.exp(1j * (k * (scatterers.d_to_surface - d_to_rx))) * 10.0 ** (loss_db / 20.0)
+    return np.exp(loss_db * _NEPERS_PER_DB + 1j * (k * (scatterers.d_to_surface - d_to_rx)))
 
 
 def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> np.ndarray:
@@ -186,7 +183,7 @@ def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> n
     adds link's coefficient for its row (visible, shadow_db, eta) of draws
     where visible.  One reduceat takes every sum; a segment's sum does not
     depend on where it sits, and an empty one would give a[i], not 0."""
-    terms = paths if shadows is None else paths * _shadow_factor(shadows)
+    terms = paths if shadows is None else paths * np.exp(shadows * -_NEPERS_PER_DB)
     full = np.diff(edges) > 0
     total = np.zeros(len(full), dtype=complex)
     if full.any():
@@ -215,8 +212,9 @@ def tx_ris_channel(
     over the detour d_from_tx + d_to_surface; the sightline adds its
     coefficient, with a uniform random phase eta, times its response if visible.
     link, Sightline.between(ris, tx, pl_los), and paths, clusters' weighted
-    surface_paths (ez w scale, ex), are built here unless passed in (paths
-    then carries the gains); the vector goes into out if given.
+    surface_paths (ez w scale, ex), are built here unless passed in; paths
+    then carries the gains and clusters is only counted, as a ClusterDraws
+    can be.  The vector goes into out if given.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
@@ -227,7 +225,7 @@ def tx_ris_channel(
     wz, ex = paths
     if shadow_scatter:
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters))
-        wz = wz * _shadow_factor(shadows)
+        wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 
     link = link or Sightline.between(ris, tx, pl_los)

@@ -8,8 +8,8 @@ stays consistent.
 
 Drawing and placing are split: sample_clusters makes one trial's draws and
 nothing else, and place_clusters turns a block of trials' draws into
-positions and distances with one pass over their scatterers, handing each
-trial back its ClusterSet as views.
+positions and distances with one pass over their scatterers, whose sets
+hand each trial its ClusterSet as views when asked.
 """
 
 from __future__ import annotations
@@ -175,17 +175,26 @@ class Placement(NamedTuple):
     """place_clusters' result: every trial's scatterers on one flat axis.
 
     positions is (sum S, 3) in trial order, trial i's rows being
-    edges[i]:edges[i + 1]; the gains and the distances, d_to_rx[u] to
-    receiver u, run along the same axis; sets[u][i] is trial i's ClusterSet seen from
-    receiver u, its arrays views of the flat ones."""
+    edges[i]:edges[i + 1]; the gains, cluster ids and distances, d_to_rx[u]
+    to receiver u, run along the same axis; trial i's clusters hold
+    cluster_sizes[i] scatterers."""
 
     positions: np.ndarray
     gains: np.ndarray
+    cluster_ids: np.ndarray
     d_from_tx: np.ndarray
     d_to_surface: np.ndarray       # to the anchor
     d_to_rx: list[np.ndarray]
     edges: list[int]
-    sets: list[list[ClusterSet]]
+    cluster_sizes: list[tuple[int, ...]]
+
+    @property
+    def sets(self) -> list[list[ClusterSet]]:
+        """sets[u][i]: trial i's ClusterSet seen from receiver u, views of the
+        first five fields and of d_to_rx[u]; built on each access."""
+        return [[ClusterSet(*(a[lo:hi] for a in (*self[:5], d_rx)), sizes)
+                 for lo, hi, sizes in zip(self.edges, self.edges[1:], self.cluster_sizes)]
+                for d_rx in self.d_to_rx]
 
 
 def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
@@ -223,15 +232,9 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     ids = cluster - np.repeat(firsts[:-1], counts)
     d_from_tx, d_to_anchor, *d_to_rx = [_norms(xyz - end.as_array()[:, None])
                                         for end in (tx, anchor, *receivers)]
-    positions = xyz.T
-
     sizes = sizes.tolist()
-    trials = [(slice(lo, hi), tuple(sizes[c0:c1])) for lo, hi, c0, c1
-              in zip(edges, edges[1:], firsts, firsts[1:])]
-    sets = [[ClusterSet(positions[at], gains[at], ids[at], d_from_tx[at],
-                        d_to_anchor[at], d_rx[at], trial_sizes)
-             for at, trial_sizes in trials] for d_rx in d_to_rx]
-    return Placement(positions, gains, d_from_tx, d_to_anchor, d_to_rx, edges, sets)
+    return Placement(xyz.T, gains, ids, d_from_tx, d_to_anchor, d_to_rx, edges,
+                     [tuple(sizes[c0:c1]) for c0, c1 in zip(firsts, firsts[1:])])
 
 
 def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:

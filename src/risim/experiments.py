@@ -478,13 +478,12 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     each surface's tx_ris_channel into one row of the block's h, every
     surface's elements on one axis, and the draws of the other links.  Per
     block again: the direct links as segment sums plus their sightlines, the
-    surface -> receiver sightlines as one coefficient each, then co-phasing
-    of each element for its owner against the owner's direct link and the
-    effective channel; one user takes the closed form of
-    effective_channel's docstring and builds no g.  The direct links share
-    the first surface's clusters; a surface-free run anchors them on the
-    first receiver.  threads is ignored: perfbench still passes it, until
-    the benchmark-only change of ROADMAP item 1.
+    surface -> receiver sightlines as one coefficient each, co-phasing of
+    each element for its owner against the owner's direct link and the
+    effective channel; one user takes effective_channel's closed form and
+    builds no g.  The direct links share the first surface's clusters; a
+    surface-free run anchors them on the first receiver.  threads is
+    ignored: perfbench passes it until ROADMAP item 1's benchmark change.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -548,30 +547,31 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                                            run_keys if start == 0 else None)
         if start == 0:
             boot_states = run_states[len(frozen):]
-            base = [place_clusters([sample_clusters(cfg.env, cfg.tx, anchors[m],
-                                                    derived_rng(run_states[m]))],
-                                   cfg.tx, anchors[m], seen_by[m]) for m in frozen]
+            base_draws = [sample_clusters(cfg.env, cfg.tx, anchors[m],
+                                          derived_rng(run_states[m])) for m in frozen]
+            base = [place_clusters([d], cfg.tx, anchors[m], seen_by[m])
+                    for m, d in zip(frozen, base_draws)]
             base_paths = block_paths(base) if frozen else None
         cluster_st, tx_st, direct_st = np.split(
             states, [n_anchors, n_anchors + n_surfaces], axis=1)
         rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
             n, n_users, n_surfaces, 4) if surfaces else None
 
-        # places[m]: the block's clusters of anchor m, trial i's at edges[i]:edges[i + 1]
-        # and sets[0][i]; the last block's are freed before this one's are built
-        places = tx_paths = None
+        # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
+        # at edges[i]:edges[i + 1]; the last block's are freed before this one's
+        draws = places = tx_paths = None
         if cfg.resample_geometry:
-            places = [place_clusters(
-                [sample_clusters(cfg.env, cfg.tx, anchor, derived_rng(cluster_st[i, m]))
-                 for i in range(n)], cfg.tx, anchor, seen_by[m])
-                for m, anchor in enumerate(anchors)]
+            draws = [[sample_clusters(cfg.env, cfg.tx, a, derived_rng(cluster_st[i, m]))
+                      for i in range(n)] for m, a in enumerate(anchors)]
+            places = [place_clusters(d, cfg.tx, a, seen)
+                      for d, a, seen in zip(draws, anchors, seen_by)]
             surface, direct = block_paths(places)
         else:   # the base trial once per trial, its paths tiled, with fresh gains
+            draws = [[d] * n for d in base_draws]
             places = [p._replace(
-                sets=[p.sets[0] * n], edges=[len(p.gains) * i for i in range(n + 1)],
-                gains=np.concatenate([complex_normal(derived_rng(cluster_st[i, m]),
-                                                     size=len(p.gains)) for i in range(n)]))
-                for m, p in enumerate(base)]
+                edges=[len(d) * i for i in range(n + 1)], gains=np.concatenate(
+                    [complex_normal(derived_rng(cluster_st[i, m]), size=len(d))
+                     for i in range(n)])) for m, (p, d) in enumerate(zip(base, base_draws))]
             surface = [[np.tile(a, n) for a in paths] for paths in base_paths[0]]
             direct = [np.tile(paths, n) for paths in base_paths[1]]
         # a path's weight: its trial's normalization sqrt(1 / S) times its gain
@@ -587,7 +587,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             for m, (ris, p, (wz, ex)) in enumerate(zip(surfaces, places, tx_paths)):
                 lo, hi = p.edges[i], p.edges[i + 1]
                 tx_ris_channel(
-                    ris, p.sets[0][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
+                    ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     derived_rng(tx_st[i, m]), shadow_scatter, shadow_los,
                     link=tx_links[m], paths=(wz[:, lo:hi], ex[:, lo:hi]),
                     out=h[i, cols[m]])
@@ -607,8 +607,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         for u, (link, paths) in enumerate(zip(direct_links, direct)):
             h_d[:n, u] = direct_block(link, weights[0] * paths, at, shadows[u],
                                       direct_draws[:, u])
-        # each trial's surface -> receiver shadows and phases, (n, U, M) each
-        _, rx_shadow, rx_eta = np.moveaxis(
+        _, rx_shadow, rx_eta = np.moveaxis(   # surface -> receiver draws, (n, U, M) each
             np.array(rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3), 3, 0)
         if not surfaces:
             h_eff[:, start:stop] = h_d[:n].T
@@ -631,7 +630,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             h_eff[:, start:stop] = effective_channel(
                 h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
-    places = tx_paths = None   # free the last block before the bootstrap
+    draws = places = tx_paths = None   # free the last block before the bootstrap
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
