@@ -186,8 +186,7 @@ def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> n
     terms = paths if shadows is None else paths * np.exp(shadows * -_NEPERS_PER_DB)
     full = np.diff(edges) > 0
     total = np.zeros(len(full), dtype=complex)
-    if full.any():
-        total[full] = np.add.reduceat(terms, np.asarray(edges[:-1])[full])
+    total[full] = np.add.reduceat(terms, np.asarray(edges[:-1])[full])
     visible, shadow, eta = np.asarray(draws, dtype=float).T
     return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
 

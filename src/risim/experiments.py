@@ -558,8 +558,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             n, n_users, n_surfaces, 4) if surfaces else None
 
         # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
-        # at edges[i]:edges[i + 1]; the last block's are freed before this one's
-        draws = places = tx_paths = None
+        # at edges[i]:edges[i + 1]; the last block's, loop views too, go first
+        draws = places = surface = direct = weights = tx_paths = wz = ex = None
         if cfg.resample_geometry:
             draws = [[sample_clusters(cfg.env, cfg.tx, a, derived_rng(cluster_st[i, m]))
                       for i in range(n)] for m, a in enumerate(anchors)]
@@ -584,8 +584,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         shadows = np.empty((n_users, at[-1])) if shadow_scatter else [None] * n_users
         rx_draws, direct_draws = [], []
         for i in range(n):
-            for m, (ris, p, (wz, ex)) in enumerate(zip(surfaces, places, tx_paths)):
-                lo, hi = p.edges[i], p.edges[i + 1]
+            for m, (ris, (wz, ex)) in enumerate(zip(surfaces, tx_paths)):
+                lo, hi = places[m].edges[i:i + 2]
                 tx_ris_channel(
                     ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     derived_rng(tx_st[i, m]), shadow_scatter, shadow_los,
@@ -604,8 +604,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                     rx.z, cfg.tx.z))
 
         direct_draws = np.array(direct_draws).reshape(n, n_users, 3)
-        for u, (link, paths) in enumerate(zip(direct_links, direct)):
-            h_d[:n, u] = direct_block(link, weights[0] * paths, at, shadows[u],
+        for u, link in enumerate(direct_links):
+            h_d[:n, u] = direct_block(link, weights[0] * direct[u], at, shadows[u],
                                       direct_draws[:, u])
         _, rx_shadow, rx_eta = np.moveaxis(   # surface -> receiver draws, (n, U, M) each
             np.array(rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3), 3, 0)
@@ -630,7 +630,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             h_eff[:, start:stop] = effective_channel(
                 h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
 
-    draws = places = tx_paths = None   # free the last block before the bootstrap
+    # free the last block, its loop views too, before the bootstrap
+    draws = places = surface = direct = weights = tx_paths = wz = ex = None
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
