@@ -3,12 +3,11 @@ assisting mmWave links: clustered scatter channels, co-phased surface
 control, and seeded ergodic-rate / SNR experiments."""
 
 from .channel import (
-    RisDescriptor, array_response, direct_channel, ris_rx_channel,
-    tx_ris_channel,
+    RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel,
 )
 from .environment import (
-    ClusterDraws, ClusterSet, EnvironmentConfig, complex_normal, place_clusters,
-    rebind_receiver, resample_gains, sample_clusters,
+    ClusterDraws, EnvironmentConfig, complex_normal, place_clusters,
+    rebind_receiver, sample_clusters,
 )
 from .experiments import (
     ConfigError, ScenarioConfig, SweepSpec, SweepVariable, derived_rng,
@@ -17,8 +16,8 @@ from .experiments import (
 )
 from .figures import build_figure, reproduce_figure
 from .geometry import (
-    Angles, DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
-    angles_at_surface, distance, rotation_matrix, wrap_angle,
+    DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
+    distance, rotation_matrix, wrap_angle,
 )
 from .metrics import (
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,

@@ -8,12 +8,13 @@ u_z = sin(el), along the lattice's vertical axis, and the z index by
 u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
 are steered from u alone, with no angle per trial.  surface_paths and
-direct_paths build what scatter paths keep from draw to draw over any
-scatterer axis, such as a whole block's; weighted by normalization times
-gain, a draw only scales each path by 10^(-shadow/20) and sums.  A Sightline
-keeps its fixed response; a draw only makes its coefficient.  run_scenario
-takes a whole block of surface -> receiver and direct draws at once, with
-the kernels that ris_rx_channel and direct_channel run on a block of one.
+direct_paths build what scatter paths keep from draw to draw over a
+Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
+times gain, a draw only scales each path by 10^(-shadow/20) and sums.  A
+Sightline keeps its fixed response; a draw only makes its coefficient.
+run_scenario takes a whole block of surface -> receiver and direct draws at
+once, with the kernels that ris_rx_channel and direct_channel run on a
+block of one.
 
 The paper's element pattern convention: element_gain at the elevation, not
 off broadside, so a target behind the surface gets front-hemisphere gain;
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import ClusterSet
+from .environment import ClusterDraws, Placement
 from .geometry import (
-    Angles, Orientation, Point3, angles_to_targets, directions_to_targets,
-    distance,
+    Orientation, Point3, angles_to_targets, directions_to_targets, distance,
+    row_norms,
 )
 from .propagation import (  # element_gain stays importable for perfbench's tracer
     LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
@@ -100,16 +101,6 @@ def _lattice_factors(
     return ramps[:, :m], ramps[:, m:]
 
 
-def array_response(ris: RisDescriptor, ang: Angles, k: float) -> np.ndarray:
-    """Planar response exp(j k d (x sin(el) + z sin(az) cos(el))), first entry 1.
-
-    With ang from geometry.angles_at_surface this is the plane wave
-    exp(j k u . p_i) for any mounting plane and tilt."""
-    ex, ez = _lattice_factors(
-        ris, _angle_steps(np.array([ang.azimuth]), np.array([ang.elevation])), k)
-    return (ez * ex.T).ravel()
-
-
 _NEPERS_PER_DB = math.log(10.0) / 20.0   # 10^(x/20) = exp(x * _NEPERS_PER_DB)
 
 
@@ -154,10 +145,10 @@ def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generato
     return True, shadow, 2.0 * math.pi * rng.random()
 
 
-def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: float
-                  ) -> tuple[np.ndarray, ...]:
-    """(scale, ez, ex) of the paths to the surface via scatterers (a
-    ClusterSet or Placement): the pattern amplitude times 10^(loss/20), loss
+def surface_paths(ris: RisDescriptor, scatterers: Placement, pl_nlos: PathlossParams,
+                  k: float) -> tuple[np.ndarray, ...]:
+    """(scale, ez, ex) of the paths to the surface via a Placement's
+    scatterers: the pattern amplitude times 10^(loss/20), loss
     unshadowed over d_from_tx + d_to_surface, and the ramps at their
     directions u.  Paths of weights w (normalization times gain) add up as
     (ez w scale) @ ex.T, each path shadowed by s scaled by 10^(-s/20)."""
@@ -168,10 +159,10 @@ def surface_paths(ris: RisDescriptor, scatterers, pl_nlos: PathlossParams, k: fl
             * np.exp(loss_db * _NEPERS_PER_DB), ez, ex)
 
 
-def direct_paths(scatterers, d_to_rx: np.ndarray, pl_nlos: PathlossParams, k: float
-                 ) -> np.ndarray:
-    """The direct paths via scatterers (a ClusterSet or Placement) to the
-    receiver at distances d_to_rx: exp(j k (d_to_surface - d_to_rx)) times
+def direct_paths(scatterers: Placement, d_to_rx: np.ndarray, pl_nlos: PathlossParams,
+                 k: float) -> np.ndarray:
+    """The direct paths via a Placement's scatterers to the receiver at
+    distances d_to_rx: exp(j k (d_to_surface - d_to_rx)) times
     10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
     loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx)
     return np.exp(loss_db * _NEPERS_PER_DB + 1j * (k * (scatterers.d_to_surface - d_to_rx)))
@@ -191,9 +182,14 @@ def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> n
     return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
 
 
+def _weights(gains: np.ndarray) -> np.ndarray:
+    """One trial's path weights: normalization sqrt(1 / S) times its S gains."""
+    return math.sqrt(1.0 / len(gains)) * gains if len(gains) else gains
+
+
 def tx_ris_channel(
     ris: RisDescriptor,
-    clusters: ClusterSet,
+    clusters: Placement | ClusterDraws,
     tx: Point3,
     pl_los: PathlossParams,
     pl_nlos: PathlossParams,
@@ -206,24 +202,25 @@ def tx_ris_channel(
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
-    Scattered component: normalization * sum_s gain_s _pattern_amp(1 - u_z,s^2)
-    sqrt(loss_s) response(u_s), u_s the unit vector to scatterer s and loss_s
-    over the detour d_from_tx + d_to_surface; the sightline adds its
-    coefficient, with a uniform random phase eta, times its response if visible.
-    link, Sightline.between(ris, tx, pl_los), and paths, clusters' weighted
-    surface_paths (ez w scale, ex), are built here unless passed in; paths
-    then carries the gains and clusters is only counted, as a ClusterDraws
-    can be.  The vector goes into out if given.
+    Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(1 - u_z,s^2)
+    sqrt(loss_s) response(u_s) over the trial's S scatterers, u_s the unit
+    vector to scatterer s and loss_s over the detour d_from_tx + d_to_surface;
+    the sightline adds its coefficient, with a uniform random phase eta,
+    times its response if visible.  link, Sightline.between(ris, tx, pl_los),
+    and paths, the weighted surface_paths (ez w scale, ex) of clusters, one
+    trial's Placement, are built here unless passed in; paths then carries
+    the gains, and clusters, the trial's ClusterDraws, is only counted.  The
+    vector goes into out if given.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
     if paths is None:
         scale, ez, ex = surface_paths(ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
-        paths = np.multiply(ez, clusters.normalization * clusters.gains * scale, out=ez), ex
+        paths = np.multiply(ez, _weights(clusters.gains) * scale, out=ez), ex
     wz, ex = paths
     if shadow_scatter:
-        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters))
+        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters.gains))
         wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 
@@ -247,23 +244,24 @@ def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams,
     return (link.coefficient(np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
 
 
-def direct_channel(clusters: ClusterSet, tx: Point3, rx: Point3, pl_los: PathlossParams,
+def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: PathlossParams,
                    pl_nlos: PathlossParams, los: LosModel, k: float,
                    rng: np.random.Generator, shadow_scatter: bool = True,
                    shadow_los: bool = True) -> tuple[complex, bool]:
     """Scalar transmitter -> receiver link sharing the surface's clusters.
 
-    Each scatterer contributes its shared gain, a detour loss over
-    d_from_tx + d_to_rx, and the excess phase k (d_to_surface - d_to_rx)
+    Each scatterer of one trial's Placement contributes its shared gain, a
+    detour loss over d_from_tx + d_to_rx, d_to_rx taken to rx here with
+    place_clusters' bytes, and the excess phase k (d_to_surface - d_to_rx)
     that accounts for the receiver hearing the bounce at a different delay
     than the surface does.  Draw order matches tx_ris_channel.  run_scenario
     takes a block's direct_block at once; this takes it for a block of one.
     """
     link = Sightline.direct(tx, rx, pl_los)
-    paths = clusters.normalization * clusters.gains \
-        * direct_paths(clusters, clusters.d_to_rx, pl_nlos, k)
-    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters)) \
+    d_to_rx = row_norms(clusters.positions - rx.as_array())
+    paths = _weights(clusters.gains) * direct_paths(clusters, d_to_rx, pl_nlos, k)
+    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(paths)) \
         if shadow_scatter else None
     draws = sightline_draws(link, pl_los, rng, shadow_los, los, rx.z, tx.z)
-    total = direct_block(link, paths, [0, len(clusters)], shadows, [draws])
+    total = direct_block(link, paths, [0, len(paths)], shadows, [draws])
     return complex(total[0]), draws[0]

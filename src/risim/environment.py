@@ -7,15 +7,17 @@ normalization) must feed every link of a trial so their small-scale fading
 stays consistent.
 
 Drawing and placing are split: sample_clusters makes one trial's draws and
-nothing else, and place_clusters turns a block of trials' draws into
-positions and distances with one pass over their scatterers, whose sets
-hand each trial its ClusterSet as views when asked.
+nothing else, and place_clusters turns a block of trials' draws into one
+Placement, positions and distances on one flat scatterer axis, with one
+pass over their scatterers.  A one-trial Placement is what the per-trial
+links take; a trial of S scatterers is normalized by sqrt(1 / S), so that
+its scatter sum has unit average power when the gains are CN(0, 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -42,48 +44,10 @@ class EnvironmentConfig:
             raise ValueError("max_scatterers_per_cluster must be at least 1")
         if self.min_range_m <= 0:
             raise ValueError("min_range_m must be positive")
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class ClusterSet:
-    """Array-backed collection of scatterers for one trial.
-
-    positions is (S, 3); gains, cluster_ids and the three distance vectors
-    are length S.  normalization is sqrt(1 / S) so that the scatter sum has
-    unit average power when the gains are CN(0, 1).  Fields are stored as
-    given, so copies made with dataclasses.replace share the arrays they do
-    not replace.
-    """
-
-    positions: np.ndarray
-    gains: np.ndarray
-    cluster_ids: np.ndarray
-    d_from_tx: np.ndarray      # transmitter -> scatterer
-    d_to_surface: np.ndarray   # scatterer -> surface centre
-    d_to_rx: np.ndarray        # scatterer -> receiver
-    cluster_sizes: tuple[int, ...]
-    normalization: float = field(init=False)
-
-    def __post_init__(self):
-        total = sum(self.cluster_sizes)
-        if total != len(self.gains):
-            raise ValueError("cluster_sizes inconsistent with scatterer count")
-        object.__setattr__(self, "normalization",
-                           math.sqrt(1.0 / total) if total else 0.0)
-
-    def __len__(self) -> int:
-        return len(self.gains)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.cluster_sizes)
-
-    @staticmethod
-    def empty() -> "ClusterSet":
-        return ClusterSet(
-            np.empty((0, 3)), np.empty(0, dtype=complex), np.empty(0, dtype=int),
-            np.empty(0), np.empty(0), np.empty(0), (),
-        )
+        for name in ("azimuth_spread_deg", "elevation_spread_deg",
+                     "cluster_azimuth_limit_deg", "cluster_elevation_limit_deg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def complex_normal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -175,26 +139,16 @@ class Placement(NamedTuple):
     """place_clusters' result: every trial's scatterers on one flat axis.
 
     positions is (sum S, 3) in trial order, trial i's rows being
-    edges[i]:edges[i + 1]; the gains, cluster ids and distances, d_to_rx[u]
-    to receiver u, run along the same axis; trial i's clusters hold
-    cluster_sizes[i] scatterers."""
+    edges[i]:edges[i + 1]; the gains and distances, d_to_rx[u] to receiver
+    u, run along the same axis.  A NamedTuple's len() counts its fields:
+    len(gains) is the scatterer count."""
 
     positions: np.ndarray
     gains: np.ndarray
-    cluster_ids: np.ndarray
     d_from_tx: np.ndarray
     d_to_surface: np.ndarray       # to the anchor
     d_to_rx: list[np.ndarray]
     edges: list[int]
-    cluster_sizes: list[tuple[int, ...]]
-
-    @property
-    def sets(self) -> list[list[ClusterSet]]:
-        """sets[u][i]: trial i's ClusterSet seen from receiver u, views of the
-        first five fields and of d_to_rx[u]; built on each access."""
-        return [[ClusterSet(*(a[lo:hi] for a in (*self[:5], d_rx)), sizes)
-                 for lo, hi, sizes in zip(self.edges, self.edges[1:], self.cluster_sizes)]
-                for d_rx in self.d_to_rx]
 
 
 def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
@@ -210,9 +164,7 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     gets placed alone."""
     txv, _, frame = _anchor(tx, anchor)
     sizes = np.concatenate([d.sizes for d in draws])
-    counts = [len(d) for d in draws]
-    edges = np.cumsum([0] + counts).tolist()
-    firsts = np.cumsum([0] + [len(d.sizes) for d in draws]).tolist()
+    edges = np.cumsum([0] + [len(d) for d in draws]).tolist()
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     az = np.concatenate([d.mean_az for d in draws])[cluster] \
         + np.concatenate([d.az_offsets for d in draws])
@@ -229,20 +181,12 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     ranges = np.concatenate([d.ranges for d in draws])
     xyz = txv[:, None] + ranges[cluster] * (frame.T @ local)   # (3, S)
     gains = np.concatenate([d.gains for d in draws])
-    ids = cluster - np.repeat(firsts[:-1], counts)
     d_from_tx, d_to_anchor, *d_to_rx = [_norms(xyz - end.as_array()[:, None])
                                         for end in (tx, anchor, *receivers)]
-    sizes = sizes.tolist()
-    return Placement(xyz.T, gains, ids, d_from_tx, d_to_anchor, d_to_rx, edges,
-                     [tuple(sizes[c0:c1]) for c0, c1 in zip(firsts, firsts[1:])])
+    return Placement(xyz.T, gains, d_from_tx, d_to_anchor, d_to_rx, edges)
 
 
-def resample_gains(cs: ClusterSet, rng: np.random.Generator) -> ClusterSet:
-    """Fresh CN(0, 1) gains on frozen geometry (fixed-cluster trial mode)."""
-    return replace(cs, gains=complex_normal(rng, size=len(cs)))
-
-
-def rebind_receiver(cs: ClusterSet, rx: Point3) -> ClusterSet:
-    """Same geometry and gains, receiver-side distances recomputed: the
-    bytes place_clusters gives rx when placing with it as a receiver."""
-    return replace(cs, d_to_rx=row_norms(cs.positions - rx.as_array()))
+def rebind_receiver(p: Placement, rx: Point3) -> Placement:
+    """Same geometry and gains, seen from rx alone: the distances
+    place_clusters gives rx when placing with it as a receiver."""
+    return p._replace(d_to_rx=[row_norms(p.positions - rx.as_array())])

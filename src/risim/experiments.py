@@ -127,6 +127,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                      *((f"ris[{m}]", r.position) for m, r in enumerate(cfg.ris_list))]:
         if max(abs(p.x), abs(p.y), abs(p.z)) > MAX_COORDINATE:
             raise ConfigError(f"{label} coordinates must lie within ±{MAX_COORDINATE:g} m")
+    if cfg.env.min_range_m > MAX_COORDINATE:   # a cluster's range, as a coordinate
+        raise ConfigError(f"env.min_range_m must be at most {MAX_COORDINATE:g} m, "
+                          f"got {cfg.env.min_range_m:g}")
     issues: list[str] = []
     if cfg.n_trials < 1:
         issues.append(f"n_trials must be at least 1, got {cfg.n_trials}")
@@ -491,7 +494,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     k = wavenumber(cfg.pl_los.freq_hz)
     anchors = [r.position for r in surfaces] or [receivers[0]]
     # only the first anchor's clusters feed the direct links
-    seen_by = [receivers] + [receivers[:1]] * (len(anchors) - 1)
+    seen_by = [receivers] + [[]] * (len(anchors) - 1)
     seed, sweep = cfg.master_seed, sweep_index
     # what every sightline keeps from trial to trial, built once per run
     tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los) for ris in surfaces]

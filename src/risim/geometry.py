@@ -62,12 +62,6 @@ class Orientation:
         return TiltAxis.X if self.plane is Plane.XZ else TiltAxis.Y
 
 
-@dataclass(frozen=True)
-class Angles:
-    azimuth: float    # radians, (-pi, pi], zero at broadside
-    elevation: float  # radians, [-pi/2, pi/2], zero in the horizontal plane
-
-
 def distance(a: Point3, b: Point3) -> float:
     return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
@@ -126,8 +120,3 @@ def angles_to_targets(
     u = directions_to_targets(surface_pos, orient, targets)
     return np.arctan2(u[0], u[1]), np.arcsin(u[2])
 
-
-def angles_at_surface(surface_pos: Point3, orient: Orientation, target: Point3) -> Angles:
-    """Azimuth/elevation of a single target in the surface's (tilted) frame."""
-    az, el = angles_to_targets(surface_pos, orient, target.as_array()[None, :])
-    return Angles(float(az[0]), float(el[0]))

@@ -12,14 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from risim.channel import (
-    RisDescriptor, array_response, ris_rx_channel, tx_ris_channel,
-)
+from risim.channel import RisDescriptor, Sightline, ris_rx_channel, tx_ris_channel
 from risim.cli import main as cli_main
-from risim.environment import ClusterSet, complex_normal
+from risim.environment import (
+    EnvironmentConfig, complex_normal, place_clusters, sample_clusters,
+)
 from risim.experiments import ScenarioConfig, run_scenario
 from risim.geometry import (
-    Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
+    Orientation, Plane, Point3, TiltAxis, angles_to_targets, distance,
     rotation_matrix, surface_basis,
 )
 from risim.metrics import LinkBudget, effective_channel
@@ -86,11 +86,11 @@ def test_02_distances_and_angles_consistent():
         if np.linalg.norm(offset) < 1e-6:
             continue
         target = Point3(*(centre.as_array() + offset))
-        ang = angles_at_surface(centre, orient, target)
+        (az,), (el,) = angles_to_targets(centre, orient, target.as_array()[None, :])
         local_dir = np.array([
-            math.cos(ang.elevation) * math.sin(ang.azimuth),
-            math.cos(ang.elevation) * math.cos(ang.azimuth),
-            math.sin(ang.elevation),
+            math.cos(el) * math.sin(az),
+            math.cos(el) * math.cos(az),
+            math.sin(el),
         ])
         np.testing.assert_allclose(surface_basis(orient) @ local_dir,
                                    offset / np.linalg.norm(offset), atol=1e-9)
@@ -105,12 +105,11 @@ def test_03_zero_tilt_is_identity():
         n = int(rng.choice([4, 16, 64, 256]))
         target = Point3(*rng.uniform(-30.0, 30.0, size=3))
         flat = Orientation(plane=plane)
-        want = array_response(RisDescriptor(position, flat, n),
-                              angles_at_surface(position, flat, target), K73)
+        want = Sightline.between(RisDescriptor(position, flat, n), target, LOS_73GHZ).resp
         for axis in TiltAxis:
             zero = Orientation(plane=plane, tilt_axis=axis, tilt_rad=0.0)
-            got = array_response(RisDescriptor(position, zero, n),
-                                 angles_at_surface(position, zero, target), K73)
+            got = Sightline.between(RisDescriptor(position, zero, n), target,
+                                    LOS_73GHZ).resp
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     # and rotating an element forth and back is lossless
@@ -125,11 +124,14 @@ def test_03_zero_tilt_is_identity():
 def test_04_cascade_power_scales_with_aperture_squared():
     # pure sightline hops, no shadowing, co-phased elements: quadrupling
     # the element count must multiply the cascaded power by 16
-    rx = Point3(*RX_MAIN[0])
+    rx, surface = Point3(*RX_MAIN[0]), Point3(75.0, 30.0, 2.0)
+    no_scatter = place_clusters([sample_clusters(
+        EnvironmentConfig(include_scatter=False), TX, surface,
+        np.random.default_rng(0))], TX, surface, [rx])
     powers = {}
     for n in (64, 256):
-        ris = RisDescriptor(position=Point3(75.0, 30.0, 2.0), n_elements=n)
-        h, _ = tx_ris_channel(ris, ClusterSet.empty(), TX, LOS_73GHZ,
+        ris = RisDescriptor(position=surface, n_elements=n)
+        h, _ = tx_ris_channel(ris, no_scatter, TX, LOS_73GHZ,
                               NLOS_73GHZ, LosModel(mode=LosMode.ALWAYS),
                               np.random.default_rng(1), shadow_los=False)
         g = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(2),

@@ -1,19 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, Sightline, _lattice_factors, _pattern_amp, array_response,
-    direct_block, direct_channel, direct_paths, ris_rx_channel, sightline_draws,
-    surface_paths, tx_ris_channel,
+    RisDescriptor, Sightline, _lattice_factors, _pattern_amp, direct_block,
+    direct_channel, direct_paths, ris_rx_channel, sightline_draws, surface_paths,
+    tx_ris_channel,
 )
 from risim.environment import (
-    ClusterSet, EnvironmentConfig, place_clusters, resample_gains, sample_clusters,
+    EnvironmentConfig, Placement, complex_normal, place_clusters, sample_clusters,
 )
 from risim.geometry import (
-    Angles, DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
-    angles_at_surface, angles_to_targets, directions_to_targets, surface_basis,
+    DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
+    angles_to_targets, directions_to_targets, surface_basis,
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
@@ -26,15 +27,31 @@ ALWAYS = LosModel(mode=LosMode.ALWAYS)
 NEVER = LosModel(mode=LosMode.NEVER)
 
 
-def _placed(tx, surface, rx, seed):
+def _placed(tx, surface, rx, seed, env=EnvironmentConfig()):
     """One trial's clusters anchored on surface, placed and seen from rx."""
-    draws = sample_clusters(EnvironmentConfig(), tx, surface, np.random.default_rng(seed))
-    return place_clusters([draws], tx, surface, [rx]).sets[0][0]
+    draws = sample_clusters(env, tx, surface, np.random.default_rng(seed))
+    return place_clusters([draws], tx, surface, [rx])
+
+
+NO_SCATTER = _placed(Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1), 0,
+                     EnvironmentConfig(include_scatter=False))
 
 
 def _ris(n=4, tilt=0.0, spacing=None, q=0.285):
     return RisDescriptor(position=ORIGIN, orient=Orientation(tilt_rad=tilt),
                          n_elements=n, spacing=spacing, pattern_exponent=q)
+
+
+def _toward(ris, az, el, r=10.0):
+    """The point r metres from ris at azimuth az and elevation el of its
+    tilted frame."""
+    local = [math.cos(el) * math.sin(az), math.cos(el) * math.cos(az), math.sin(el)]
+    return Point3(*(ris.position.as_array() + r * surface_basis(ris.orient) @ local))
+
+
+def _response(ris, target, pl=LOS_73GHZ):
+    """The surface's (N,) response to target, as its sightlines steer."""
+    return Sightline.between(ris, target, pl).resp
 
 
 def test_descriptor_validation():
@@ -80,20 +97,20 @@ def test_lattice_ramps_match_direct_exp(side, spacing):
         assert np.max(np.abs(ramp - want)) <= 1e-13   # |want| = 1
 
 
-def test_array_response_broadside_is_ones():
-    a = array_response(_ris(16), Angles(0.0, 0.0), K73)
+def test_response_broadside_is_ones():
+    a = _response(_ris(16), _toward(_ris(16), 0.0, 0.0))
     np.testing.assert_allclose(a, np.ones(16), atol=1e-13)
 
 
-def test_array_response_single_element():
-    a = array_response(_ris(1), Angles(0.7, -0.3), K73)
+def test_response_single_element():
+    a = _response(_ris(1), _toward(_ris(1), 0.7, -0.3))
     np.testing.assert_allclose(a, [1.0 + 0.0j], atol=1e-13)
 
 
-def test_array_response_hand_phases():
+def test_response_hand_phases():
     # default spacing is half a wavelength so k d = pi; elevation pi/6
     # puts the x axis at pi/2 steps while the z axis stays flat
-    a = array_response(_ris(4), Angles(azimuth=0.0, elevation=math.pi / 6), K73)
+    a = _response(_ris(4), _toward(_ris(4), 0.0, math.pi / 6))
     got = np.angle(a)
     np.testing.assert_allclose(np.sort(got), [0.0, 0.0, math.pi / 2, math.pi / 2],
                                atol=1e-12)
@@ -102,11 +119,11 @@ def test_array_response_hand_phases():
                                atol=1e-12)
 
 
-def test_array_response_unit_modulus_and_leading_one():
+def test_response_unit_modulus_and_leading_one():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        ang = Angles(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
-        a = array_response(_ris(25), ang, K73)
+        target = _toward(_ris(25), rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
+        a = _response(_ris(25), target)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert a[0] == pytest.approx(1.0 + 0.0j, abs=1e-13)
 
@@ -120,19 +137,18 @@ def test_tilted_reduces_to_untilted_at_zero():
         plane = Plane(rng.choice(["xz", "yz"]))
         target = Point3(*rng.uniform(-30.0, 30.0, size=3))
         flat = Orientation(plane=plane)
-        want = array_response(_ris(n), angles_at_surface(ORIGIN, flat, target), K73)
+        want = _response(RisDescriptor(ORIGIN, flat, n), target)
         for axis in TiltAxis:
             zero = Orientation(plane=plane, tilt_axis=axis, tilt_rad=0.0)
-            ang = angles_at_surface(ORIGIN, zero, target)
-            np.testing.assert_allclose(array_response(_ris(n), ang, K73), want,
-                                       atol=1e-12)
+            np.testing.assert_allclose(_response(RisDescriptor(ORIGIN, zero, n), target),
+                                       want, atol=1e-12)
 
 
 def test_tilted_broadside_hand_phase():
     # angles are in the tilted frame, so broadside stays in phase across the
     # lattice whatever the tilt
     tilt = 0.3
-    a = array_response(_ris(4, tilt=tilt), Angles(0.0, 0.0), K73)
+    a = _response(_ris(4, tilt=tilt), _toward(_ris(4, tilt=tilt), 0.0, 0.0))
     np.testing.assert_allclose(np.angle(a), np.zeros(4), atol=1e-12)
 
 
@@ -140,7 +156,8 @@ def test_tilted_quarter_turn_swaps_axis():
     # R = pi/2 leaves the tilted-frame plane wave unchanged:
     # phase = k d (x sin(el) + z sin(az) cos(el))
     az, el = 0.25, 0.4
-    a = array_response(_ris(4, tilt=math.pi / 2), Angles(az, el), K73)
+    ris = _ris(4, tilt=math.pi / 2)
+    a = _response(ris, _toward(ris, az, el))
     xs, zs = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
     expect = math.pi * (xs * math.sin(el) + zs * math.sin(az) * math.cos(el))
     np.testing.assert_allclose(np.angle(a), expect, atol=1e-9)
@@ -149,9 +166,10 @@ def test_tilted_quarter_turn_swaps_axis():
 def test_wavenumber_scaling_doubles_phases():
     # fixed physical pitch, doubled wavenumber -> exactly doubled phases
     ris = _ris(4, spacing=0.0005)
-    ang = Angles(0.2, 0.3)
-    a1 = array_response(ris, ang, K73)
-    a2 = array_response(ris, ang, 2 * K73)
+    target = _toward(ris, 0.2, 0.3)
+    a1 = _response(ris, target)
+    a2 = _response(ris, target, dataclasses.replace(LOS_73GHZ, freq_hz=2 * 73e9))
+    assert wavenumber(2 * 73e9) == 2 * K73
     np.testing.assert_allclose(np.angle(a2), 2 * np.angle(a1), atol=1e-12)
 
 
@@ -200,8 +218,7 @@ def test_scatterer_at_the_surface_centre_raises():
     cs = _placed(tx, surface, rx, 2)
     positions = cs.positions.copy()
     positions[-1] = surface.as_array()
-    bad = ClusterSet(positions, cs.gains, cs.cluster_ids, cs.d_from_tx,
-                     cs.d_to_surface, cs.d_to_rx, cs.cluster_sizes)
+    bad = cs._replace(positions=positions)
     for tilt in (0.0, 0.4):
         ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=tilt))
         with pytest.raises(DegenerateGeometryError):
@@ -210,9 +227,10 @@ def test_scatterer_at_the_surface_centre_raises():
 
 
 def test_links_take_their_part_of_block_paths():
-    """Fed one trial's part of a block's weighted surface_paths,
-    tx_ris_channel returns the bytes it builds on its own; direct_block over
-    a block's weighted direct_paths and each trial's draws gives every trial
+    """Fed one trial's part of a block's weighted surface_paths and, as
+    run_scenario does, the trial's draws, tx_ris_channel returns the bytes
+    it builds on its own from the trial placed alone; direct_block over a
+    block's weighted direct_paths and each trial's draws gives every trial
     the bytes of direct_channel; each stream ends in the same state: two
     tilted surfaces, a ragged block, no scatter, and unshadowed scatter paths."""
     tx, rx = Point3(0, 20, 2), Point3(70, 35, 1)
@@ -239,17 +257,19 @@ def test_links_take_their_part_of_block_paths():
             direct = weights * direct_paths(placed, placed.d_to_rx[0], NLOS_73GHZ, K73)
             alone, shadows, rows = [], [], []
             for i, (lo, hi) in enumerate(zip(placed.edges, placed.edges[1:])):
+                trial = place_clusters([draws[i]], tx, ris.position, [rx])
                 runs = []
-                for paths in (None, (wz[:, lo:hi], ex[:, lo:hi])):
+                for clusters, paths in ((trial, None),
+                                        (draws[i], (wz[:, lo:hi], ex[:, lo:hi]))):
                     rng = np.random.default_rng((9, i))
-                    h, seen = tx_ris_channel(ris, placed.sets[0][i], tx, LOS_73GHZ,
+                    h, seen = tx_ris_channel(ris, clusters, tx, LOS_73GHZ,
                                              NLOS_73GHZ, los, rng,
                                              shadow_scatter=shadow, paths=paths)
                     runs.append((h.tobytes(), seen, rng.bit_generator.state))
                 assert runs[0] == runs[1]
                 # the direct link alone, then its draws as run_scenario takes them
                 rng = np.random.default_rng((8, i))
-                alone.append(direct_channel(placed.sets[0][i], tx, rx, LOS_73GHZ,
+                alone.append(direct_channel(trial, tx, rx, LOS_73GHZ,
                                             NLOS_73GHZ, los, K73, rng,
                                             shadow_scatter=shadow))
                 end = rng.bit_generator.state
@@ -282,7 +302,7 @@ def test_phase_draw_has_the_bits_of_a_uniform_draw():
 
 
 def test_tx_ris_zero_when_fully_blocked():
-    h, visible = tx_ris_channel(_ris(16), ClusterSet.empty(), Point3(0, 10, 0),
+    h, visible = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, 10, 0),
                                 LOS_73GHZ, NLOS_73GHZ, NEVER,
                                 np.random.default_rng(0))
     assert not visible
@@ -295,7 +315,7 @@ def test_tx_ris_sightline_only_value():
     seed = 5
     tx = Point3(0.0, 1.0, 0.0)
     for n in (1, 16):
-        h, visible = tx_ris_channel(_ris(n), ClusterSet.empty(), tx,
+        h, visible = tx_ris_channel(_ris(n), NO_SCATTER, tx,
                                     LOS_73GHZ, NLOS_73GHZ, ALWAYS,
                                     np.random.default_rng(seed),
                                     shadow_los=False)
@@ -311,7 +331,7 @@ def test_sightline_amplitude_tracks_pathloss():
     """Moving the transmitter out along the broadside ray rescales the
     channel norm by exactly 10^(delta_dB / 20)."""
     def norm_at(d):
-        h, _ = tx_ris_channel(_ris(16), ClusterSet.empty(), Point3(0, d, 0),
+        h, _ = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, d, 0),
                               LOS_73GHZ, NLOS_73GHZ, ALWAYS,
                               np.random.default_rng(1), shadow_los=False)
         return np.linalg.norm(h)
@@ -328,13 +348,13 @@ def test_ris_rx_rank_one_structure():
                        shadow_los=False)
     # constant envelope across elements
     np.testing.assert_allclose(np.abs(g), np.abs(g[0]), rtol=1e-12)
-    ang = angles_at_surface(ris.position, ris.orient, rx)
+    az, el = angles_to_targets(ris.position, ris.orient, rx.as_array()[None, :])
     d = math.sqrt(3.0 ** 2 + 4.0 ** 2 + 2.0 ** 2)
-    expect_pow = element_gain(ang.elevation, 0.285) \
+    expect_pow = element_gain(el[0], 0.285) \
         * 10.0 ** (pathloss_db(LOS_73GHZ, d) / 10.0)
     np.testing.assert_allclose(np.abs(g) ** 2, expect_pow, rtol=1e-12)
-    # separable: phase progression matches the array response exactly
-    a = array_response(ris, ang, K73)
+    # separable: phase progression matches the dense array response exactly
+    a = _dense_response(ris, az, el, K73)[0]
     np.testing.assert_allclose(g / g[0], a / a[0], rtol=1e-10, atol=1e-12)
 
 
@@ -350,14 +370,12 @@ def test_ris_rx_shadow_changes_envelope_only():
 
 def test_direct_single_scatterer_phase_follows_gain():
     beta = 0.8 * np.exp(1j * 1.1)
-    cs = ClusterSet(
-        positions=np.array([[10.0, 5.0, 1.0]]),
+    cs = Placement(
+        positions=np.array([[14.0, 0.0, 0.0]]),   # 6 m from the receiver
         gains=np.array([beta]),
-        cluster_ids=np.array([0]),
         d_from_tx=np.array([11.0]),
-        d_to_surface=np.array([6.0]),
-        d_to_rx=np.array([6.0]),     # equal detours: excess phase zero
-        cluster_sizes=(1,),
+        d_to_surface=np.array([6.0]),             # equal detours: excess phase zero
+        d_to_rx=[], edges=[0, 1],
     )
     d, visible = direct_channel(cs, Point3(0, 0, 0), Point3(20, 0, 0),
                                 LOS_73GHZ, NLOS_73GHZ, NEVER, K73,
@@ -372,13 +390,14 @@ def test_direct_second_moment_oracle():
     equals normalization^2 times the summed linear detour losses."""
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(75, 35, 1)
     cs = _placed(tx, surface, rx, 12)
-    loss = pathloss_db(NLOS_73GHZ, cs.d_from_tx + cs.d_to_rx)
-    expect = cs.normalization ** 2 * np.sum(10.0 ** (loss / 10.0))
+    loss = pathloss_db(NLOS_73GHZ, cs.d_from_tx + cs.d_to_rx[0])
+    expect = np.sum(10.0 ** (loss / 10.0)) / len(cs.gains)   # normalization^2 = 1 / S
 
     n_trials = 10_000
     acc = 0.0
     for t in range(n_trials):
-        trial = resample_gains(cs, np.random.default_rng((t, 1)))
+        trial = cs._replace(gains=complex_normal(np.random.default_rng((t, 1)),
+                                                 size=len(cs.gains)))
         d, _ = direct_channel(trial, tx, rx, LOS_73GHZ, NLOS_73GHZ, NEVER, K73,
                               np.random.default_rng((t, 2)),
                               shadow_scatter=False)
@@ -414,11 +433,11 @@ def _dense_response(ris, az, el, k):
 def _dense_tx_ris(ris, clusters, tx, eta):
     """Unshadowed, always-visible tx_ris_channel built from _dense_response."""
     h = np.zeros(ris.n_elements, dtype=complex)
-    if len(clusters):
+    if len(clusters.gains):
         az, el = angles_to_targets(ris.position, ris.orient, clusters.positions)
         loss = pathloss_db(NLOS_73GHZ, clusters.d_from_tx + clusters.d_to_surface)
         amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss / 10.0))
-        h = clusters.normalization * (
+        h = math.sqrt(1.0 / len(clusters.gains)) * (
             (clusters.gains * amp) @ _dense_response(ris, az, el, K73))
     return h + _dense_sightline(ris, tx, LOS_73GHZ, eta)
 
@@ -437,15 +456,14 @@ def test_links_match_dense_reference(plane, n):
     both links, for either plane, any tilt, spacing and scatterer count."""
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
     cs = _placed(tx, surface, rx, n)
-    one = ClusterSet(cs.positions[:1], cs.gains[:1], cs.cluster_ids[:1],
-                     cs.d_from_tx[:1], cs.d_to_surface[:1], cs.d_to_rx[:1], (1,))
+    one = Placement(*(a[:1] for a in cs[:4]), [cs.d_to_rx[0][:1]], [0, 1])
     eta = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi)
     for tilt in (0.0, -0.6, 0.25, 1.2):
         for spacing in (None, 0.0031):
             ris = RisDescriptor(position=surface,
                                 orient=Orientation(plane, tilt_rad=tilt),
                                 n_elements=n, spacing=spacing)
-            for clusters in (ClusterSet.empty(), one, cs):
+            for clusters in (NO_SCATTER, one, cs):
                 h, _ = tx_ris_channel(ris, clusters, tx, LOS_73GHZ, NLOS_73GHZ,
                                       ALWAYS, np.random.default_rng(9),
                                       shadow_scatter=False, shadow_los=False)
@@ -478,7 +496,11 @@ def test_steering_is_the_plane_wave_for_any_plane_and_tilt():
                      + np.outer(lin // ris.side, basis[:, 0]))
         u = target.as_array() - ris.position.as_array()
         want = np.exp(1j * K73 * (p @ (u / np.linalg.norm(u))))
-        ang = angles_at_surface(ris.position, orient, target)
-        np.testing.assert_allclose(array_response(ris, ang, K73), want, atol=1e-9)
+        np.testing.assert_allclose(_response(ris, target), want, atol=1e-9)
+        # a scatterer at the target steers the scatter paths' ramps alike
+        at = Placement(target.as_array()[None, :], np.ones(1, dtype=complex),
+                       np.ones(1), np.ones(1), [], [0, 1])
+        _, ez, ex = surface_paths(ris, at, NLOS_73GHZ, K73)
+        np.testing.assert_allclose((ez * ex.T).ravel(), want, atol=1e-9)
         g = ris_rx_channel(ris, target, LOS_73GHZ, np.random.default_rng(0))
         np.testing.assert_allclose(g / g[0], want, atol=1e-9)

@@ -175,8 +175,10 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     ({"tx": [0, -2 * MAX_COORDINATE, 2]}, "tx coordinates must lie within"),
     ({"ris_list": [{"position": [75, 30, 1e200]}]},
      "ris[0] coordinates must lie within"),
+    ({"env": {"min_range_m": 1e300}}, "env.min_range_m must be at most"),
 ], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound",
-        "users_over_bound", "rx_far_out", "tx_past_bound", "ris_far_up"])
+        "users_over_bound", "rx_far_out", "tx_past_bound", "ris_far_up",
+        "clusters_far_out"])
 def test_oversized_config_exits_two(tmp_path, capsys, override, message):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
@@ -190,11 +192,28 @@ def test_oversized_config_exits_two(tmp_path, capsys, override, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", [
+    "azimuth_spread_deg", "elevation_spread_deg", "cluster_azimuth_limit_deg",
+    "cluster_elevation_limit_deg"])
+def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": 4,
+                                "env": {field: -1.0}}))
+    for argv in (["validate", str(path)],
+                 ["simulate", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert field in captured.err
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_are_inclusive(tmp_path, capsys):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({
         "tx": [-MAX_COORDINATE, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS,
-        "n_trials": MAX_TRIALS,
+        "n_trials": MAX_TRIALS, "env": {"min_range_m": MAX_COORDINATE},
         "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")

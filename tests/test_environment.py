@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from risim.channel import direct_channel
+from risim.channel import _weights, direct_channel
 from risim.environment import (
-    ClusterDraws, ClusterSet, EnvironmentConfig, _aim_frame, complex_normal,
-    place_clusters, rebind_receiver, resample_gains, sample_clusters,
+    ClusterDraws, EnvironmentConfig, Placement, _aim_frame, complex_normal,
+    place_clusters, rebind_receiver, sample_clusters,
 )
 from risim.geometry import Point3
 from risim.propagation import (
@@ -18,40 +18,35 @@ SURFACE = Point3(75.0, 30.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
 
 
+def _draw(seed=0, **cfg_kwargs):
+    return sample_clusters(EnvironmentConfig(**cfg_kwargs), TX, SURFACE,
+                           np.random.default_rng(seed))
+
+
 def _sample(seed=0, **cfg_kwargs):
-    cfg = EnvironmentConfig(**cfg_kwargs)
-    draws = sample_clusters(cfg, TX, SURFACE, np.random.default_rng(seed))
-    return place_clusters([draws], TX, SURFACE, [RX]).sets[0][0]
+    return place_clusters([_draw(seed, **cfg_kwargs)], TX, SURFACE, [RX])
 
 
 def test_normalization_rule():
-    cs = ClusterSet(
-        positions=np.ones((25, 3)),
-        gains=np.ones(25, dtype=complex),
-        cluster_ids=np.zeros(25, dtype=int),
-        d_from_tx=np.ones(25), d_to_surface=np.ones(25), d_to_rx=np.ones(25),
-        cluster_sizes=(10, 15),
-    )
-    assert cs.normalization == 0.2
-    assert cs.normalization ** 2 * len(cs) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        ClusterSet(np.ones((3, 3)), np.ones(3, dtype=complex),
-                   np.zeros(3, dtype=int), np.ones(3), np.ones(3), np.ones(3),
-                   cluster_sizes=(5,))
+    # a trial's path weights: normalization sqrt(1 / S) times its S gains
+    w = _weights(np.ones(25, dtype=complex))
+    assert w[0] == 0.2
+    assert w[0] ** 2 * len(w) == pytest.approx(1.0, abs=1e-15)
+    assert len(_weights(np.empty(0, dtype=complex))) == 0
 
 
 def test_empty_set():
-    cs = _sample(include_scatter=False)
-    assert len(cs) == 0
-    assert cs.normalization == 0.0
-    assert cs.n_clusters == 0
+    draws = _draw(include_scatter=False)
+    cs = place_clusters([draws], TX, SURFACE, [RX])
+    assert len(cs.gains) == len(cs.positions) == len(cs.d_to_rx[0]) == 0
+    assert cs.edges == [0, 0]
+    assert len(draws.sizes) == 0
 
 
 def test_cluster_floor():
     # Poisson(1e-9) is 0 essentially always; the floor keeps one cluster
     for seed in range(20):
-        cs = _sample(seed=seed, mean_clusters=1e-9)
-        assert cs.n_clusters == 1
+        assert len(_draw(seed=seed, mean_clusters=1e-9).sizes) == 1
 
 
 def test_cluster_count_mean():
@@ -65,12 +60,13 @@ def test_cluster_count_mean():
 
 
 def test_scatterer_count_matches_sizes():
-    cs = _sample(seed=3)
-    assert len(cs) == sum(cs.cluster_sizes)
-    assert cs.normalization == pytest.approx(math.sqrt(1.0 / len(cs)))
-    ids, counts = np.unique(cs.cluster_ids, return_counts=True)
-    assert list(counts) == list(cs.cluster_sizes)
-    assert list(ids) == list(range(cs.n_clusters))
+    draws = _draw(seed=3)
+    cs = place_clusters([draws], TX, SURFACE, [RX])
+    assert len(cs.gains) == len(cs.positions) == sum(draws.sizes)
+    assert cs.edges == [0, len(draws)]
+    # each cluster's scatterers sit at its range from the transmitter
+    np.testing.assert_allclose(cs.d_from_tx, np.repeat(draws.ranges, draws.sizes),
+                               rtol=1e-12)
 
 
 def test_distances_consistent_with_positions():
@@ -82,7 +78,7 @@ def test_distances_consistent_with_positions():
         cs.d_to_surface, np.linalg.norm(cs.positions - SURFACE.as_array(), axis=1),
         atol=1e-9)
     np.testing.assert_allclose(
-        cs.d_to_rx, np.linalg.norm(cs.positions - RX.as_array(), axis=1),
+        cs.d_to_rx[0], np.linalg.norm(cs.positions - RX.as_array(), axis=1),
         atol=1e-9)
 
 
@@ -94,15 +90,6 @@ def test_gain_second_moment():
     assert abs(np.mean(draws)) < 0.02
 
 
-def test_resample_gains_keeps_geometry():
-    cs = _sample(seed=5)
-    fresh = resample_gains(cs, np.random.default_rng(6))
-    assert fresh.positions is cs.positions
-    assert fresh.d_to_rx is cs.d_to_rx
-    assert fresh.normalization == cs.normalization
-    assert not np.array_equal(fresh.gains, cs.gains)
-
-
 def test_rebind_receiver():
     cs = _sample(seed=7)
     other = Point3(10.0, 5.0, 1.0)
@@ -110,7 +97,7 @@ def test_rebind_receiver():
     assert moved.gains is cs.gains
     assert moved.d_from_tx is cs.d_from_tx
     np.testing.assert_allclose(
-        moved.d_to_rx, np.linalg.norm(cs.positions - other.as_array(), axis=1),
+        moved.d_to_rx[0], np.linalg.norm(cs.positions - other.as_array(), axis=1),
         atol=1e-12)
 
 
@@ -122,11 +109,10 @@ def test_excess_phase_cases():
     gain = 0.7 * np.exp(1j * 0.4)
 
     def phase_offset(excess):
-        cs = ClusterSet(
-            positions=np.array([[10.0, 5.0, 1.0]]), gains=np.array([gain]),
-            cluster_ids=np.array([0]), d_from_tx=np.array([1.0]),
-            d_to_surface=np.array([5.0 + excess]), d_to_rx=np.array([5.0]),
-            cluster_sizes=(1,),
+        cs = Placement(   # 5 m from the receiver at (20, 0, 0)
+            positions=np.array([[15.0, 0.0, 0.0]]), gains=np.array([gain]),
+            d_from_tx=np.array([1.0]), d_to_surface=np.array([5.0 + excess]),
+            d_to_rx=[], edges=[0, 1],
         )
         d, visible = direct_channel(
             cs, Point3(0, 0, 0), Point3(20, 0, 0), LOS_73GHZ, NLOS_73GHZ,
@@ -155,6 +141,11 @@ def test_config_validation():
         EnvironmentConfig(max_scatterers_per_cluster=0)
     with pytest.raises(ValueError):
         EnvironmentConfig(min_range_m=0.0)
+    for name in ("azimuth_spread_deg", "elevation_spread_deg",
+                 "cluster_azimuth_limit_deg", "cluster_elevation_limit_deg"):
+        EnvironmentConfig(**{name: 0.0})
+        with pytest.raises(ValueError, match=name):
+            EnvironmentConfig(**{name: -1.0})
 
 
 def test_elevations_physical():
@@ -195,7 +186,7 @@ def test_draw_record_counts_its_scatterers():
                                np.random.default_rng(3))) == 0
 
 
-_FIELDS = ("positions", "gains", "cluster_ids", "d_from_tx", "d_to_surface", "d_to_rx")
+_FIELDS = ("positions", "gains", "d_from_tx", "d_to_surface")
 
 
 @pytest.mark.parametrize("env", [
@@ -211,24 +202,23 @@ def test_a_block_places_each_trial_as_it_places_alone(env, anchor):
     if env.elevation_spread_deg > 45.0:   # some elevations reach the clip
         assert any(np.abs(d.mean_el.repeat(d.sizes) + d.el_offsets).max() > np.pi / 2
                    for d in draws)
-    alone = [place_clusters([d], TX, anchor, receivers).sets for d in draws]
+    alone = [place_clusters([d], TX, anchor, receivers) for d in draws]
     for block in (1, 7, 23):   # 7 and 23 leave a ragged last block
         for start in range(0, len(draws), block):
             placed = place_clusters(draws[start:start + block], TX, anchor, receivers)
             assert np.diff(placed.edges).tolist() == [
                 len(d) for d in draws[start:start + block]]
-            for i, lo in enumerate(placed.edges[:-1]):
-                for u in range(len(receivers)):
-                    got, want = placed.sets[u][i], alone[start + i][u][0]
-                    for name in _FIELDS:
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert a.dtype == b.dtype and a.shape == b.shape
-                        assert a.tobytes() == b.tobytes(), name
-                    assert got.cluster_sizes == want.cluster_sizes
-                    assert got.normalization == want.normalization
-                assert placed.positions[lo:lo + len(got)].tobytes() == \
-                    got.positions.tobytes()
+            for i, (lo, hi) in enumerate(zip(placed.edges, placed.edges[1:])):
+                want = alone[start + i]
+                fields = [(name, getattr(placed, name), getattr(want, name))
+                          for name in _FIELDS]
+                fields += [(f"d_to_rx[{u}]", a, b)
+                           for u, (a, b) in enumerate(zip(placed.d_to_rx, want.d_to_rx))]
+                assert len(fields) == len(_FIELDS) + len(receivers)
+                for name, a, b in fields:
+                    assert a.dtype == b.dtype and a[lo:hi].shape == b.shape
+                    assert a[lo:hi].tobytes() == b.tobytes(), name
     # every receiver's distances are rebind_receiver's, bit for bit
-    for (first, other) in alone:
-        moved = rebind_receiver(first[0], receivers[1])
-        assert moved.d_to_rx.tobytes() == other[0].d_to_rx.tobytes()
+    for p in alone:
+        moved = rebind_receiver(p, receivers[1])
+        assert moved.d_to_rx[0].tobytes() == p.d_to_rx[1].tobytes()

@@ -17,7 +17,7 @@ from risim.experiments import (
     write_cdf_csv, write_metadata, write_sweep_csv, write_sweep_json,
 )
 from risim.geometry import (
-    Orientation, Plane, Point3, TiltAxis, angles_at_surface, distance,
+    Orientation, Plane, Point3, TiltAxis, angles_to_targets, distance,
 )
 from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
@@ -69,7 +69,7 @@ def test_pure_sightline_matches_closed_form(surfaces):
     def magnitude(a, b, ris=None):
         gain = 10.0 ** (pathloss_db(LOS_73GHZ, distance(a, b)) / 10.0)
         if ris is not None:
-            el = angles_at_surface(ris.position, ris.orient, b).elevation
+            el = angles_to_targets(ris.position, ris.orient, b.as_array()[None, :])[1][0]
             gain *= element_gain(el, ris.pattern_exponent)
         return math.sqrt(gain)
 
@@ -596,15 +596,13 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     its owner with optimal_phases and summed with effective_channel."""
     users, surfaces, env = cfg.rx, cfg.ris_list, cfg.env
     anchors = [r.position for r in surfaces] or [users[0]]
-    seen_by = [users] + [users[:1]] * (len(anchors) - 1)
     k = wavenumber(cfg.pl_los.freq_hz)
 
     def rng(*key):
         return _stream(cfg.master_seed, 0, *key)
 
     def placed(m, draws):
-        return [views[0] for views in
-                place_clusters([draws], cfg.tx, anchors[m], seen_by[m]).sets]
+        return place_clusters([draws], cfg.tx, anchors[m], [])   # direct_channel takes rx
 
     base = [placed(m, sample_clusters(env, cfg.tx, a, rng(0, 5, m)))
             for m, a in enumerate(anchors)] if not cfg.resample_geometry else None
@@ -616,22 +614,20 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     h_eff = []
     for t in range(cfg.n_trials):
         if cfg.resample_geometry:
-            sets = [placed(m, sample_clusters(env, cfg.tx, a, rng(t, 1, m)))
-                    for m, a in enumerate(anchors)]
-        else:   # fresh gains, shared by every receiver's view
-            sets = []
-            for m, views in enumerate(base):
-                gains = complex_normal(rng(t, 1, m), size=len(views[0]))
-                sets.append([dataclasses.replace(v, gains=gains) for v in views])
+            places = [placed(m, sample_clusters(env, cfg.tx, a, rng(t, 1, m)))
+                      for m, a in enumerate(anchors)]
+        else:   # fresh gains on the base geometry
+            places = [p._replace(gains=complex_normal(rng(t, 1, m), size=len(p.gains)))
+                      for m, p in enumerate(base)]
         h = np.concatenate([np.empty(0, dtype=complex)] + [tx_ris_channel(
-            ris, sets[m][0], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, rng(t, 2, m),
+            ris, places[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, rng(t, 2, m),
             cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
             for m, ris in enumerate(surfaces)])
         g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [ris_rx_channel(
             ris, rx, cfg.pl_los, rng(t, 3, m, u), cfg.shadow_los_paths)
             for m, ris in enumerate(surfaces)]) for u, rx in enumerate(users)])
         h_d = np.array([direct_channel(
-            sets[0][u], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
+            places[0], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
             rng(t, 4, u), cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
             for u, rx in enumerate(users)])
         phases = np.empty(len(owner))

@@ -5,7 +5,7 @@ import pytest
 
 from risim.geometry import (
     DegenerateGeometryError, Orientation, Plane, Point3, TiltAxis,
-    angles_at_surface, distance, rotation_matrix,
+    angles_to_targets, distance, rotation_matrix,
     surface_basis, wrap_angle,
 )
 
@@ -81,30 +81,30 @@ def test_orientation_defaults_and_bounds():
 
 
 def test_angles_broadside():
-    ang = angles_at_surface(Point3(0, 0, 0), Orientation(), Point3(0, 10, 0))
-    assert ang.azimuth == pytest.approx(0.0, abs=1e-12)
-    assert ang.elevation == pytest.approx(0.0, abs=1e-12)
-    ang = angles_at_surface(Point3(0, 0, 0), Orientation(plane=Plane.YZ),
-                            Point3(10, 0, 0))
-    assert ang.azimuth == pytest.approx(0.0, abs=1e-12)
-    assert ang.elevation == pytest.approx(0.0, abs=1e-12)
+    az, el = angles_to_targets(Point3(0, 0, 0), Orientation(), np.array([[0, 10, 0]]))
+    assert az == pytest.approx([0.0], abs=1e-12)
+    assert el == pytest.approx([0.0], abs=1e-12)
+    az, el = angles_to_targets(Point3(0, 0, 0), Orientation(plane=Plane.YZ),
+                               np.array([[10, 0, 0]]))
+    assert az == pytest.approx([0.0], abs=1e-12)
+    assert el == pytest.approx([0.0], abs=1e-12)
 
 
 def test_angles_zenith():
-    ang = angles_at_surface(Point3(1, 2, 3), Orientation(), Point3(1, 2, 9))
-    assert ang.elevation == pytest.approx(math.pi / 2, abs=1e-12)
+    _, el = angles_to_targets(Point3(1, 2, 3), Orientation(), np.array([[1, 2, 9]]))
+    assert el == pytest.approx([math.pi / 2], abs=1e-12)
 
 
 def test_angles_below_horizontal_is_negative():
     # receiver slightly below the surface centre
-    ang = angles_at_surface(Point3(70, 30, 2), Orientation(), Point3(70, 35, 1))
-    assert ang.azimuth == pytest.approx(0.0, abs=1e-12)
-    assert ang.elevation == pytest.approx(math.asin(-1 / math.sqrt(26)), abs=1e-12)
+    az, el = angles_to_targets(Point3(70, 30, 2), Orientation(), np.array([[70, 35, 1]]))
+    assert az == pytest.approx([0.0], abs=1e-12)
+    assert el == pytest.approx([math.asin(-1 / math.sqrt(26))], abs=1e-12)
 
 
 def test_angles_degenerate_raises():
     with pytest.raises(DegenerateGeometryError):
-        angles_at_surface(Point3(1, 1, 1), Orientation(), Point3(1, 1, 1))
+        angles_to_targets(Point3(1, 1, 1), Orientation(), np.array([[1, 1, 1]]))
 
 
 def test_surface_bases_right_handed():
@@ -130,7 +130,7 @@ def test_tilt_frame_consistency():
         unrot = rotation_matrix(orient.resolved_axis(), -tilt) @ rel
         target_back = Point3(*(pos.as_array() + unrot))
 
-        tilted = angles_at_surface(pos, orient, target)
-        flat = angles_at_surface(pos, Orientation(plane=plane), target_back)
-        assert tilted.azimuth == pytest.approx(flat.azimuth, abs=1e-9)
-        assert tilted.elevation == pytest.approx(flat.elevation, abs=1e-9)
+        tilted = angles_to_targets(pos, orient, target.as_array()[None, :])
+        flat = angles_to_targets(pos, Orientation(plane=plane),
+                                 target_back.as_array()[None, :])
+        np.testing.assert_allclose(tilted, flat, rtol=0, atol=1e-9)
