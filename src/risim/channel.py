@@ -182,9 +182,11 @@ def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> n
     return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
 
 
-def _weights(gains: np.ndarray) -> np.ndarray:
-    """One trial's path weights: normalization sqrt(1 / S) times its S gains."""
-    return math.sqrt(1.0 / len(gains)) * gains if len(gains) else gains
+def _weights(scatterers: Placement) -> np.ndarray:
+    """Path weights of a Placement of any number of trials: each trial's
+    normalization sqrt(1 / S) times its S gains."""
+    sizes = np.diff(scatterers.edges)
+    return np.sqrt(1.0 / np.repeat(sizes, sizes)) * scatterers.gains
 
 
 def tx_ris_channel(
@@ -217,7 +219,7 @@ def tx_ris_channel(
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
     if paths is None:
         scale, ez, ex = surface_paths(ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
-        paths = np.multiply(ez, _weights(clusters.gains) * scale, out=ez), ex
+        paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
     wz, ex = paths
     if shadow_scatter:
         shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters.gains))
@@ -259,7 +261,7 @@ def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: Pathloss
     """
     link = Sightline.direct(tx, rx, pl_los)
     d_to_rx = row_norms(clusters.positions - rx.as_array())
-    paths = _weights(clusters.gains) * direct_paths(clusters, d_to_rx, pl_nlos, k)
+    paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, k)
     shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(paths)) \
         if shadow_scatter else None
     draws = sightline_draws(link, pl_los, rng, shadow_los, los, rx.z, tx.z)

@@ -12,14 +12,14 @@ numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size).  Per trial it only draws: clusters (sample_clusters), the surface
-links' shadows and phases (tx_ris_channel, which also sums its part of the
-block's weighted scatter paths into one row of h) and the other links' draws
-into block arrays.  Placement, scatter paths, the direct and surface ->
-receiver links, co-phasing and the effective channel run once per block: one
-user in closed form, several users through combined_phase_vector.  Every
-step is elementwise or sums within one trial or one scatterer, so results
-do not depend on the block size.
+size).  Per trial it only draws: clusters (sample_clusters, or fresh gains
+on frozen base draws), the surface links' shadows and phases (tx_ris_channel,
+which also sums its part of the block's weighted scatter paths into one row
+of h) and the other links' draws into block arrays.  Placement, scatter
+paths, the direct and surface -> receiver links, co-phasing and the
+effective channel run once per block: one user in closed form, several users
+through combined_phase_vector.  Every step is elementwise or sums within one
+trial or one scatterer, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (  # ris_rx_channel and direct_channel stay importable
-    RisDescriptor, Sightline, direct_block, direct_channel,  # for perfbench's tracer
-    direct_paths, ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
+from .channel import (  # ris_rx_channel, direct_channel: kept for perfbench's tracer
+    RisDescriptor, Sightline, _weights, direct_block, direct_channel, direct_paths,
+    ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
-    EnvironmentConfig, Placement, complex_normal, place_clusters, rebind_receiver,
+    ClusterDraws, EnvironmentConfig, complex_normal, place_clusters, rebind_receiver,
     sample_clusters,
 )
 from .geometry import Point3, distance
@@ -476,8 +476,9 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per block: draw every trial's clusters, place them and weight their
-    paths on each link in one pass over the block's scatterers.  Per trial:
+    Per block: draw every trial's clusters (frozen geometry: fresh gains on
+    base draws), place them and weight their paths on each link in one pass
+    over the block's scatterers, fresh or frozen alike.  Per trial:
     each surface's tx_ris_channel into one row of the block's h, every
     surface's elements on one axis, and the draws of the other links.  Per
     block again: the direct links as segment sums plus their sightlines, the
@@ -516,12 +517,11 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
                         + [(0, _BOOTSTRAP, u) for u in range(n_users)])
 
-    def block_paths(places: list[Placement]):
-        """[m]: surface_paths of places[m] to surface m; [u]: direct_paths of
-        the first anchor's places to receiver u."""
-        first = places[0]
-        return ([surface_paths(ris, p, cfg.pl_nlos, k) for ris, p in zip(surfaces, places)],
-                [direct_paths(first, d_rx, cfg.pl_nlos, k) for d_rx in first.d_to_rx])
+    def draw(m: int, rng: np.random.Generator) -> ClusterDraws:
+        """One trial's draws of anchor m: fresh, or the base draws with fresh gains."""
+        if cfg.resample_geometry:
+            return sample_clusters(cfg.env, cfg.tx, anchors[m], rng)
+        return replace(base[m], gains=complex_normal(rng, size=len(base[m])))
 
     # one element axis: every surface's lattice scan, concatenated
     edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
@@ -550,11 +550,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                                            run_keys if start == 0 else None)
         if start == 0:
             boot_states = run_states[len(frozen):]
-            base_draws = [sample_clusters(cfg.env, cfg.tx, anchors[m],
-                                          derived_rng(run_states[m])) for m in frozen]
-            base = [place_clusters([d], cfg.tx, anchors[m], seen_by[m])
-                    for m, d in zip(frozen, base_draws)]
-            base_paths = block_paths(base) if frozen else None
+            base = [sample_clusters(cfg.env, cfg.tx, anchors[m], derived_rng(run_states[m]))
+                    for m in frozen]
         cluster_st, tx_st, direct_st = np.split(
             states, [n_anchors, n_anchors + n_surfaces], axis=1)
         rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
@@ -563,23 +560,13 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
         # at edges[i]:edges[i + 1]; the last block's, loop views too, go first
         draws = places = surface = direct = weights = tx_paths = wz = ex = None
-        if cfg.resample_geometry:
-            draws = [[sample_clusters(cfg.env, cfg.tx, a, derived_rng(cluster_st[i, m]))
-                      for i in range(n)] for m, a in enumerate(anchors)]
-            places = [place_clusters(d, cfg.tx, a, seen)
-                      for d, a, seen in zip(draws, anchors, seen_by)]
-            surface, direct = block_paths(places)
-        else:   # the base trial once per trial, its paths tiled, with fresh gains
-            draws = [[d] * n for d in base_draws]
-            places = [p._replace(
-                edges=[len(d) * i for i in range(n + 1)], gains=np.concatenate(
-                    [complex_normal(derived_rng(cluster_st[i, m]), size=len(d))
-                     for i in range(n)])) for m, (p, d) in enumerate(zip(base, base_draws))]
-            surface = [[np.tile(a, n) for a in paths] for paths in base_paths[0]]
-            direct = [np.tile(paths, n) for paths in base_paths[1]]
-        # a path's weight: its trial's normalization sqrt(1 / S) times its gain
-        weights = [np.sqrt(1.0 / np.repeat(c, c)) * p.gains
-                   for p, c in zip(places, (np.diff(p.edges) for p in places))]
+        draws = [[draw(m, derived_rng(cluster_st[i, m])) for i in range(n)]
+                 for m in range(n_anchors)]
+        places = [place_clusters(d, cfg.tx, a, seen)
+                  for d, a, seen in zip(draws, anchors, seen_by)]
+        surface = [surface_paths(r, p, cfg.pl_nlos, k) for r, p in zip(surfaces, places)]
+        direct = [direct_paths(places[0], d, cfg.pl_nlos, k) for d in places[0].d_to_rx]
+        weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
 

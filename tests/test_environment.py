@@ -27,12 +27,20 @@ def _sample(seed=0, **cfg_kwargs):
     return place_clusters([_draw(seed, **cfg_kwargs)], TX, SURFACE, [RX])
 
 
+def _ones(edges):
+    """A Placement of unit gains whose trials span edges; no geometry."""
+    return Placement(None, np.ones(edges[-1], dtype=complex), None, None, [], edges)
+
+
 def test_normalization_rule():
-    # a trial's path weights: normalization sqrt(1 / S) times its S gains
-    w = _weights(np.ones(25, dtype=complex))
+    # each trial's path weights: normalization sqrt(1 / S) times its S gains
+    w = _weights(_ones([0, 25]))
     assert w[0] == 0.2
     assert w[0] ** 2 * len(w) == pytest.approx(1.0, abs=1e-15)
-    assert len(_weights(np.empty(0, dtype=complex))) == 0
+    assert len(_weights(_ones([0, 0]))) == 0
+    # a block's trials, one of them empty, are normalized each by its own S
+    block = _weights(_ones([0, 25, 25, 29]))
+    np.testing.assert_array_equal(block, np.repeat([0.2, 0.5], [25, 4]))
 
 
 def test_empty_set():

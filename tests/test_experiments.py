@@ -521,14 +521,15 @@ def test_trial_prefix_matches_shorter_run(overrides):
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "offblock": "exclude"},
     {"ris_list": _TWO_SURFACES},
     {"resample_geometry": False},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "resample_geometry": False},
     {"ris_list": []},
     {"env": EnvironmentConfig(include_scatter=False)},
     {"ris_list": _TWO_SURFACES, "shadow_scatter_paths": False},
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_los_paths": False},
     {"ris_list": _TWO_SURFACES, "los_model": LosModel(mode=LosMode.NEVER)},
 ], ids=["two_users_include", "two_users_exclude", "two_surfaces_tilted",
-        "frozen_geometry", "no_surface", "no_scatter", "unshadowed_scatter",
-        "unshadowed_sightlines", "los_never"])
+        "frozen_geometry", "two_users_frozen", "no_surface", "no_scatter",
+        "unshadowed_scatter", "unshadowed_sightlines", "los_never"])
 def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
     # clusters are placed, their paths' factors built, and trials co-phased
     # and combined a block at a time; every block size, including one that does
