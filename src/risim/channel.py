@@ -7,7 +7,7 @@ A direction's unit vector u in the surface frame steers the x index by
 u_z = sin(el), along the lattice's vertical axis, and the z index by
 u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
 response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
-are steered from u alone, with no angle per trial.  surface_paths and
+and sightlines are steered from u alone, with no angle.  surface_paths and
 direct_paths build what scatter paths keep from draw to draw over a
 Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
 times gain, a draw only scales each path by 10^(-shadow/20) and sums.  A
@@ -18,7 +18,8 @@ block of one.
 
 The paper's element pattern convention: element_gain at the elevation, not
 off broadside, so a target behind the surface gets front-hemisphere gain;
-every link takes its root sqrt(2(2q+1)) cos^q(el) from _pattern_amp.
+every link takes its root sqrt(2(2q+1)) cos^q(el) from _pattern_amp, with
+cos^2(el) = u_x^2 + u_y^2, which is exactly 0 at grazing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import ClusterDraws, Placement
-from .geometry import (
+from .geometry import (  # angles_to_targets stays importable for perfbench's tracer
     Orientation, Point3, angles_to_targets, directions_to_targets, distance,
     row_norms,
 )
@@ -72,11 +73,6 @@ def _pattern_amp(cos2_el, q: float):
     return math.sqrt(2.0 * (2.0 * q + 1.0)) * cos2_el ** (0.5 * q)
 
 
-def _angle_steps(az: np.ndarray, el: np.ndarray) -> np.ndarray:
-    """(2, M) ramp steps (u_z, u_x) of M directions given as angles."""
-    return np.stack([np.sin(el), np.sin(az) * np.cos(el)])
-
-
 def _lattice_factors(
     ris: RisDescriptor, steps: np.ndarray, k: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +113,9 @@ class Sightline:
     @classmethod
     def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
         d = distance(end, ris.position)
-        az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
-        ex, ez = _lattice_factors(ris, _angle_steps(az, el), wavenumber(pl.freq_hz))
-        amp = _pattern_amp(math.cos(el[0]) ** 2, ris.pattern_exponent)
+        u = directions_to_targets(ris.position, ris.orient, end.as_array()[None, :])
+        ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl.freq_hz))
+        amp = _pattern_amp(float(u[0, 0] ** 2 + u[1, 0] ** 2), ris.pattern_exponent)
         return cls(d, amp * 10.0 ** (pathloss_db(pl, d) / 20.0), (ez * ex.T).ravel())
 
     @classmethod
@@ -155,7 +151,7 @@ def surface_paths(ris: RisDescriptor, scatterers: Placement, pl_nlos: PathlossPa
     u = directions_to_targets(ris.position, ris.orient, scatterers.positions)
     ex, ez = _lattice_factors(ris, u[2::-2], k)
     loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface)
-    return (_pattern_amp(1.0 - u[2] * u[2], ris.pattern_exponent)
+    return (_pattern_amp(u[0] * u[0] + u[1] * u[1], ris.pattern_exponent)
             * np.exp(loss_db * _NEPERS_PER_DB), ez, ex)
 
 
@@ -204,7 +200,7 @@ def tx_ris_channel(
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
-    Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(1 - u_z,s^2)
+    Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(u_x,s^2 + u_y,s^2)
     sqrt(loss_s) response(u_s) over the trial's S scatterers, u_s the unit
     vector to scatterer s and loss_s over the detour d_from_tx + d_to_surface;
     the sightline adds its coefficient, with a uniform random phase eta,

@@ -185,8 +185,8 @@ def _reference_angles(surface, orient, targets):
 def test_direction_cosines_match_the_angles(q):
     """Scatterers are steered from direction cosines: the ramp steps are
     sin(el) and sin(az) cos(el), and the paper's elevation pattern is
-    2(2q+1) (1 - u_z^2)^q, the square of _pattern_amp, for targets on every
-    side of either plane."""
+    2(2q+1) (u_x^2 + u_y^2)^q, the square of _pattern_amp, for targets on
+    every side of either plane."""
     rng = np.random.default_rng(17)
     for plane in Plane:
         for axis in TiltAxis:
@@ -201,16 +201,35 @@ def test_direction_cosines_match_the_angles(q):
             np.testing.assert_allclose(u[2], np.sin(el), rtol=0, atol=1e-14)
             np.testing.assert_allclose(u[0], np.sin(az) * np.cos(el),
                                        rtol=0, atol=1e-14)
-            pattern = _pattern_amp(1 - u[2] ** 2, q) ** 2
-            np.testing.assert_allclose(pattern, 2 * (2 * q + 1) * (1 - u[2] ** 2) ** q,
+            cos2 = u[0] ** 2 + u[1] ** 2
+            pattern = _pattern_amp(cos2, q) ** 2
+            np.testing.assert_allclose(pattern, 2 * (2 * q + 1) * cos2 ** q,
                                        rtol=4e-15, atol=0)
             gain = element_gain(el, q)
-            # Towards grazing (|u_z| -> 1) both 1 - u_z^2 and the angle path
-            # lose digits to cancellation, as eps / cos^2(el): compare there
-            # relatively.
+            # Towards grazing (|u_z| -> 1) the angle path loses digits to
+            # cancellation, as eps / cos^2(el): compare there relatively.
             off = np.abs(u[2]) <= 0.97
             np.testing.assert_allclose(pattern[off], gain[off], rtol=0, atol=1e-14)
             np.testing.assert_allclose(pattern[~off], gain[~off], rtol=1e-11)
+
+
+def test_exact_grazing_has_no_pattern_gain():
+    """A target straight below a yz-surface sits at exact grazing, where
+    cos^2(el) = u_x^2 + u_y^2 is exactly 0: its sightline and a scatterer
+    there get no gain for q > 0 (an arcsin/cos round trip gave 1.39e-8),
+    and the flat q = 0 pattern keeps its gain."""
+    below = Point3(75, 35, 1)
+    one = Placement(below.as_array()[None, :], np.ones(1, dtype=complex),
+                    np.array([10.0]), np.array([1.0]), [], [0, 1])
+    for q in (0.0, 0.285, 1.0):
+        ris = RisDescriptor(position=Point3(75, 35, 2), orient=Orientation(Plane.YZ),
+                            pattern_exponent=q)
+        gain = Sightline.between(ris, below, LOS_73GHZ).gain
+        scale = surface_paths(ris, one, NLOS_73GHZ, K73)[0]
+        if q > 0:
+            assert gain == 0.0 and scale[0] == 0.0
+        else:
+            assert gain > 0.0 and scale[0] > 0.0
 
 
 def test_scatterer_at_the_surface_centre_raises():
