@@ -51,7 +51,8 @@ from .metrics import (
     empirical_cdf, summarize,
 )
 from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, sample_shadow, wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, sample_shadow, wavelength,
+    wavenumber,
 )
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
     combined_phase_vector, optimal_phases, partition_elements,
@@ -100,9 +101,15 @@ class ScenarioConfig:
 # shadows and surface ramps, within about _BLOCK_BYTES (2 MiB) unless one
 # trial alone is larger: a config at MAX_USERS x MAX_ELEMENTS runs one trial
 # per block.  MAX_THREADS bounds the CLI's --threads, which is checked and
-# then ignored: trials run on one thread.
+# then ignored: trials run on one thread.  Past MAX_SCATTERERS expected
+# scatterers a trial, the draws outgrow memory and numpy's Poisson sampler;
+# past MIN_FREQ_HZ, MAX_POWER_DBM or MAX_SHADOW_SIGMA_DB, powers overflow.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
+MAX_SCATTERERS = 10 ** 4
+MIN_FREQ_HZ = 1e3      # a 300 km wavelength
+MAX_POWER_DBM = 300.0
+MAX_SHADOW_SIGMA_DB = 100.0
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
@@ -130,6 +137,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if cfg.env.min_range_m > MAX_COORDINATE:   # a cluster's range, as a coordinate
         raise ConfigError(f"env.min_range_m must be at most {MAX_COORDINATE:g} m, "
                           f"got {cfg.env.min_range_m:g}")
+    if (scatterers := _expected_scatterers(cfg.env)) > MAX_SCATTERERS:
+        raise ConfigError(f"env.mean_clusters and env.max_scatterers_per_cluster give "
+                          f"{scatterers:.3g} expected scatterers a trial, "
+                          f"at most {MAX_SCATTERERS} are allowed")
     issues: list[str] = []
     if cfg.n_trials < 1:
         issues.append(f"n_trials must be at least 1, got {cfg.n_trials}")
@@ -144,6 +155,21 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         issues.append(f"offblock must be 'include' or 'exclude', got {cfg.offblock!r}")
     if cfg.pl_los.freq_hz != cfg.pl_nlos.freq_hz:
         issues.append("pl_los and pl_nlos must share one carrier frequency")
+    for name, pl in (("pl_los", cfg.pl_los), ("pl_nlos", cfg.pl_nlos)):
+        if pl.freq_hz < MIN_FREQ_HZ:
+            issues.append(f"{name}.freq_hz must be at least {MIN_FREQ_HZ:g} Hz, "
+                          f"got {pl.freq_hz:g}")
+        if pl.shadow_sigma_db > MAX_SHADOW_SIGMA_DB:
+            issues.append(f"{name}.shadow_sigma_db must be at most "
+                          f"{MAX_SHADOW_SIGMA_DB:g} dB, got {pl.shadow_sigma_db:g}")
+        if not 0.0 < pl.slope < math.inf:
+            issues.append(f"{name}'s effective pathloss exponent, exponent x (1 + "
+                          f"freq_dependence (freq_hz - ref_freq_hz) / ref_freq_hz), "
+                          f"must be finite and positive, got {pl.slope:g}")
+    for name in ("tx_power_dbm", "noise_power_dbm"):
+        if abs(getattr(cfg.budget, name)) > MAX_POWER_DBM:
+            issues.append(f"budget.{name} must lie within ±{MAX_POWER_DBM:g} dBm, "
+                          f"got {getattr(cfg.budget, name):g}")
 
     def _ground(label: str, p: Point3):
         if p.z < 0:
@@ -164,6 +190,11 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         if len(cfg.rx) > ris.n_elements:
             issues.append(
                 f"ris[{m}] has {ris.n_elements} elements for {len(cfg.rx)} users")
+        pitch = ris.spacing if ris.spacing is not None else wavelength(cfg.pl_los.freq_hz) / 2
+        if pitch * ris.side > MAX_COORDINATE:
+            issues.append(f"ris[{m}] lattice extent, spacing (or half the wavelength of "
+                          f"pl_los.freq_hz) x sqrt(n_elements), must be at most "
+                          f"{MAX_COORDINATE:g} m, got {pitch * ris.side:g}")
     return issues
 
 

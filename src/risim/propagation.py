@@ -35,6 +35,12 @@ class PathlossParams:
         if self.freq_hz <= 0 or self.ref_freq_hz <= 0:
             raise ValueError("frequencies must be positive")
 
+    @property
+    def slope(self) -> float:
+        """The effective distance exponent n (1 + b (f - f0) / f0)."""
+        return self.exponent * (
+            1.0 + self.freq_dependence * (self.freq_hz - self.ref_freq_hz) / self.ref_freq_hz)
+
 
 # 73 GHz measurement-fitted defaults.
 LOS_73GHZ = PathlossParams(
@@ -86,11 +92,7 @@ def pathloss_db(params: PathlossParams, dist_m, shadow_db=0.0):
     if not 0.0 < d.min(initial=1.0) <= d.max(initial=1.0) < math.inf:
         raise ValueError("pathloss requires a positive, finite distance")
     lam = wavelength(params.freq_hz)
-    slope = params.exponent * (
-        1.0 + params.freq_dependence
-        * (params.freq_hz - params.ref_freq_hz) / params.ref_freq_hz
-    )
-    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * slope * np.log10(d) - shadow_db
+    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * params.slope * np.log10(d) - shadow_db
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import threading
@@ -9,9 +10,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from risim import cli, experiments
 from risim.cli import main
 from risim.experiments import (
-    MAX_COORDINATE, MAX_ELEMENTS, MAX_THREADS, MAX_TRIALS, MAX_USERS, derived_rng,
-    scenario_from_dict, scenario_to_dict,
+    MAX_COORDINATE, MAX_ELEMENTS, MAX_POWER_DBM, MAX_SHADOW_SIGMA_DB, MAX_THREADS,
+    MAX_TRIALS, MAX_USERS, MIN_FREQ_HZ, derived_rng, scenario_from_dict,
+    scenario_to_dict,
 )
+from risim.propagation import LOS_73GHZ, NLOS_73GHZ
+
+_LOS, _NLOS = (dataclasses.asdict(pl) for pl in (LOS_73GHZ, NLOS_73GHZ))
+_SCATTERERS = "env.mean_clusters and env.max_scatterers_per_cluster give"
 
 
 @pytest.fixture
@@ -176,9 +182,12 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, override, message):
     ({"ris_list": [{"position": [75, 30, 1e200]}]},
      "ris[0] coordinates must lie within"),
     ({"env": {"min_range_m": 1e300}}, "env.min_range_m must be at most"),
+    ({"env": {"mean_clusters": 1e300}}, _SCATTERERS),
+    ({"env": {"max_scatterers_per_cluster": 4e12}}, _SCATTERERS),
+    ({"env": {"max_scatterers_per_cluster": 1e8}}, _SCATTERERS),
 ], ids=["trials_30_digits", "trials_over_bound", "elements_over_bound",
         "users_over_bound", "rx_far_out", "tx_past_bound", "ris_far_up",
-        "clusters_far_out"])
+        "clusters_far_out", "clusters_1e300", "scatterers_4e12", "scatterers_1e8"])
 def test_oversized_config_exits_two(tmp_path, capsys, override, message):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
@@ -209,12 +218,46 @@ def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"pl_los": {**_LOS, "freq_hz": 1e-300}, "pl_nlos": {**_NLOS, "freq_hz": 1e-300}},
+     "pl_los.freq_hz must be at least"),
+    ({"budget": {"tx_power_dbm": 1e300}}, "budget.tx_power_dbm must lie within"),
+    ({"budget": {"noise_power_dbm": 1e300}}, "budget.noise_power_dbm must lie within"),
+    ({"ris_list": [{"position": [75, 30, 2], "spacing": 1e308}]},
+     "ris[0] lattice extent, spacing"),
+    ({"pl_los": {**_LOS, "shadow_sigma_db": 1e300}}, "pl_los.shadow_sigma_db must be"),
+    ({"pl_nlos": {**_NLOS, "shadow_sigma_db": 1e300}}, "pl_nlos.shadow_sigma_db must be"),
+    ({"pl_nlos": {**_NLOS, "freq_dependence": -1e300, "ref_freq_hz": 1e9}},
+     "pl_nlos's effective pathloss exponent, exponent x (1 + freq_dependence"),
+], ids=["carrier_tiny", "tx_power_huge", "noise_power_huge", "spacing_huge",
+        "los_shadow_huge", "nlos_shadow_huge", "exponent_minus_inf"])
+def test_config_that_would_overflow_exits_two(tmp_path, capsys, override, message):
+    # each of these ran to a traceback or to nan rates with exit 0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": 4,
+                                "ris_list": [{"position": [75, 30, 2]}], **override}))
+    for argv in (["validate", str(path)],
+                 ["simulate", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_are_inclusive(tmp_path, capsys):
     path = tmp_path / "edge.json"
+    side = math.isqrt(MAX_ELEMENTS)
     path.write_text(json.dumps({
         "tx": [-MAX_COORDINATE, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS,
         "n_trials": MAX_TRIALS, "env": {"min_range_m": MAX_COORDINATE},
-        "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS}]}))
+        "pl_los": {**_LOS, "freq_hz": MIN_FREQ_HZ, "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
+        "pl_nlos": {**_NLOS, "freq_hz": MIN_FREQ_HZ,
+                    "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
+        "budget": {"tx_power_dbm": MAX_POWER_DBM, "noise_power_dbm": -MAX_POWER_DBM},
+        "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS,
+                      "spacing": MAX_COORDINATE / side}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")
 
