@@ -232,7 +232,7 @@ def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
 ], ids=["carrier_tiny", "tx_power_huge", "noise_power_huge", "spacing_huge",
         "los_shadow_huge", "nlos_shadow_huge", "exponent_minus_inf"])
 def test_config_that_would_overflow_exits_two(tmp_path, capsys, override, message):
-    # each of these ran to a traceback or to nan rates with exit 0
+    # without their bounds these run to a traceback, or to nan rates with exit 0
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], "n_trials": 4,
                                 "ris_list": [{"position": [75, 30, 2]}], **override}))
