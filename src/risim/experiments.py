@@ -17,9 +17,9 @@ on frozen base draws), the surface links' shadows and phases (tx_ris_channel,
 which also sums its part of the block's weighted scatter paths into one row
 of h) and the other links' draws into block arrays.  Placement, scatter
 paths, the direct and surface -> receiver links, co-phasing and the
-effective channel run once per block: one user in closed form, several users
-through combined_phase_vector.  Every step is elementwise or sums within one
-trial or one scatterer, so results do not depend on the block size.
+effective channel run once per block, with one combination formula for any
+number of users (see run_scenario).  Every step is elementwise or sums within
+one trial or one scatterer, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .environment import (  # rebind_receiver stays importable for perfbench's t
     sample_clusters,
 )
 from .geometry import Point3, distance
-from .metrics import (
+from .metrics import (  # effective_channel stays importable for perfbench's tracer
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
 )
@@ -79,7 +79,7 @@ class ScenarioConfig:
     budget: LinkBudget = field(default_factory=LinkBudget)
     n_trials: int = 1000
     master_seed: int = 1
-    direct_phase_sign: str = "paper"      # or "aligned"
+    direct_phase_sign: str = "paper"      # cascade at -arg h_d; "aligned": +arg h_d
     offblock: str = "include"             # other users' elements: include | exclude
     shadow_scatter_paths: bool = True
     shadow_los_paths: bool = True
@@ -95,21 +95,24 @@ class ScenarioConfig:
 
 # Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS, and gathers its samples 2 MiB at a time; at
-# MAX_USERS, h_eff is 410 MB and each trial's g is 268 MB per MAX_ELEMENTS
-# surface.  run_scenario keeps a block of up to TRIAL_BLOCK trials' h, g (one
-# user builds none) and h_d, its scatterers' receiver distances, direct
-# shadows and surface ramps, within about _BLOCK_BYTES (2 MiB) unless one
-# trial alone is larger: a config at MAX_USERS x MAX_ELEMENTS runs one trial
-# per block.  MAX_THREADS bounds the CLI's --threads, which is checked and
-# then ignored: trials run on one thread.  Past MAX_SCATTERERS expected
-# scatterers a trial, the draws outgrow memory and numpy's Poisson sampler;
-# past MIN_FREQ_HZ, MAX_POWER_DBM or MAX_SHADOW_SIGMA_DB, powers overflow.
+# MAX_USERS, h_eff is 410 MB.  run_scenario keeps a block of up to
+# TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
+# scatterers' receiver distances, direct shadows and surface ramps, within
+# about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
+# MAX_USERS x MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the
+# CLI's --threads, which is checked and then ignored: trials run on one
+# thread.  Past MAX_SCATTERERS expected scatterers a trial, the draws outgrow
+# memory and numpy's Poisson sampler; past MIN_FREQ_HZ, MAX_POWER_DBM or
+# MAX_SHADOW_SIGMA_DB, powers overflow.  Past MAX_PATTERN_EXPONENT an
+# element's beam is under 5 deg wide in elevation, and near q = 4.5e307 its
+# peak gain 2(2q+1) overflows to inf, which times a zero cos^q(el) is nan.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
 MAX_SCATTERERS = 10 ** 4
 MIN_FREQ_HZ = 1e3      # a 300 km wavelength
 MAX_POWER_DBM = 300.0
 MAX_SHADOW_SIGMA_DB = 100.0
+MAX_PATTERN_EXPONENT = 1e3
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
@@ -187,6 +190,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         for u, rx in enumerate(cfg.rx):
             if distance(rx, ris.position) == 0.0:
                 issues.append(f"ris[{m}] coincides with rx[{u}]")
+        if ris.pattern_exponent > MAX_PATTERN_EXPONENT:
+            issues.append(f"ris[{m}].pattern_exponent must be at most "
+                          f"{MAX_PATTERN_EXPONENT:g}, got {ris.pattern_exponent:g}")
         if len(cfg.rx) > ris.n_elements:
             issues.append(
                 f"ris[{m}] has {ris.n_elements} elements for {len(cfg.rx)} users")
@@ -484,12 +490,13 @@ def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
 
 def _block_size(n_users: int, elements: list[int], n_scatterers: float = 0.0) -> int:
     """Trials per block: at most TRIAL_BLOCK, and no more than fit one
-    block's h, g and h_d on surfaces of the given element counts, and per
-    each of n_scatterers expected scatterers a trial, a receiver distance
-    and a direct shadow per user and two side-long ramps a surface, in about
-    _BLOCK_BYTES.  One user builds no g, so it takes less than this."""
+    block's h, one working array of its size for the combination and h_d
+    on surfaces of the given element counts, and per each of
+    n_scatterers expected scatterers a trial, a receiver distance and a
+    direct shadow per user and two side-long ramps a surface, in about
+    _BLOCK_BYTES."""
     c = np.dtype(complex).itemsize
-    per_trial = c * ((n_users + 1) * sum(elements) + n_users) \
+    per_trial = c * (2 * sum(elements) + n_users) \
         + (c * n_users + 2 * c * sum(map(math.isqrt, elements))) * n_scatterers
     return max(1, min(TRIAL_BLOCK, int(_BLOCK_BYTES // per_trial)))
 
@@ -513,12 +520,18 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     each surface's tx_ris_channel into one row of the block's h, every
     surface's elements on one axis, and the draws of the other links.  Per
     block again: the direct links as segment sums plus their sightlines, the
-    surface -> receiver sightlines as one coefficient each, co-phasing of
-    each element for its owner against the owner's direct link and the
-    effective channel; one user takes effective_channel's closed form and
-    builds no g.  The direct links share the first surface's clusters; a
-    surface-free run anchors them on the first receiver.  threads is
-    ignored: perfbench passes it until ROADMAP item 1's benchmark change.
+    surface -> receiver sightlines as one coefficient c each, and one
+    combination for any user count.  User u's link on surface m is c_{u,m}
+    times a fixed response resp_u; element k is co-phased for its owner o
+    against h_d,o with sign s (+1 "paper", -1 "aligned"), so
+
+      h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
+              + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
+
+    a segment sum per (surface, owner), and with offblock "include" and
+    several users a product per trial and surface.  The direct links share
+    the first surface's clusters; a surface-free run anchors them on the
+    first receiver.  threads is ignored: perfbench still passes it.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -554,23 +567,27 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
             return sample_clusters(cfg.env, cfg.tx, anchors[m], rng)
         return replace(base[m], gains=complex_normal(rng, size=len(base[m])))
 
-    # one element axis: every surface's lattice scan, concatenated
-    edges = np.cumsum([0] + [r.n_elements for r in surfaces]).tolist()
+    # one element axis: every surface's lattice scan, concatenated; element k
+    # of surface surface_of[k] is co-phased for user owner[k], and the
+    # (surface, owner) segments start at starts, edges[:-1] for one user
+    sizes = [r.n_elements for r in surfaces]
+    edges = np.cumsum([0] + sizes).tolist()
     cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    serves = None
-    if surfaces:
-        owner = np.concatenate([partition_elements(r.n_elements, n_users)
-                                for r in surfaces])
-        amplitude = np.repeat([r.amplitude for r in surfaces],
-                              [r.n_elements for r in surfaces])
-        if n_users > 1 and cfg.offblock == "exclude":
-            serves = owner == np.arange(n_users)[:, None]
-        sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
+    owner = np.concatenate([np.empty(0, dtype=int)]
+                           + [partition_elements(size, n_users) for size in sizes])
+    surface_of = np.repeat(np.arange(n_surfaces), sizes)
+    starts = np.flatnonzero(np.diff(surface_of * n_users + owner, prepend=-1))
+    amplitude = np.repeat([r.amplitude for r in surfaces], sizes)
+    sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
+    others = n_users > 1 and n_surfaces > 0 and cfg.offblock == "include"
+    if others:   # the fixed responses: the owner's, and each surface's others'
+        resp = np.array([np.concatenate([link.resp for link in row]) for row in rx_links])
+        own_resp = resp[owner, np.arange(len(owner))]
+        other_resp = [np.where(owner[col] == np.arange(n_users)[:, None], 0, resp[:, col]).T
+                      for col in cols]
 
-    block = min(_block_size(n_users, [r.n_elements for r in surfaces],
-                            _expected_scatterers(cfg.env)), cfg.n_trials)
+    block = min(_block_size(n_users, sizes, _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
-    g = np.empty((block, n_users, edges[-1]) if n_users > 1 else 0, dtype=complex)
     h_d = np.empty((block, n_users), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
     shadow_scatter, shadow_los = cfg.shadow_scatter_paths, cfg.shadow_los_paths
@@ -630,26 +647,21 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                                       direct_draws[:, u])
         _, rx_shadow, rx_eta = np.moveaxis(   # surface -> receiver draws, (n, U, M) each
             np.array(rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3), 3, 0)
-        if not surfaces:
-            h_eff[:, start:stop] = h_d[:n].T
-        elif n_users == 1:
-            # co-phased against h_d, term k is amp_k |g_k||h_k| e^{-j sign arg h_d},
-            # and |g_k| is |c| of its surface: no g is built
-            c = np.abs([link.coefficient(rx_shadow[:, 0, m], rx_eta[:, 0, m])
-                        for m, link in enumerate(rx_links[0])])
-            cascade = (c.T * np.add.reduceat(amplitude * np.abs(h[:n]), edges[:-1], axis=1)
-                       ).sum(axis=1)
-            h_eff[0, start:stop] = h_d[:n, 0] \
-                + cascade * np.exp(-1j * sign * np.angle(h_d[:n, 0]))
-        else:
-            for u, m in np.ndindex(n_users, n_surfaces):
-                c = rx_links[u][m].coefficient(rx_shadow[:, u, m], rx_eta[:, u, m])
-                g[:n, u, cols[m]] = c[:, None] * rx_links[u][m].resp
-            phases = combined_phase_vector(owner, g[:n], h[:n], h_d[:n],
-                                           cfg.direct_phase_sign)
-            coefficients = amplitude * np.exp(1j * phases)
-            h_eff[:, start:stop] = effective_channel(
-                h_d[:n], g[:n], coefficients[:, None], h[:n, None], serves).T
+        # user u's surface -> receiver link on surface m is c[:, m, u] times its resp
+        c = np.empty((n, n_surfaces, n_users), dtype=complex)
+        for u, m in np.ndindex(n_users, n_surfaces):
+            c[:, m, u] = rx_links[u][m].coefficient(rx_shadow[:, u, m], rx_eta[:, u, m])
+        # an owned element co-phased against h_d adds amp_k |c||h_k| e^{-j sign arg h_d}
+        own = (np.abs(c).reshape(n, -1) * np.add.reduceat(
+            amplitude * np.abs(h[:n]), starts, axis=1)).reshape(n, n_surfaces, n_users)
+        out = h_d[:n] + own.sum(axis=1) * np.exp(-1j * sign * np.angle(h_d[:n]))
+        if others:   # the other users' elements, x = amp e^{j phase} h, reach u through resp
+            phases = combined_phase_vector(owner, c[:, surface_of, owner] * own_resp,
+                                           h[:n], h_d[:n], cfg.direct_phase_sign)
+            x = amplitude * np.exp(1j * phases) * h[:n]
+            for m, col in enumerate(cols):   # one product per trial: bits free of n
+                out += c[:, m] * (x[:, None, col] @ other_resp[m])[:, 0]
+        h_eff[:, start:stop] = out.T
 
     # free the last block, its loop views too, before the bootstrap
     draws = places = surface = direct = weights = tx_paths = wz = ex = None

@@ -31,29 +31,18 @@ class MetricsResult:
     rate_ci_high: float = math.nan
 
 
-def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray,
-                      h: np.ndarray, serves: np.ndarray | None = None):
-    """Direct link plus every surface's cascaded contribution, (U,).
+def effective_channel(h_d, g: np.ndarray, coefficients: np.ndarray, h: np.ndarray):
+    """Direct link plus every surface's cascaded contribution, (U,), for a
+    dense g: the per-trial reference that run_scenario's formula matches.
 
-    Element-axis convention: the elements of all surfaces are concatenated
-    into one last axis of length N_tot.  h (N_tot,) is the transmitter ->
-    surface link, coefficients (N_tot,) the reflection amplitude times
-    e^{j phase}, g (U, N_tot) one surface -> receiver row per user and h_d
-    (U,) the direct links.  serves (U, N_tot), when given, keeps only the
-    elements each user owns.  Leading axes broadcast against g's
-    (..., U, N_tot): a block of B trials passes g (B, U, N_tot), h_d (B, U),
-    and h and coefficients as (B, 1, N_tot).
-
-    One user needs no surface -> receiver phases: co-phased against h_d with
-    sign s (+1 "paper", -1 "aligned"), its term k is amp_k |g_k||h_k|
-    e^{-js arg h_d}, which is how run_scenario combines one user.  With two
-    users that fails for the elements a user does not own: they are
-    co-phased for the other user's g.
+    The elements of all surfaces are concatenated on one last axis of length
+    N_tot: h (N_tot,) is the transmitter -> surface link, coefficients
+    (N_tot,) the reflection amplitude times e^{j phase}, g (U, N_tot) one
+    surface -> receiver row per user and h_d (U,) the direct links.  Leading
+    axes broadcast against g's (..., U, N_tot).  A user who hears only its
+    own elements passes g with the other users' entries zeroed.
     """
-    terms = g * coefficients * h
-    if serves is not None:
-        terms = terms * serves
-    return h_d + terms.sum(axis=-1)
+    return h_d + (g * coefficients * h).sum(axis=-1)
 
 
 def snr(h_effective: complex, budget: LinkBudget):

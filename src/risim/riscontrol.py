@@ -29,11 +29,12 @@ def optimal_phases(
     """Per-element phases that co-phase every cascaded term, each wrapped to
     (-pi, pi].
 
-    Each element k gets -(arg g_k + arg h_k + arg h_txrx), so the cascaded
-    sum lands at phase -arg(h_txrx).  The "aligned" variant flips the direct
-    link's sign so the sum lands at +arg(h_txrx) and adds constructively
-    with it.  arg(0) counts as 0.  h_txrx is a scalar or an array that
-    broadcasts against g, such as one (B, 1) column for a block of B trials.
+    The direct-phase sign convention: with "paper" each element k gets
+    -(arg g_k + arg h_k + arg h_txrx), so the cascaded sum lands at phase
+    -arg(h_txrx); "aligned" flips the direct link's sign, so the sum lands
+    at +arg(h_txrx) and adds constructively with it.  arg(0) counts as 0.
+    h_txrx is a scalar or an array that broadcasts against g, such as one
+    (B, 1) column for a block of B trials.
     """
     if direct_phase_sign not in ("paper", "aligned"):
         raise ValueError(f"unknown direct_phase_sign: {direct_phase_sign!r}")
@@ -41,19 +42,16 @@ def optimal_phases(
     return wrap_angle(-(np.angle(g) + np.angle(h) + sign * np.angle(h_txrx)))
 
 
-def combined_phase_vector(owner: np.ndarray, g: np.ndarray, h: np.ndarray,
+def combined_phase_vector(owner: np.ndarray, g_own: np.ndarray, h: np.ndarray,
                           h_d: np.ndarray, direct_phase_sign: str = "paper"
                           ) -> np.ndarray:
     """One physical phase vector: each element co-phased for its owner.
 
-    g is (..., U, N) with one surface -> receiver row per user, h (..., N)
-    and h_d (..., U); leading axes, such as a block of trials, carry through
-    to the (..., N) result.  Element k gets optimal_phases of its owner's
-    g and h_d, in one call over every element.  Every element of a passive
-    surface reflects no matter whom it serves, so the off-block entries
-    seen by any one user are simply the phases granted to the other users.
+    g_own (..., N) is each element's surface -> receiver gain towards its
+    owner, h (..., N) and h_d (..., U); leading axes, such as a block of
+    trials, carry through to the (..., N) result.  Element k gets
+    optimal_phases of g_own[k] and its owner's h_d.  Every element of a
+    passive surface reflects no matter whom it serves, so the off-block
+    entries seen by any one user are the phases granted to the others.
     """
-    if g.shape[-2:] != (owner.max() + 1, len(owner)):
-        raise ValueError("one full-length surface -> receiver row needed per user")
-    own_g = g[..., owner, np.arange(len(owner))]
-    return optimal_phases(own_g, h, h_d[..., owner], direct_phase_sign)
+    return optimal_phases(g_own, h, h_d[..., owner], direct_phase_sign)

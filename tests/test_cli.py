@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from risim import cli, experiments
 from risim.cli import main
 from risim.experiments import (
-    MAX_COORDINATE, MAX_ELEMENTS, MAX_POWER_DBM, MAX_SHADOW_SIGMA_DB, MAX_THREADS,
-    MAX_TRIALS, MAX_USERS, MIN_FREQ_HZ, derived_rng, scenario_from_dict,
-    scenario_to_dict,
+    MAX_COORDINATE, MAX_ELEMENTS, MAX_PATTERN_EXPONENT, MAX_POWER_DBM,
+    MAX_SHADOW_SIGMA_DB, MAX_THREADS, MAX_TRIALS, MAX_USERS, MIN_FREQ_HZ, derived_rng,
+    scenario_from_dict, scenario_to_dict,
 )
 from risim.propagation import LOS_73GHZ, NLOS_73GHZ
 
@@ -229,8 +229,11 @@ def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
     ({"pl_nlos": {**_NLOS, "shadow_sigma_db": 1e300}}, "pl_nlos.shadow_sigma_db must be"),
     ({"pl_nlos": {**_NLOS, "freq_dependence": -1e300, "ref_freq_hz": 1e9}},
      "pl_nlos's effective pathloss exponent, exponent x (1 + freq_dependence"),
+    ({"ris_list": [{"position": [75, 30, 2], "pattern_exponent": 1e308}]},
+     "ris[0].pattern_exponent must be at most"),
 ], ids=["carrier_tiny", "tx_power_huge", "noise_power_huge", "spacing_huge",
-        "los_shadow_huge", "nlos_shadow_huge", "exponent_minus_inf"])
+        "los_shadow_huge", "nlos_shadow_huge", "exponent_minus_inf",
+        "pattern_exponent_huge"])
 def test_config_that_would_overflow_exits_two(tmp_path, capsys, override, message):
     # without their bounds these run to a traceback, or to nan rates with exit 0
     path = tmp_path / "overflow.json"
@@ -257,7 +260,8 @@ def test_bounds_are_inclusive(tmp_path, capsys):
                     "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
         "budget": {"tx_power_dbm": MAX_POWER_DBM, "noise_power_dbm": -MAX_POWER_DBM},
         "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS,
-                      "spacing": MAX_COORDINATE / side}]}))
+                      "spacing": MAX_COORDINATE / side,
+                      "pattern_exponent": MAX_PATTERN_EXPONENT}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")
 

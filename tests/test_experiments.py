@@ -503,6 +503,11 @@ _TWO_SURFACES = [
     RisDescriptor(position=Point3(74.0, 30.0, 2.5), n_elements=64),
 ]
 _TWO_USERS = [Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)]
+# a yz-surface straight above the first user: its sightline is exactly
+# grazing, so that user's surface -> receiver coefficient is 0
+_GRAZING = [RisDescriptor(position=Point3(75.0, 35.0, 2.0), n_elements=16,
+                          orient=Orientation(plane=Plane.YZ))]
+_GRAZED_USERS = [Point3(75.0, 35.0, 1.0), Point3(70.0, 35.0, 1.0)]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -527,9 +532,12 @@ def test_trial_prefix_matches_shorter_run(overrides):
     {"ris_list": _TWO_SURFACES, "shadow_scatter_paths": False},
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_los_paths": False},
     {"ris_list": _TWO_SURFACES, "los_model": LosModel(mode=LosMode.NEVER)},
+    {"rx": _GRAZED_USERS, "ris_list": _GRAZING, "offblock": "include"},
+    {"rx": _GRAZED_USERS[::-1], "ris_list": _GRAZING, "offblock": "include"},
 ], ids=["two_users_include", "two_users_exclude", "two_surfaces_tilted",
         "frozen_geometry", "two_users_frozen", "no_surface", "no_scatter",
-        "unshadowed_scatter", "unshadowed_sightlines", "los_never"])
+        "unshadowed_scatter", "unshadowed_sightlines", "los_never",
+        "grazed_user_first", "grazed_user_second"])
 def test_results_do_not_depend_on_block_size(monkeypatch, overrides):
     # clusters are placed, their paths' factors built, and trials co-phased
     # and combined a block at a time; every block size, including one that does
@@ -635,7 +643,8 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
         for u in range(len(users)):
             mine = owner == u
             phases[mine] = optimal_phases(g[u, mine], h[mine], h_d[u], cfg.direct_phase_sign)
-        h_eff.append(effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves))
+        heard = g if serves is None else g * serves
+        h_eff.append(effective_channel(h_d, heard, amplitude * np.exp(1j * phases), h))
     h_eff = np.array(h_eff)
     return [summarize(h_eff[:, u], cfg.budget).rate_samples for u in range(len(users))]
 
@@ -652,9 +661,12 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     {"ris_list": []},
     {"rx": _TWO_USERS, "ris_list": []},
     {"ris_list": _TWO_SURFACES, "direct_phase_sign": "aligned"},
+    {"rx": _GRAZED_USERS, "ris_list": _GRAZING, "offblock": "include"},
+    {"rx": _GRAZED_USERS[::-1], "ris_list": _GRAZING, "offblock": "include"},
 ], ids=["one_user_one_surface", "two_users_include", "two_users_exclude",
         "two_users_frozen", "frozen_geometry", "no_scatter", "unshadowed",
-        "no_surface", "two_users_no_surface", "aligned"])
+        "no_surface", "two_users_no_surface", "aligned", "grazed_user_first",
+        "grazed_user_second"])
 def test_run_scenario_matches_per_trial_links(overrides):
     # the block engine against every trial built alone from the public links
     cfg = _cfg(n_trials=23, **overrides)
@@ -674,13 +686,14 @@ def test_block_size_fits_its_memory_budget():
                                         (2, [16, 64], mean), (1, [], mean)):
         block = experiments._block_size(users, elements, scatterers)
         sides = sum(math.isqrt(n) for n in elements)
-        per_trial = 16 * ((users + 1) * sum(elements) + users) \
+        # h and one working array of the combination, whatever the user count
+        per_trial = 16 * (2 * sum(elements) + users) \
             + (16 * users + 2 * 16 * sides) * scatterers
         assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
     # each expected scatterer adds one distance and one direct shadow per
     # receiver and two side-long ramps per surface to a trial
     assert experiments._block_size(64, [16], 47.0) == \
-        experiments._BLOCK_BYTES // (16 * (65 * 16 + 64) + (16 * 64 + 2 * 16 * 4) * 47) \
+        experiments._BLOCK_BYTES // (16 * (2 * 16 + 64) + (16 * 64 + 2 * 16 * 4) * 47) \
         < experiments._block_size(64, [16])
 
 

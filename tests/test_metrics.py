@@ -45,18 +45,24 @@ def test_effective_channel_additivity():
 
 
 def _element_axis_channel(h_d, gs, hs, amps, sign, offblock):
-    """The effective channel as run_scenario combines it: every surface's
-    elements on one axis, one owner-gathered phase vector."""
+    """The effective channel by run_scenario's formula, every surface's
+    elements on one axis: a user's own elements, co-phased against its
+    direct link, add amp_k |g_k||h_k| e^{-js arg h_d}; with "include" and
+    several users, the other users' elements add g_k amp_k e^{j phase_k} h_k
+    at the phases combined_phase_vector grants their owners."""
     n_users = len(h_d)
     g = np.array([np.concatenate(row) for row in gs])
     h = np.concatenate(hs)
     owner = np.concatenate([partition_elements(len(x), n_users) for x in hs])
     amplitude = np.repeat(amps, [len(x) for x in hs])
-    phases = optimal_phases(g[0], h, h_d[0], sign) if n_users == 1 \
-        else combined_phase_vector(owner, g, h, h_d, sign)
-    serves = owner == np.arange(n_users)[:, None] \
-        if n_users > 1 and offblock == "exclude" else None
-    return effective_channel(h_d, g, amplitude * np.exp(1j * phases), h, serves)
+    mine = owner == np.arange(n_users)[:, None]
+    s = 1.0 if sign == "paper" else -1.0
+    out = h_d + (mine * amplitude * np.abs(g) * np.abs(h)).sum(axis=1) \
+        * np.exp(-1j * s * np.angle(h_d))
+    if n_users > 1 and offblock == "include":
+        phases = combined_phase_vector(owner, g[owner, np.arange(len(h))], h, h_d, sign)
+        out += (~mine * g) @ (amplitude * np.exp(1j * phases) * h)
+    return out
 
 
 def _per_surface_reference(h_d, gs, hs, amps, sign, offblock):
