@@ -207,8 +207,9 @@ def tx_ris_channel(
     times its response if visible.  link, Sightline.between(ris, tx, pl_los),
     and paths, the weighted surface_paths (ez w scale, ex) of clusters, one
     trial's Placement, are built here unless passed in; paths then carries
-    the gains, and clusters, the trial's ClusterDraws, is only counted.  The
-    vector goes into out if given.
+    the gains and its scatterer axis counts the scatter shadows, and
+    clusters, the trial's ClusterDraws, is not read: it names the trial for
+    a tracer's scatterer count.  The vector goes into out if given.
 
     Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
     """
@@ -218,7 +219,7 @@ def tx_ris_channel(
         paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
     wz, ex = paths
     if shadow_scatter:
-        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(clusters.gains))
+        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=wz.shape[-1])
         wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 

@@ -6,8 +6,9 @@ angular spread of scatterers.  The same realization (same gains, same
 normalization) must feed every link of a trial so their small-scale fading
 stays consistent.
 
-Drawing and placing are split: sample_clusters makes one trial's draws and
-nothing else, and place_clusters turns a block of trials' draws into one
+Drawing and placing are split: sample_clusters takes one trial's raw
+U[0, 1) and N(0, 1) variates and nothing else, and place_clusters maps a
+block of trials' variates as numpy's samplers would and turns them into one
 Placement, positions and distances on one flat scatterer axis, with one
 pass over their scatterers.  A one-trial Placement is what the per-trial
 links take; a trial of S scatterers is normalized by sqrt(1 / S), so that
@@ -50,10 +51,16 @@ class EnvironmentConfig:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-def complex_normal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """CN(0, 1) draws: one normal call, every real part then every imaginary."""
-    re, im = rng.normal(0.0, math.sqrt(0.5), size=2 if size is None else (2, size))
+def _complex(z: np.ndarray) -> np.ndarray:
+    """CN(0, 1) from (2, ...) standard normals, every real part then every
+    imaginary, each mapped as rng.normal(0.0, sqrt(1/2)) maps its variate."""
+    re, im = 0.0 + math.sqrt(0.5) * z
     return re + 1j * im
+
+
+def complex_normal(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """CN(0, 1) draws: one standard_normal call, the bits of one normal call."""
+    return _complex(rng.standard_normal(2 if size is None else (2, size)))
 
 
 def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -72,7 +79,7 @@ def _aim_frame(tx: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _anchor(tx: Point3, anchor: Point3):
-    """A cluster draw's fixed part: the read-only tx array, the tx -> anchor
+    """A placement's fixed part: the read-only tx array, the tx -> anchor
     span and the aim frame."""
     txv, av = tx.as_array(), anchor.as_array()
     frame = _aim_frame(txv, av)
@@ -83,49 +90,46 @@ def _anchor(tx: Point3, anchor: Point3):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ClusterDraws:
-    """One trial's cluster draws, before any geometry: per cluster its size,
-    mean azimuth, mean elevation and range; per scatterer its azimuth and
-    elevation offsets and CN(0, 1) gain.  len() is the scatterer count."""
+    """One trial's raw cluster variates, before any map or geometry: per
+    cluster its size; uniforms (3, n), U[0, 1) rows for the clusters' mean
+    azimuths, mean elevations and ranges; normals (4, S), N(0, 1) rows for
+    the scatterers' azimuth and elevation offsets and the real and
+    imaginary parts of their gains; env, whose limits and spreads map them.
+    len() is the scatterer count."""
 
     sizes: np.ndarray
-    mean_az: np.ndarray
-    mean_el: np.ndarray
-    ranges: np.ndarray
-    az_offsets: np.ndarray
-    el_offsets: np.ndarray
-    gains: np.ndarray
+    uniforms: np.ndarray
+    normals: np.ndarray
+    env: EnvironmentConfig
 
     def __len__(self) -> int:
-        return len(self.gains)
+        return self.normals.shape[1]
+
+    def with_fresh_gains(self, rng: np.random.Generator) -> "ClusterDraws":
+        """The same geometry with 2S fresh gain normals from rng, the bits
+        of complex_normal(rng, size=len(self))."""
+        normals = self.normals.copy()
+        rng.standard_normal(out=normals[2:])
+        return ClusterDraws(self.sizes, self.uniforms, normals, self.env)
 
 
-_NO_DRAWS = ClusterDraws(np.empty(0, dtype=int), *[np.empty(0)] * 5,
-                         np.empty(0, dtype=complex))
+_NO_VARIATES = (np.empty(0, dtype=int), np.empty((3, 0)), np.empty((4, 0)))
 
 
 def sample_clusters(
     cfg: EnvironmentConfig, tx: Point3, anchor: Point3, rng: np.random.Generator,
 ) -> ClusterDraws:
-    """Draw one cluster realization aimed along the tx -> anchor sightline;
-    place_clusters turns it into positions and distances."""
+    """Draw one cluster realization's raw variates, in the order numpy's
+    samplers drew them: the cluster count (poisson) and sizes (integers),
+    then every uniform and every normal in one call each; place_clusters
+    maps them along the tx -> anchor sightline."""
     if not cfg.include_scatter:
-        return _NO_DRAWS
-    span = _anchor(tx, anchor)[1]
-
+        return ClusterDraws(*_NO_VARIATES, cfg)
+    _anchor(tx, anchor)   # raises if tx and anchor coincide
     n_clusters = max(1, int(rng.poisson(cfg.mean_clusters)))
     sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n_clusters)
-    az_lim = math.radians(cfg.cluster_azimuth_limit_deg)
-    el_lim = math.radians(cfg.cluster_elevation_limit_deg)
-    mean_az = rng.uniform(-az_lim, az_lim, size=n_clusters)
-    mean_el = rng.uniform(-el_lim, el_lim, size=n_clusters)
-    hi = max(span, cfg.min_range_m * (1.0 + 1e-9))
-    ranges = rng.uniform(cfg.min_range_m, hi, size=n_clusters)
-
-    total = int(sizes.sum())
-    az = rng.normal(0.0, math.radians(cfg.azimuth_spread_deg), size=total)
-    el = rng.normal(0.0, math.radians(cfg.elevation_spread_deg), size=total)
-    return ClusterDraws(sizes, mean_az, mean_el, ranges, az, el,
-                        complex_normal(rng, size=total))
+    return ClusterDraws(sizes, rng.random((3, n_clusters)),
+                        rng.standard_normal((4, sum(sizes.tolist()))), cfg)
 
 
 def _norms(rel: np.ndarray) -> np.ndarray:
@@ -155,22 +159,34 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
                    receivers: Sequence[Point3]) -> Placement:
     """Positions and distances of every trial's draws, in one pass over them.
 
-    Each scatterer sits at its cluster's range along its direction, the
-    cluster mean plus its offset, elevation clipped to [-pi/2, pi/2], in the
-    aim frame of tx -> anchor.  Its distances to tx, anchor and each
-    receiver are taken in the same pass, one endpoint's (3, S) differences
-    at a time, with rebind_receiver's sums.  Every step is elementwise or
-    within one scatterer, so a trial placed with others gets the bytes it
-    gets placed alone."""
-    txv, _, frame = _anchor(tx, anchor)
+    The block's variates, all under the first record's env, are mapped at
+    once by numpy's samplers' arithmetic, low + (high - low) U for the
+    cluster means and ranges, 0.0 + scale Z for the offsets and gains, so
+    the bits are theirs.  Each scatterer sits at its cluster's range along
+    its direction, the cluster mean plus its offset, elevation clipped to
+    [-pi/2, pi/2], in the aim frame of tx -> anchor.  Its distances to tx,
+    anchor and each receiver are taken in the same pass, one endpoint's
+    (3, S) differences at a time, with rebind_receiver's sums.  Every step
+    is elementwise or within one scatterer, so a trial placed with others
+    gets the bytes it gets placed alone."""
+    txv, span, frame = _anchor(tx, anchor)
+    env = draws[0].env
+    az_lim = math.radians(env.cluster_azimuth_limit_deg)
+    el_lim = math.radians(env.cluster_elevation_limit_deg)
+    low = np.array([[-az_lim], [-el_lim], [env.min_range_m]])
+    high = np.array([[az_lim], [el_lim], [max(span, env.min_range_m * (1.0 + 1e-9))]])
+    spread = np.array([[math.radians(env.azimuth_spread_deg)],
+                       [math.radians(env.elevation_spread_deg)]])
+    mean_az, mean_el, ranges = low + (high - low) * np.concatenate(
+        [d.uniforms for d in draws], axis=1)
+    normals = np.concatenate([d.normals for d in draws], axis=1)
+    az_offsets, el_offsets = 0.0 + spread * normals[:2]
+
     sizes = np.concatenate([d.sizes for d in draws])
     edges = np.cumsum([0] + [len(d) for d in draws]).tolist()
     cluster = np.repeat(np.arange(len(sizes)), sizes)
-    az = np.concatenate([d.mean_az for d in draws])[cluster] \
-        + np.concatenate([d.az_offsets for d in draws])
-    el = np.concatenate([d.mean_el for d in draws])[cluster] \
-        + np.concatenate([d.el_offsets for d in draws])
-    el = el.clip(-np.pi / 2, np.pi / 2)
+    az = mean_az[cluster] + az_offsets
+    el = (mean_el[cluster] + el_offsets).clip(-np.pi / 2, np.pi / 2)
 
     # (forward, right, up) rows of each direction, mapped by the aim frame
     local = np.empty((3, len(cluster)))
@@ -178,12 +194,10 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     np.multiply(cos_el, np.cos(az), out=local[0])
     np.multiply(cos_el, np.sin(az), out=local[1])
     np.sin(el, out=local[2])
-    ranges = np.concatenate([d.ranges for d in draws])
     xyz = txv[:, None] + ranges[cluster] * (frame.T @ local)   # (3, S)
-    gains = np.concatenate([d.gains for d in draws])
     d_from_tx, d_to_anchor, *d_to_rx = [_norms(xyz - end.as_array()[:, None])
                                         for end in (tx, anchor, *receivers)]
-    return Placement(xyz.T, gains, d_from_tx, d_to_anchor, d_to_rx, edges)
+    return Placement(xyz.T, _complex(normals[2:]), d_from_tx, d_to_anchor, d_to_rx, edges)
 
 
 def rebind_receiver(p: Placement, rx: Point3) -> Placement:

@@ -12,14 +12,15 @@ numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size).  Per trial it only draws: clusters (sample_clusters, or fresh gains
-on frozen base draws), the surface links' shadows and phases (tx_ris_channel,
-which also sums its part of the block's weighted scatter paths into one row
-of h) and the other links' draws into block arrays.  Placement, scatter
-paths, the direct and surface -> receiver links, co-phasing and the
-effective channel run once per block, with one combination formula for any
-number of users (see run_scenario).  Every step is elementwise or sums within
-one trial or one scatterer, so results do not depend on the block size.
+size).  Per trial it only draws: raw cluster variates (sample_clusters, or
+fresh gain normals on frozen base draws), the surface links' shadows and
+phases (tx_ris_channel, which also sums its part of the block's weighted
+scatter paths into one row of h) and the other links' draws into block
+arrays.  Mapping the variates, placement, scatter paths, the direct and
+surface -> receiver links, co-phasing and the effective channel run once per
+block, with one combination formula for any number of users (see
+run_scenario).  Every step is elementwise or sums within one trial or one
+scatterer, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .channel import (  # ris_rx_channel, direct_channel: kept for perfbench's t
     ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
-    ClusterDraws, EnvironmentConfig, complex_normal, place_clusters, rebind_receiver,
-    sample_clusters,
+    ClusterDraws, EnvironmentConfig, place_clusters, rebind_receiver, sample_clusters,
 )
 from .geometry import Point3, distance
 from .metrics import (  # effective_channel stays importable for perfbench's tracer
@@ -51,8 +51,7 @@ from .metrics import (  # effective_channel stays importable for perfbench's tra
     empirical_cdf, summarize,
 )
 from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, sample_shadow, wavelength,
-    wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavelength, wavenumber,
 )
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
     combined_phase_vector, optimal_phases, partition_elements,
@@ -514,9 +513,9 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  ) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per block: draw every trial's clusters (frozen geometry: fresh gains on
-    base draws), place them and weight their paths on each link in one pass
-    over the block's scatterers, fresh or frozen alike.  Per trial:
+    Per block: draw every trial's cluster variates (frozen geometry: fresh
+    gain normals on the base record), map and place them and weight their
+    paths on each link in one pass over the block's scatterers.  Per trial:
     each surface's tx_ris_channel into one row of the block's h, every
     surface's elements on one axis, and the draws of the other links.  Per
     block again: the direct links as segment sums plus their sightlines, the
@@ -565,7 +564,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         """One trial's draws of anchor m: fresh, or the base draws with fresh gains."""
         if cfg.resample_geometry:
             return sample_clusters(cfg.env, cfg.tx, anchors[m], rng)
-        return replace(base[m], gains=complex_normal(rng, size=len(base[m])))
+        return base[m].with_fresh_gains(rng)
 
     # one element axis: every surface's lattice scan, concatenated; element k
     # of surface surface_of[k] is co-phased for user owner[k], and the
@@ -634,13 +633,14 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                                              derived_rng(rx_st[i, u, m]), shadow_los)
                              for m in range(n_surfaces)]
                 rng = derived_rng(direct_st[i, u])
-                if shadow_scatter:
-                    shadows[u, at[i]:at[i + 1]] = sample_shadow(
-                        cfg.pl_nlos.shadow_sigma_db, rng, size=at[i + 1] - at[i])
+                if shadow_scatter:   # N(0, 1) here, scaled per block below
+                    rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])
                 direct_draws.append(sightline_draws(
                     direct_links[u], cfg.pl_los, rng, shadow_los, cfg.los_model,
                     rx.z, cfg.tx.z))
 
+        if shadow_scatter:   # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
+            shadows *= cfg.pl_nlos.shadow_sigma_db
         direct_draws = np.array(direct_draws).reshape(n, n_users, 3)
         for u, link in enumerate(direct_links):
             h_d[:n, u] = direct_block(link, weights[0] * direct[u], at, shadows[u],

@@ -72,9 +72,11 @@ def test_scatterer_count_matches_sizes():
     cs = place_clusters([draws], TX, SURFACE, [RX])
     assert len(cs.gains) == len(cs.positions) == sum(draws.sizes)
     assert cs.edges == [0, len(draws)]
-    # each cluster's scatterers sit at its range from the transmitter
-    np.testing.assert_allclose(cs.d_from_tx, np.repeat(draws.ranges, draws.sizes),
-                               rtol=1e-12)
+    # each cluster's scatterers sit at its range, U(min_range_m, |tx - surface|),
+    # from the transmitter
+    span = np.linalg.norm(SURFACE.as_array() - TX.as_array())
+    ranges = 1.0 + (span - 1.0) * draws.uniforms[2]
+    np.testing.assert_allclose(cs.d_from_tx, np.repeat(ranges, draws.sizes), rtol=1e-12)
 
 
 def test_distances_consistent_with_positions():
@@ -189,7 +191,9 @@ def test_aim_frame_matches_cross_product_construction():
 def test_draw_record_counts_its_scatterers():
     draws = sample_clusters(EnvironmentConfig(), TX, SURFACE, np.random.default_rng(3))
     assert isinstance(draws, ClusterDraws)
-    assert len(draws) == draws.sizes.sum() == len(draws.az_offsets) == len(draws.gains)
+    assert len(draws) == draws.sizes.sum() > 0
+    assert draws.uniforms.shape == (3, len(draws.sizes))
+    assert draws.normals.shape == (4, len(draws))
     assert len(sample_clusters(EnvironmentConfig(include_scatter=False), TX, SURFACE,
                                np.random.default_rng(3))) == 0
 
@@ -208,8 +212,11 @@ def test_a_block_places_each_trial_as_it_places_alone(env, anchor):
     draws = [sample_clusters(env, TX, anchor, np.random.default_rng(seed))
              for seed in range(30)]
     if env.elevation_spread_deg > 45.0:   # some elevations reach the clip
-        assert any(np.abs(d.mean_el.repeat(d.sizes) + d.el_offsets).max() > np.pi / 2
-                   for d in draws)
+        el_lim = math.radians(env.cluster_elevation_limit_deg)
+        spread = math.radians(env.elevation_spread_deg)
+        mean_el = [-el_lim + 2 * el_lim * d.uniforms[1] for d in draws]
+        assert any(np.abs(m.repeat(d.sizes) + spread * d.normals[1]).max() > np.pi / 2
+                   for m, d in zip(mean_el, draws))
     alone = [place_clusters([d], TX, anchor, receivers) for d in draws]
     for block in (1, 7, 23):   # 7 and 23 leave a ragged last block
         for start in range(0, len(draws), block):
@@ -230,3 +237,79 @@ def test_a_block_places_each_trial_as_it_places_alone(env, anchor):
     for p in alone:
         moved = rebind_receiver(p, receivers[1])
         assert moved.d_to_rx[0].tobytes() == p.d_to_rx[1].tobytes()
+
+
+def _sampler_draws(cfg, anchor, rng):
+    """One trial's cluster draws as numpy's samplers make them, mapped:
+    (sizes, mean azimuths, mean elevations, ranges, azimuth and elevation
+    offsets, gains)."""
+    n = max(1, int(rng.poisson(cfg.mean_clusters)))
+    sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n)
+    az_lim = math.radians(cfg.cluster_azimuth_limit_deg)
+    el_lim = math.radians(cfg.cluster_elevation_limit_deg)
+    mean_az = rng.uniform(-az_lim, az_lim, size=n)
+    mean_el = rng.uniform(-el_lim, el_lim, size=n)
+    span = float(np.linalg.norm(anchor.as_array() - TX.as_array()))
+    ranges = rng.uniform(cfg.min_range_m, max(span, cfg.min_range_m * (1.0 + 1e-9)), size=n)
+    total = int(sizes.sum())
+    az = rng.normal(0.0, math.radians(cfg.azimuth_spread_deg), size=total)
+    el = rng.normal(0.0, math.radians(cfg.elevation_spread_deg), size=total)
+    return [sizes, mean_az, mean_el, ranges, az, el, _sampler_gains(rng, total)]
+
+
+def _sampler_gains(rng, size):
+    re, im = rng.normal(0.0, math.sqrt(0.5), size=(2, size))
+    return re + 1j * im
+
+
+def _sampler_placement(draws, anchor, receivers):
+    """(positions, gains, distances) of mapped draws, placed as place_clusters
+    places them."""
+    sizes, mean_az, mean_el, ranges, az_off, el_off, gains = map(np.concatenate, zip(*draws))
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    az = mean_az[cluster] + az_off
+    el = (mean_el[cluster] + el_off).clip(-np.pi / 2, np.pi / 2)
+    local = np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+    frame = _aim_frame(TX.as_array(), anchor.as_array())
+    xyz = TX.as_array()[:, None] + ranges[cluster] * (frame.T @ local)
+    rel = [xyz - end.as_array()[:, None] for end in (TX, anchor, *receivers)]
+    return [xyz.T, gains] + [np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) for r in rel]
+
+
+@pytest.mark.parametrize("env, frozen", [
+    (EnvironmentConfig(), False), (EnvironmentConfig(include_scatter=False), False),
+    (EnvironmentConfig(elevation_spread_deg=80.0), False),
+    (EnvironmentConfig(min_range_m=200.0), False), (EnvironmentConfig(), True),
+], ids=["default", "no_scatter", "clipped_elevations", "range_past_span", "frozen"])
+def test_raw_variates_place_with_the_samplers_bits(env, frozen):
+    """The raw variates, mapped per block, give every placed array the bits
+    of numpy's uniform and normal samplers, and leave each stream where
+    those samplers leave it.  Frozen trials redraw only the base draws'
+    gains, as complex_normal does."""
+    receivers = [RX, Point3(70.0, 32.0, 1.0)]
+    if frozen:
+        base_new = sample_clusters(env, TX, SURFACE, np.random.default_rng(10**6))
+        base_old = _sampler_draws(env, SURFACE, np.random.default_rng(10**6))
+    no_draws = [np.empty(0, dtype=int)] + [np.empty(0)] * 5 + [np.empty(0, dtype=complex)]
+    new, old = [], []
+    for seed in range(200):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        if frozen:
+            new.append(base_new.with_fresh_gains(rng_new))
+            old.append(base_old[:6] + [_sampler_gains(rng_old, len(base_new))])
+        else:
+            new.append(sample_clusters(env, TX, SURFACE, rng_new))
+            old.append(_sampler_draws(env, SURFACE, rng_old) if env.include_scatter
+                       else no_draws)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    placed = place_clusters(new, TX, SURFACE, receivers)
+    assert placed.edges == np.cumsum([0] + [d[0].sum() for d in old]).tolist()
+    assert (len(placed.gains) > 0) == env.include_scatter
+    got = [placed.positions, placed.gains, placed.d_from_tx, placed.d_to_surface,
+           *placed.d_to_rx]
+    want = _sampler_placement(old, SURFACE, receivers)
+    assert len(got) == len(want) == 6
+    for name, a, b in zip(["positions", "gains", "d_from_tx", "d_to_surface",
+                           "d_to_rx[0]", "d_to_rx[1]"], got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name

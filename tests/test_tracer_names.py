@@ -37,4 +37,6 @@ def test_tx_ris_channel_binds_what_the_tracer_counts():
                             np.random.default_rng(1))
     bound = inspect.signature(tx_ris_channel).bind(ris, draws, *[None] * 5)
     assert bound.arguments["ris"] is ris and bound.arguments["clusters"] is draws
-    assert _tracing()._element_paths(bound, None) == (len(draws.gains) + 1) * 16
+    scatterers = int(draws.sizes.sum())
+    assert scatterers > 0
+    assert _tracing()._element_paths(bound, None) == (scatterers + 1) * 16
