@@ -116,16 +116,14 @@ class ClusterDraws:
 _NO_VARIATES = (np.empty(0, dtype=int), np.empty((3, 0)), np.empty((4, 0)))
 
 
-def sample_clusters(
-    cfg: EnvironmentConfig, tx: Point3, anchor: Point3, rng: np.random.Generator,
-) -> ClusterDraws:
+def sample_clusters(cfg: EnvironmentConfig, rng: np.random.Generator) -> ClusterDraws:
     """Draw one cluster realization's raw variates, in the order numpy's
     samplers drew them: the cluster count (poisson) and sizes (integers),
-    then every uniform and every normal in one call each; place_clusters
-    maps them along the tx -> anchor sightline."""
+    then every uniform and every normal in one call each.  No geometry is
+    read: place_clusters maps them along a tx -> anchor sightline, and
+    raises there if the two coincide."""
     if not cfg.include_scatter:
         return ClusterDraws(*_NO_VARIATES, cfg)
-    _anchor(tx, anchor)   # raises if tx and anchor coincide
     n_clusters = max(1, int(rng.poisson(cfg.mean_clusters)))
     sizes = rng.integers(1, cfg.max_scatterers_per_cluster + 1, size=n_clusters)
     return ClusterDraws(sizes, rng.random((3, n_clusters)),

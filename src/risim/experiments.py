@@ -4,10 +4,11 @@ canned experiment geometries, and result serialization.
 Reproducibility contract: every random draw of a run comes from a stream
 derived statelessly from (master_seed, sweep_index, trial, component), so
 a trial's draws do not depend on the trial count or on the order trials run.
-Each stream is PCG64 seeded by SeedSequence(entropy=key), bit for bit; the
-seed words of a whole block's streams come from one vectorized pass of
-SeedSequence's hash per key width (stream_states), and derived_rng turns
-one row of them into a generator.  The tests compare every row with
+Each stream is PCG64 seeded by SeedSequence(entropy=key), bit for bit, for
+a key (master_seed, sweep_index, t, *tag) with one-word trial and tag ints.
+stream_states derives the seed words of a range of trials times an array
+of tags in one vectorized pass of SeedSequence's hash, and derived_rng
+turns one of them into a generator.  The tests compare every stream with
 numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
@@ -92,7 +93,7 @@ class ScenarioConfig:
         self.ris_list = list(self.ris_list)
 
 
-# Resource bounds.  bootstrap_mean_ci draws a (1000, n_trials) int64 index
+# Resource bounds.  bootstrap_mean_ci draws an (N_BOOT, n_trials) int64 index
 # array, 0.8 GB at MAX_TRIALS, and gathers its samples 2 MiB at a time; at
 # MAX_USERS, h_eff is 410 MB.  run_scenario keeps a block of up to
 # TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
@@ -411,32 +412,26 @@ def _words(n) -> list[int]:
     return words
 
 
-def stream_states(master_seed: int, sweep_index: int, keys) -> np.ndarray:
-    """PCG64 seed words of the streams keyed (master_seed, sweep_index,
-    *key), one (4,) uint64 row per key of keys, in order.
+def stream_states(master_seed: int, sweep_index: int, trials: range,
+                  tags: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of the streams keyed (master_seed, sweep_index, t,
+    *tag), for t in trials and tag a row of the (G, w) integer array tags,
+    as a (len(trials), G, 4) uint64 array.
 
-    Row i is SeedSequence(entropy=(master_seed, sweep_index, *keys[i]))
-    .generate_state(4, np.uint64), bit for bit: each int splits into
-    little-endian uint32 words, a negative one raises ValueError, and the
-    hash runs as one vectorized pass per distinct word count.  keys is a
-    sequence of int tuples (trial, *tags), or a 2-D integer array with one
-    key per row; an array of one-word ints skips the per-int split.  The
-    tests compare rows with numpy's own SeedSequence, so a numpy change to
-    its hash shows there."""
+    Entry [i, g] is SeedSequence(entropy=(master_seed, sweep_index,
+    trials[i], *tags[g])).generate_state(4, np.uint64), bit for bit, from
+    one vectorized pass of the hash over every key.  The seed and sweep
+    index split into little-endian uint32 words, and a negative one raises
+    ValueError; each trial and tag entry is one word, below 2**32.  The tests
+    compare entries with numpy's own SeedSequence, so a numpy change to its
+    hash shows there."""
     prefix = _words(master_seed) + _words(sweep_index)
-    if (isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.size
-            and keys.dtype.kind in "iu"
-            and keys.min() >= 0 and keys.max() <= _MASK32):
-        words = np.empty((len(prefix) + keys.shape[1], len(keys)), dtype=np.uint32)
-        words[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-        words[len(prefix):] = keys.T
-        return _pool_states(words)
-    rows = [prefix + [w for n in key for w in _words(n)] for key in keys]
-    states = np.empty((len(rows), 4), dtype=np.uint64)
-    for n_words in {len(row) for row in rows}:
-        at = [i for i, row in enumerate(rows) if len(row) == n_words]
-        states[at] = _pool_states(np.array([rows[i] for i in at], dtype=np.uint32).T)
-    return states
+    n_tags, width = tags.shape
+    words = np.empty((len(prefix) + 1 + width, len(trials), n_tags), dtype=np.uint32)
+    words[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None, None]
+    words[len(prefix)] = np.arange(trials.start, trials.stop, trials.step)[:, None]
+    words[len(prefix) + 1:] = tags.T[:, None]
+    return _pool_states(words.reshape(len(words), -1)).reshape(len(trials), n_tags, 4)
 
 
 @functools.cache
@@ -462,29 +457,15 @@ def _seed_words() -> type:
 def derived_rng(state) -> np.random.Generator:
     """Counter-style stream: one generator per (run, trial, component).
 
-    state is its row of stream_states, whose one vectorized pass derives a
-    whole block's rows, so the generator is PCG64 seeded by
-    SeedSequence(entropy=(master_seed, sweep_index, *key)), bit for bit,
+    state is its (4,) entry of stream_states, whose one vectorized pass
+    derives a whole block's entries, so the generator is PCG64 seeded by
+    SeedSequence(entropy=(master_seed, sweep_index, t, *tag)), bit for bit,
     without a SeedSequence of its own.  The tests check that equality
     against numpy's SeedSequence."""
     state = np.ascontiguousarray(state, dtype=np.uint64)
     if state.shape != (4,):
         raise ValueError(f"a stream state is 4 uint64 words, got {state.shape}")
     return np.random.Generator(np.random.PCG64(_seed_words()(state)))
-
-
-def _trial_states(seed: int, sweep: int, trials: range, tags: np.ndarray,
-                  run_keys: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Stream states of every key (t, *tag), t in trials, as a (len(trials),
-    len(tags), 4) array, and those of run_keys after them: one pass."""
-    t = np.arange(trials.start, trials.stop)
-    keys = np.column_stack([t.repeat(len(tags)), np.tile(tags, (len(t), 1))])
-    cut = len(keys)
-    if run_keys is not None:
-        keys = np.concatenate([keys, run_keys])
-    states = stream_states(seed, sweep, keys)
-    return states[:cut].reshape(len(trials), len(tags), 4), states[cut:]
 
 
 def _block_size(n_users: int, elements: list[int], n_scatterers: float = 0.0) -> int:
@@ -547,23 +528,25 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los) for rx in receivers]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
-    # tx->surface and direct links, four for surface->rx.  One stream_states
-    # pass per key width and block; the run's own streams (frozen geometry,
-    # bootstrap) join the first block's three-int pass.
+    # tx->surface and direct links, four for surface->rx, one stream_states
+    # pass per key width and block.  The run's own streams, frozen geometry
+    # (0, 5, m) and bootstrap (0, 6, u), take one pass before the blocks.
     n_anchors, n_surfaces = len(anchors), len(surfaces)
     tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
                     + [(_TX_RIS, m) for m in range(n_surfaces)]
                     + [(_DIRECT, u) for u in range(n_users)])
     rx_tags = np.array([(_RIS_RX, m, u) for u in range(n_users)
-                        for m in range(n_surfaces)]).reshape(-1, 3)
+                        for m in range(n_surfaces)])
     frozen = [] if cfg.resample_geometry else list(range(n_anchors))
-    run_keys = np.array([(0, _BASE_GEOMETRY, m) for m in frozen]
-                        + [(0, _BOOTSTRAP, u) for u in range(n_users)])
+    run_states = stream_states(seed, sweep, range(1), np.array(
+        [(_BASE_GEOMETRY, m) for m in frozen] + [(_BOOTSTRAP, u) for u in range(n_users)]))[0]
+    base = [sample_clusters(cfg.env, derived_rng(run_states[m])) for m in frozen]
+    boot_states = run_states[len(frozen):]
 
     def draw(m: int, rng: np.random.Generator) -> ClusterDraws:
         """One trial's draws of anchor m: fresh, or the base draws with fresh gains."""
         if cfg.resample_geometry:
-            return sample_clusters(cfg.env, cfg.tx, anchors[m], rng)
+            return sample_clusters(cfg.env, rng)
         return base[m].with_fresh_gains(rng)
 
     # one element axis: every surface's lattice scan, concatenated; element k
@@ -593,15 +576,9 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
-        states, run_states = _trial_states(seed, sweep, trials, tags,
-                                           run_keys if start == 0 else None)
-        if start == 0:
-            boot_states = run_states[len(frozen):]
-            base = [sample_clusters(cfg.env, cfg.tx, anchors[m], derived_rng(run_states[m]))
-                    for m in frozen]
-        cluster_st, tx_st, direct_st = np.split(
-            states, [n_anchors, n_anchors + n_surfaces], axis=1)
-        rx_st = _trial_states(seed, sweep, trials, rx_tags)[0].reshape(
+        cluster_st, tx_st, direct_st = np.split(stream_states(seed, sweep, trials, tags),
+                                                [n_anchors, n_anchors + n_surfaces], axis=1)
+        rx_st = stream_states(seed, sweep, trials, rx_tags).reshape(
             n, n_users, n_surfaces, 4) if surfaces else None
 
         # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
@@ -669,8 +646,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
         res.rate_ci_low, res.rate_ci_high = bootstrap_mean_ci(
-            res.rate_samples, n_boot=1000,
-            rng=derived_rng(boot_states[u]))
+            res.rate_samples, rng=derived_rng(boot_states[u]))
         results.append(res)
     return results
 

@@ -79,24 +79,22 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GATHER_BYTES = 1 << 21   # resampled floats gathered at a time, as run_scenario's blocks
+N_BOOT = 1000
+CONFIDENCE = 0.95
 
 
-def bootstrap_mean_ci(
-    samples: np.ndarray,
-    rng: np.random.Generator,
-    n_boot: int = 1000,
-    confidence: float = 0.95,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the sample mean, resampled from rng
-    (each run passes its own stream).  A row's mean sums that row alone, so
-    gathering _GATHER_BYTES of rows at a time keeps its bits."""
+def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap interval for the sample mean at CONFIDENCE, from
+    N_BOOT resamples drawn from rng (each run passes its own stream).  A
+    row's mean sums that row alone, so gathering _GATHER_BYTES of rows at a
+    time keeps its bits."""
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("bootstrap needs at least one sample")
-    idx = rng.integers(0, len(samples), size=(n_boot, len(samples)))
+    idx = rng.integers(0, len(samples), size=(N_BOOT, len(samples)))
     rows = max(1, _GATHER_BYTES // (samples.itemsize * len(samples)))
     means = np.concatenate([samples[idx[r:r + rows]].mean(axis=1)
-                            for r in range(0, n_boot, rows)])
-    tail = (1.0 - confidence) / 2.0
+                            for r in range(0, N_BOOT, rows)])
+    tail = (1.0 - CONFIDENCE) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return float(lo), float(hi)

@@ -85,14 +85,14 @@ def wavenumber(freq_hz: float) -> float:
     return 2.0 * np.pi / wavelength(freq_hz)
 
 
-def pathloss_db(params: PathlossParams, dist_m, shadow_db=0.0):
+def pathloss_db(params: PathlossParams, dist_m):
     """Pathloss in dB (negative = attenuation). Accepts scalar or array distance."""
     d = np.asarray(dist_m, dtype=float)
     # initial=1.0 passes an empty array; a nan fails every comparison
     if not 0.0 < d.min(initial=1.0) <= d.max(initial=1.0) < math.inf:
         raise ValueError("pathloss requires a positive, finite distance")
     lam = wavelength(params.freq_hz)
-    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * params.slope * np.log10(d) - shadow_db
+    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * params.slope * np.log10(d)
     return out if out.ndim else float(out)
 
 

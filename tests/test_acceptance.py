@@ -126,8 +126,8 @@ def test_04_cascade_power_scales_with_aperture_squared():
     # the element count must multiply the cascaded power by 16
     rx, surface = Point3(*RX_MAIN[0]), Point3(75.0, 30.0, 2.0)
     no_scatter = place_clusters([sample_clusters(
-        EnvironmentConfig(include_scatter=False), TX, surface,
-        np.random.default_rng(0))], TX, surface, [rx])
+        EnvironmentConfig(include_scatter=False), np.random.default_rng(0))],
+        TX, surface, [rx])
     powers = {}
     for n in (64, 256):
         ris = RisDescriptor(position=surface, n_elements=n)

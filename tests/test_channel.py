@@ -29,7 +29,7 @@ NEVER = LosModel(mode=LosMode.NEVER)
 
 def _placed(tx, surface, rx, seed, env=EnvironmentConfig()):
     """One trial's clusters anchored on surface, placed and seen from rx."""
-    draws = sample_clusters(env, tx, surface, np.random.default_rng(seed))
+    draws = sample_clusters(env, np.random.default_rng(seed))
     return place_clusters([draws], tx, surface, [rx])
 
 
@@ -264,8 +264,7 @@ def test_links_take_their_part_of_block_paths():
     for env, shadow in ((EnvironmentConfig(), True), (EnvironmentConfig(), False),
                         (EnvironmentConfig(include_scatter=False), True)):
         for ris in surfaces:
-            draws = [sample_clusters(env, tx, ris.position, np.random.default_rng((5, i)))
-                     for i in range(7)]
+            draws = [sample_clusters(env, np.random.default_rng((5, i))) for i in range(7)]
             placed = place_clusters(draws, tx, ris.position, [rx])
             sizes = np.diff(placed.edges)
             assert len(set(sizes)) > 1 if env.include_scatter else not sizes.any()

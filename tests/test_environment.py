@@ -19,8 +19,7 @@ RX = Point3(75.0, 35.0, 1.0)
 
 
 def _draw(seed=0, **cfg_kwargs):
-    return sample_clusters(EnvironmentConfig(**cfg_kwargs), TX, SURFACE,
-                           np.random.default_rng(seed))
+    return sample_clusters(EnvironmentConfig(**cfg_kwargs), np.random.default_rng(seed))
 
 
 def _sample(seed=0, **cfg_kwargs):
@@ -62,8 +61,7 @@ def test_cluster_count_mean():
     = 3 + exp(-3)."""
     rng = np.random.default_rng(99)
     cfg = EnvironmentConfig(max_scatterers_per_cluster=2)  # keep draws cheap
-    counts = [len(sample_clusters(cfg, TX, SURFACE, rng).sizes)
-              for _ in range(10_000)]
+    counts = [len(sample_clusters(cfg, rng).sizes) for _ in range(10_000)]
     assert np.mean(counts) == pytest.approx(3.0 + math.exp(-3.0), rel=0.03)
 
 
@@ -137,9 +135,7 @@ def test_excess_phase_cases():
 
 
 def test_degenerate_geometry_raises():
-    with pytest.raises(ValueError):
-        sample_clusters(EnvironmentConfig(), TX, TX, np.random.default_rng(0))
-    draws = sample_clusters(EnvironmentConfig(), TX, SURFACE, np.random.default_rng(0))
+    draws = sample_clusters(EnvironmentConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         place_clusters([draws], TX, TX, [RX])
 
@@ -189,12 +185,12 @@ def test_aim_frame_matches_cross_product_construction():
 
 
 def test_draw_record_counts_its_scatterers():
-    draws = sample_clusters(EnvironmentConfig(), TX, SURFACE, np.random.default_rng(3))
+    draws = sample_clusters(EnvironmentConfig(), np.random.default_rng(3))
     assert isinstance(draws, ClusterDraws)
     assert len(draws) == draws.sizes.sum() > 0
     assert draws.uniforms.shape == (3, len(draws.sizes))
     assert draws.normals.shape == (4, len(draws))
-    assert len(sample_clusters(EnvironmentConfig(include_scatter=False), TX, SURFACE,
+    assert len(sample_clusters(EnvironmentConfig(include_scatter=False),
                                np.random.default_rng(3))) == 0
 
 
@@ -209,8 +205,7 @@ _FIELDS = ("positions", "gains", "d_from_tx", "d_to_surface")
                          ids=["anchor_a", "anchor_b"])
 def test_a_block_places_each_trial_as_it_places_alone(env, anchor):
     receivers = [RX, Point3(70.0, 32.0, 1.0)]
-    draws = [sample_clusters(env, TX, anchor, np.random.default_rng(seed))
-             for seed in range(30)]
+    draws = [sample_clusters(env, np.random.default_rng(seed)) for seed in range(30)]
     if env.elevation_spread_deg > 45.0:   # some elevations reach the clip
         el_lim = math.radians(env.cluster_elevation_limit_deg)
         spread = math.radians(env.elevation_spread_deg)
@@ -288,7 +283,7 @@ def test_raw_variates_place_with_the_samplers_bits(env, frozen):
     gains, as complex_normal does."""
     receivers = [RX, Point3(70.0, 32.0, 1.0)]
     if frozen:
-        base_new = sample_clusters(env, TX, SURFACE, np.random.default_rng(10**6))
+        base_new = sample_clusters(env, np.random.default_rng(10**6))
         base_old = _sampler_draws(env, SURFACE, np.random.default_rng(10**6))
     no_draws = [np.empty(0, dtype=int)] + [np.empty(0)] * 5 + [np.empty(0, dtype=complex)]
     new, old = [], []
@@ -298,7 +293,7 @@ def test_raw_variates_place_with_the_samplers_bits(env, frozen):
             new.append(base_new.with_fresh_gains(rng_new))
             old.append(base_old[:6] + [_sampler_gains(rng_old, len(base_new))])
         else:
-            new.append(sample_clusters(env, TX, SURFACE, rng_new))
+            new.append(sample_clusters(env, rng_new))
             old.append(_sampler_draws(env, SURFACE, rng_old) if env.include_scatter
                        else no_draws)
         assert rng_new.bit_generator.state == rng_old.bit_generator.state

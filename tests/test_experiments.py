@@ -419,9 +419,10 @@ def test_write_metadata_echoes_config(tmp_path):
         == scenario_to_dict(cfg)
 
 
-def _stream(master_seed, sweep_index, *tail):
-    """derived_rng on the stream keyed (master_seed, sweep_index, *tail)."""
-    return derived_rng(stream_states(master_seed, sweep_index, [tail])[0])
+def _stream(master_seed, sweep_index, t, *tag):
+    """derived_rng on the stream keyed (master_seed, sweep_index, t, *tag)."""
+    tags = np.array([tag], dtype=np.int64)
+    return derived_rng(stream_states(master_seed, sweep_index, range(t, t + 1), tags)[0, 0])
 
 
 def test_derived_rng_streams():
@@ -432,14 +433,14 @@ def test_derived_rng_streams():
     assert a != _stream(1, 1, 5, 2, 0).random()
     assert a != _stream(2, 0, 5, 2, 0).random()
     # each stream is PCG64 seeded by SeedSequence(entropy=key) as a tuple
-    for key in [(0, 0, 0, 1, 0), (2 ** 32 - 1, 3, 2 ** 32, 2, 2 ** 64 + 5),
+    for key in [(0, 0, 0, 1, 0), (2 ** 32 - 1, 3, 2 ** 32 - 1, 2, 2 ** 32 - 1),
                 (123456789012345678901, 0, 7, 5, 0),
                 (2 ** 32, 2 ** 64 + 5, 0, 6, 2 ** 32 - 1)]:
         want = np.random.default_rng(np.random.SeedSequence(entropy=key))
         got = _stream(*key)
         assert got.bit_generator.state == want.bit_generator.state, key
         np.testing.assert_array_equal(got.random(8), want.random(8))
-    for key in [(-1, 0, 0, 1), (1, 0, -5, 2), (1, 0, 0, 3, -1)]:
+    for key in [(-1, 0, 0, 1), (1, -1, 0, 1)]:
         with pytest.raises(ValueError):
             _stream(*key)
 
@@ -453,48 +454,44 @@ def _assert_seed_sequence_stream(key, state):
 
 @pytest.mark.parametrize("n_words", range(4, 10))
 def test_stream_states_match_seed_sequence(n_words):
-    # random one-word keys, as an integer array and as int tuples
+    # random one-word seed, sweep and tags, on a block of trials past 0
     draw = np.random.default_rng(n_words)
     seed, sweep = (int(w) for w in draw.integers(0, 2 ** 32, size=2))
-    tails = draw.integers(0, 2 ** 32, size=(16, n_words - 2))
-    tails[0], tails[1] = 0, 2 ** 32 - 1
-    states = stream_states(seed, sweep, tails)
-    assert states.shape == (16, 4) and states.dtype == np.uint64
-    np.testing.assert_array_equal(
-        stream_states(seed, sweep, [tuple(t) for t in tails.tolist()]), states)
-    for tail, state in zip(tails.tolist(), states):
-        _assert_seed_sequence_stream((seed, sweep, *tail), state)
+    tags = draw.integers(0, 2 ** 32, size=(4, n_words - 3))
+    tags[0], tags[1] = 0, 2 ** 32 - 1
+    trials = range(61, 65)
+    states = stream_states(seed, sweep, trials, tags)
+    assert states.shape == (4, 4, 4) and states.dtype == np.uint64
+    for t, row in zip(trials, states):
+        for tag, state in zip(tags.tolist(), row):
+            _assert_seed_sequence_stream((seed, sweep, t, *tag), state)
 
 
-_TRICKY = [2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 123456789012345678901]
+_TRICKY = [0, 7, 2 ** 31, 2 ** 32 - 1]   # one-word trial and tag ints
 
 
 @pytest.mark.parametrize("seed, sweep", [(1, 0), (2 ** 32 - 1, 2 ** 32),
                                          (123456789012345678901, 2 ** 64 + 5)])
 def test_stream_states_of_a_key_do_not_depend_on_its_batch(seed, sweep):
-    tails = [(), (7,), (5, 2, 0), (5, 3, 0, 1), tuple(_TRICKY), (0,) * 7,
-             *[(v,) for v in _TRICKY], *[(3, v, 2) for v in _TRICKY]]
-    alone = [stream_states(seed, sweep, [tail])[0] for tail in tails]
-    for tail, state in zip(tails, alone):
-        _assert_seed_sequence_stream((seed, sweep, *tail), state)
-    # shuffled, the batch mixes word counts from 2 + words(seed, sweep) up
-    order = np.random.default_rng(seed % 1000).permutation(len(tails))
-    batch = stream_states(seed, sweep, [tails[i] for i in order])
-    np.testing.assert_array_equal(batch, np.array(alone)[order])
-    # an integer array past one word per int takes the general path
-    wide = np.array([(5, 2, 2 ** 64 - 1), (5, 2, 0)], dtype=np.uint64)
-    np.testing.assert_array_equal(
-        stream_states(seed, sweep, wide),
-        stream_states(seed, sweep, [(5, 2, 2 ** 64 - 1), (5, 2, 0)]))
+    # tags 0 to 6 wide: keys from under the 4-word pool to past it
+    for width in range(7):
+        tags = np.random.default_rng(width).choice(_TRICKY, size=(3, width))
+        trials = range(2 ** 32 - 4, 2 ** 32)
+        batch = stream_states(seed, sweep, trials, tags)
+        for i, t in enumerate(trials):
+            for g, tag in enumerate(tags.tolist()):
+                alone = stream_states(seed, sweep, range(t, t + 1), tags[g:g + 1])
+                np.testing.assert_array_equal(alone[0, 0], batch[i, g])
+                _assert_seed_sequence_stream((seed, sweep, t, *tag), alone[0, 0])
+        # a block past 0 takes the entries its trials get in a block from 0
+        np.testing.assert_array_equal(stream_states(seed, sweep, range(61, 70), tags),
+                                      stream_states(seed, sweep, range(70), tags)[61:])
 
 
-@pytest.mark.parametrize("seed, sweep, keys", [
-    (-1, 0, [(0, 1)]), (1, -1, [(0, 1)]), (1, 0, [(5, 2, 0), (0, -3)]),
-    (1, 0, np.array([[5, 2, 0], [5, -2, 0]])),
-], ids=["seed", "sweep", "tuple", "array"])
-def test_stream_states_reject_negative_components(seed, sweep, keys):
+@pytest.mark.parametrize("seed, sweep", [(-1, 0), (1, -1)], ids=["seed", "sweep"])
+def test_stream_states_reject_negative_components(seed, sweep):
     with pytest.raises(ValueError):
-        stream_states(seed, sweep, keys)
+        stream_states(seed, sweep, range(1), np.array([(0, 1)]))
 
 
 _TWO_SURFACES = [
@@ -613,8 +610,8 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     def placed(m, draws):
         return place_clusters([draws], cfg.tx, anchors[m], [])   # direct_channel takes rx
 
-    base = [placed(m, sample_clusters(env, cfg.tx, a, rng(0, 5, m)))
-            for m, a in enumerate(anchors)] if not cfg.resample_geometry else None
+    base = [placed(m, sample_clusters(env, rng(0, 5, m)))
+            for m in range(len(anchors))] if not cfg.resample_geometry else None
     owner = np.concatenate([partition_elements(r.n_elements, len(users)) for r in surfaces]
                            + [np.empty(0, dtype=int)])
     amplitude = np.repeat([r.amplitude for r in surfaces], [r.n_elements for r in surfaces])
@@ -623,8 +620,8 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     h_eff = []
     for t in range(cfg.n_trials):
         if cfg.resample_geometry:
-            places = [placed(m, sample_clusters(env, cfg.tx, a, rng(t, 1, m)))
-                      for m, a in enumerate(anchors)]
+            places = [placed(m, sample_clusters(env, rng(t, 1, m)))
+                      for m in range(len(anchors))]
         else:   # fresh gains on the base geometry
             places = [p._replace(gains=complex_normal(rng(t, 1, m), size=len(p.gains)))
                       for m, p in enumerate(base)]
@@ -726,13 +723,14 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert _end_states(monkeypatch, cfg(256, 0.0)) == base
     assert _end_states(monkeypatch, cfg(16, -0.5)) == base
     # the streams are those of the documented keys (t, tag, surface[, user])
-    tails = [(0, 6, u) for u in range(2)] + [
-        key for t in range(12) for key in
-        [(t, 1, m) for m in range(2)] + [(t, 2, m) for m in range(2)]
-        + [(t, 3, m, u) for m in range(2) for u in range(2)]
-        + [(t, 4, u) for u in range(2)]]
     seed = cfg(16, 0.0).master_seed
-    assert {s.tobytes() for s in stream_states(seed, 0, tails)} == set(base)
+    keys = [(range(1), [(6, u) for u in range(2)]),
+            (range(12), [(tag, m) for tag in (1, 2) for m in range(2)]
+             + [(4, u) for u in range(2)]),
+            (range(12), [(3, m, u) for m in range(2) for u in range(2)])]
+    assert {s.tobytes() for trials, tags in keys
+            for s in stream_states(seed, 0, trials, np.array(tags)).reshape(-1, 4)} \
+        == set(base)
 
 
 def test_offblock_choice_changes_multiuser_rates():
