@@ -104,7 +104,10 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0   # 10^(x/20) = exp(x * _NEPERS_PER_DB)
 class Sightline:
     """A sightline to one endpoint, less its per-trial draws: the hop
     distance, the unshadowed gain (pattern amplitude times 10^(loss/20),
-    loss pathloss_db(pl, distance)) and the fixed (N,) response, first 1."""
+    loss pathloss_db(pl, distance)) and the fixed (N,) response, first 1.
+    towards builds a surface's to several endpoints with one steering, ramp
+    and pathloss pass, elementwise, so each has the bits that between, its
+    one-endpoint case, gives that endpoint alone."""
 
     distance: float
     gain: float
@@ -112,11 +115,19 @@ class Sightline:
 
     @classmethod
     def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
-        d = distance(end, ris.position)
-        u = directions_to_targets(ris.position, ris.orient, end.as_array()[None, :])
+        return cls.towards(ris, [end], pl)[0]
+
+    @classmethod
+    def towards(cls, ris: RisDescriptor, ends: list[Point3], pl: PathlossParams):
+        d = [distance(end, ris.position) for end in ends]
+        u = directions_to_targets(ris.position, ris.orient, np.array([e.as_array() for e in ends]))
         ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl.freq_hz))
-        amp = _pattern_amp(float(u[0, 0] ** 2 + u[1, 0] ** 2), ris.pattern_exponent)
-        return cls(d, amp * 10.0 ** (pathloss_db(pl, d) / 20.0), (ez * ex.T).ravel())
+        resp = (ez.T[:, :, None] * ex.T[:, None, :]).reshape(len(ends), ris.n_elements)
+        # a float's ** 2 is libm's pow, whose last bit can differ from x * x
+        amps = [_pattern_amp(x ** 2 + y ** 2, ris.pattern_exponent) for x, y in u[:2].T.tolist()]
+        loss = pathloss_db(pl, d).tolist()
+        return [cls(dist, amp * 10.0 ** (db / 20.0), row)
+                for dist, amp, db, row in zip(d, amps, loss, resp)]
 
     @classmethod
     def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams):   # no pattern, one element
@@ -168,12 +179,13 @@ def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> n
     """(B,) direct links of B trials: trial i sums its weighted direct_paths
     paths[edges[i]:edges[i + 1]], each shadowed unless shadows is None, and
     adds link's coefficient for its row (visible, shadow_db, eta) of draws
-    where visible.  One reduceat takes every sum; a segment's sum does not
-    depend on where it sits, and an empty one would give a[i], not 0."""
+    where visible.  One reduceat over the non-empty segments takes every
+    sum, each free of where it sits; an empty one would give a[i], not 0."""
     terms = paths if shadows is None else paths * np.exp(shadows * -_NEPERS_PER_DB)
-    full = np.diff(edges) > 0
+    edges = np.asarray(edges)
+    full = edges[1:] > edges[:-1]
     total = np.zeros(len(full), dtype=complex)
-    total[full] = np.add.reduceat(terms, np.asarray(edges[:-1])[full])
+    total[full] = np.add.reduceat(terms, edges[:-1][full])
     visible, shadow, eta = np.asarray(draws, dtype=float).T
     return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
 

@@ -521,10 +521,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     # only the first anchor's clusters feed the direct links
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
     seed, sweep = cfg.master_seed, sweep_index
-    # what every sightline keeps from trial to trial, built once per run
-    tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los) for ris in surfaces]
-    rx_links = [[Sightline.between(ris, rx, cfg.pl_los) for ris in surfaces]
-                for rx in receivers]
+    # what every sightline keeps from trial to trial, one pass per surface and run
+    fans = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los) for ris in surfaces]
+    tx_links = [fan[0] for fan in fans]
+    rx_links = [[fan[1 + u] for fan in fans] for u in range(n_users)]
     direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los) for rx in receivers]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
@@ -535,6 +535,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
                     + [(_TX_RIS, m) for m in range(n_surfaces)]
                     + [(_DIRECT, u) for u in range(n_users)])
+    groups = (slice(0, n_anchors), slice(n_anchors, n_anchors + n_surfaces),
+              slice(n_anchors + n_surfaces, None))
     rx_tags = np.array([(_RIS_RX, m, u) for u in range(n_users)
                         for m in range(n_surfaces)])
     frozen = [] if cfg.resample_geometry else list(range(n_anchors))
@@ -576,8 +578,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
-        cluster_st, tx_st, direct_st = np.split(stream_states(seed, sweep, trials, tags),
-                                                [n_anchors, n_anchors + n_surfaces], axis=1)
+        states = stream_states(seed, sweep, trials, tags)
+        cluster_st, tx_st, direct_st = (states[:, group] for group in groups)
         rx_st = stream_states(seed, sweep, trials, rx_tags).reshape(
             n, n_users, n_surfaces, 4) if surfaces else None
 
@@ -622,8 +624,8 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         for u, link in enumerate(direct_links):
             h_d[:n, u] = direct_block(link, weights[0] * direct[u], at, shadows[u],
                                       direct_draws[:, u])
-        _, rx_shadow, rx_eta = np.moveaxis(   # surface -> receiver draws, (n, U, M) each
-            np.array(rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3), 3, 0)
+        _, rx_shadow, rx_eta = np.array(   # surface -> receiver draws, (n, U, M) each
+            rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3).transpose(3, 0, 1, 2)
         # user u's surface -> receiver link on surface m is c[:, m, u] times its resp
         c = np.empty((n, n_surfaces, n_users), dtype=complex)
         for u, m in np.ndindex(n_users, n_surfaces):

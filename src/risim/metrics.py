@@ -87,14 +87,25 @@ def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[fl
     """Percentile bootstrap interval for the sample mean at CONFIDENCE, from
     N_BOOT resamples drawn from rng (each run passes its own stream).  A
     row's mean sums that row alone, so gathering _GATHER_BYTES of rows at a
-    time keeps its bits."""
+    time keeps its bits.  The bounds are np.quantile's "linear" ones from one
+    partition: the order statistics either side of (N_BOOT - 1) q, mixed as
+    numpy's _lerp mixes them, and (nan, nan) if a mean is nan."""
     samples = np.asarray(samples, dtype=float)
-    if len(samples) == 0:
+    n = len(samples)
+    if n == 0:
         raise ValueError("bootstrap needs at least one sample")
-    idx = rng.integers(0, len(samples), size=(N_BOOT, len(samples)))
-    rows = max(1, _GATHER_BYTES // (samples.itemsize * len(samples)))
-    means = np.concatenate([samples[idx[r:r + rows]].mean(axis=1)
-                            for r in range(0, N_BOOT, rows)])
+    idx = rng.integers(0, n, size=(N_BOOT, n))
+    rows = max(1, _GATHER_BYTES // (samples.itemsize * n))
+    means = np.empty(N_BOOT)
+    for r in range(0, N_BOOT, rows):   # mean's own arithmetic: row sums, then / n
+        np.add.reduce(samples[idx[r:r + rows]], axis=1, out=means[r:r + rows])
+    means /= n
     tail = (1.0 - CONFIDENCE) / 2.0
-    lo, hi = np.quantile(means, [tail, 1.0 - tail])
+    at = (N_BOOT - 1) * np.array([tail, 1.0 - tail])
+    below = at.astype(np.intp)   # floor: at >= 0
+    means.partition(np.concatenate((below, below + 1, [N_BOOT - 1])))
+    if np.isnan(means[-1]):   # nan sorts last
+        return math.nan, math.nan
+    a, b, t = means[below], means[below + 1], at - below
+    lo, hi = np.where(t < 0.5, a + (b - a) * t, b - (b - a) * (1 - t))
     return float(lo), float(hi)

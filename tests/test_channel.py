@@ -232,6 +232,32 @@ def test_exact_grazing_has_no_pattern_gain():
             assert gain > 0.0 and scale[0] > 0.0
 
 
+@pytest.mark.parametrize("plane", [Plane.XZ, Plane.YZ])
+@pytest.mark.parametrize("tilt", [0.0, 1.2, -1.2])
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_sightlines_towards_several_ends_have_the_bits_of_each_alone(plane, tilt, n):
+    """Sightline.towards gives each endpoint the distance, gain and response
+    bits that between gives it alone: endpoints on both sides of the plane
+    (each with its mirror image), and one in the plane along the lattice's
+    z axis: at grazing when untilted, where the gain stays exactly 0."""
+    centre = Point3(75.0, 30.0, 2.0)
+    ris = RisDescriptor(position=centre, orient=Orientation(plane, tilt_rad=tilt),
+                        n_elements=n)
+    basis = surface_basis(ris.orient)
+    offsets = np.random.default_rng(n).normal(0.0, 20.0, size=(4, 3))
+    mirrored = offsets - 2.0 * np.outer(offsets @ basis[:, 1], basis[:, 1])
+    grazing = -3.0 * basis[:, 2]
+    ends = [Point3(*(centre.as_array() + d)) for d in [*offsets, *mirrored, grazing]]
+    links = Sightline.towards(ris, ends, LOS_73GHZ)
+    assert len(links) == len(ends)
+    for end, link in zip(ends, links):
+        alone = Sightline.between(ris, end, LOS_73GHZ)
+        assert (link.distance, link.gain) == (alone.distance, alone.gain)
+        assert link.resp.shape == (n,) and link.resp.tobytes() == alone.resp.tobytes()
+    if tilt == 0.0:
+        assert links[-1].gain == 0.0
+
+
 def test_scatterer_at_the_surface_centre_raises():
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
     cs = _placed(tx, surface, rx, 2)

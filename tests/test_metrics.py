@@ -220,6 +220,49 @@ def test_bootstrap_gathers_in_chunks_with_the_bits_of_one_gather(monkeypatch):
         assert list(bootstrap_mean_ci(samples, rng=np.random.default_rng(7))) == want
 
 
+def _numpy_bounds(samples, seed):
+    """np.quantile's bounds over the resampled means bootstrap_mean_ci draws
+    from default_rng(seed), each mean taken by ndarray.mean."""
+    n = len(samples)
+    idx = np.random.default_rng(seed).integers(0, n, size=(metrics.N_BOOT, n))
+    tail = (1.0 - metrics.CONFIDENCE) / 2.0
+    return np.quantile(samples[idx].mean(axis=1), [tail, 1.0 - tail])
+
+
+def _same_bits(got, want):
+    """Equal bits, any nan matching any nan."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    nan = np.isnan(got)
+    return (nan == np.isnan(want)).all() and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 2000, 2621, 2622])
+def test_bootstrap_bounds_have_the_bits_of_numpys_quantile(n):
+    """The one-partition bounds equal np.quantile's on continuous, tied
+    (rounded) and constant samples.  2621 samples gather 100 rows of
+    resamples at a time, ten even chunks; 2622 gather 99, with a ragged last."""
+    rng = np.random.default_rng(n)
+    continuous = rng.exponential(3.0, size=n)
+    for samples in (continuous, np.round(continuous), np.full(n, 0.7)):
+        for seed in (7, 8):
+            got = bootstrap_mean_ci(samples, rng=np.random.default_rng(seed))
+            assert _same_bits(got, _numpy_bounds(samples, seed))
+
+
+def test_bootstrap_bounds_of_nan_and_inf_samples_are_numpys():
+    """One nan among 200 samples makes both bounds nan, as np.quantile does
+    (a partition without the last index would miss it); an inf sample
+    gives np.quantile's bounds, inf - inf = nan included."""
+    samples = np.random.default_rng(5).random(200)
+    samples[17] = np.nan
+    got = bootstrap_mean_ci(samples, rng=np.random.default_rng(7))
+    assert np.isnan(got).all() and np.isnan(_numpy_bounds(samples, 7)).all()
+    samples[17] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = bootstrap_mean_ci(samples, rng=np.random.default_rng(7))
+        assert _same_bits(got, _numpy_bounds(samples, 7))
+
+
 def test_rate_samples_matches_definition():
     rng = np.random.default_rng(47)
     h = 1e-6 * (rng.normal(size=50) + 1j * rng.normal(size=50))
