@@ -105,9 +105,9 @@ class Sightline:
     """A sightline to one endpoint, less its per-trial draws: the hop
     distance, the unshadowed gain (pattern amplitude times 10^(loss/20),
     loss pathloss_db(pl, distance)) and the fixed (N,) response, first 1.
-    towards builds a surface's to several endpoints with one steering, ramp
-    and pathloss pass, elementwise, so each has the bits that between, its
-    one-endpoint case, gives that endpoint alone."""
+    towards builds one surface's sightlines to several endpoints in one
+    steering, ramp and pathloss pass, elementwise, so each has the bits that
+    between, its one-endpoint case, gives that endpoint alone."""
 
     distance: float
     gain: float

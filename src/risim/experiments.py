@@ -522,9 +522,9 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
     seed, sweep = cfg.master_seed, sweep_index
     # what every sightline keeps from trial to trial, one pass per surface and run
-    fans = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los) for ris in surfaces]
-    tx_links = [fan[0] for fan in fans]
-    rx_links = [[fan[1 + u] for fan in fans] for u in range(n_users)]
+    by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los) for ris in surfaces]
+    tx_links = [links[0] for links in by_surface]
+    rx_links = [[links[1 + u] for links in by_surface] for u in range(n_users)]
     direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los) for rx in receivers]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
