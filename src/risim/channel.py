@@ -16,10 +16,16 @@ run_scenario takes a whole block of surface -> receiver and direct draws at
 once, with the kernels that ris_rx_channel and direct_channel run on a
 block of one.
 
+Every builder takes the scenario's one carrier freq_hz, which sets the
+wavenumber and enters pathloss_db.  Every path is shadowed: a draw scales
+it by 10^(-shadow/20), and sigma = 0, which scales it by exactly 1, is how
+a link goes unshadowed; the shadow is drawn either way.
+
 The paper's element pattern convention: element_gain at the elevation, not
-off broadside, so a target behind the surface gets front-hemisphere gain;
-every link takes its root sqrt(2(2q+1)) cos^q(el) from _pattern_amp, with
-cos^2(el) = u_x^2 + u_y^2, which is exactly 0 at grazing.
+off broadside, so a target behind the surface gets front-hemisphere gain
+and a surface serves both half-spaces alike; every link takes its root
+sqrt(2(2q+1)) cos^q(el) from _pattern_amp, with cos^2(el) = u_x^2 + u_y^2,
+which is exactly 0 at grazing and even in the normal component u_y.
 """
 
 from __future__ import annotations
@@ -104,7 +110,8 @@ _NEPERS_PER_DB = math.log(10.0) / 20.0   # 10^(x/20) = exp(x * _NEPERS_PER_DB)
 class Sightline:
     """A sightline to one endpoint, less its per-trial draws: the hop
     distance, the unshadowed gain (pattern amplitude times 10^(loss/20),
-    loss pathloss_db(pl, distance)) and the fixed (N,) response, first 1.
+    loss pathloss_db(pl, freq_hz, distance)) and the fixed (N,) response,
+    first 1.
     towards builds one surface's sightlines to several endpoints in one
     steering, ramp and pathloss pass, elementwise, so each has the bits that
     between, its one-endpoint case, gives that endpoint alone."""
@@ -114,25 +121,26 @@ class Sightline:
     resp: np.ndarray
 
     @classmethod
-    def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams):
-        return cls.towards(ris, [end], pl)[0]
+    def between(cls, ris: RisDescriptor, end: Point3, pl: PathlossParams, freq_hz: float):
+        return cls.towards(ris, [end], pl, freq_hz)[0]
 
     @classmethod
-    def towards(cls, ris: RisDescriptor, ends: list[Point3], pl: PathlossParams):
+    def towards(cls, ris: RisDescriptor, ends: list[Point3], pl: PathlossParams,
+                freq_hz: float):
         d = [distance(end, ris.position) for end in ends]
         u = directions_to_targets(ris.position, ris.orient, np.array([e.as_array() for e in ends]))
-        ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(pl.freq_hz))
+        ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(freq_hz))
         resp = (ez.T[:, :, None] * ex.T[:, None, :]).reshape(len(ends), ris.n_elements)
         # a float's ** 2 is libm's pow, whose last bit can differ from x * x
         amps = [_pattern_amp(x ** 2 + y ** 2, ris.pattern_exponent) for x, y in u[:2].T.tolist()]
-        loss = pathloss_db(pl, d).tolist()
+        loss = pathloss_db(pl, freq_hz, d).tolist()
         return [cls(dist, amp * 10.0 ** (db / 20.0), row)
                 for dist, amp, db, row in zip(d, amps, loss, resp)]
 
     @classmethod
-    def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams):   # no pattern, one element
-        d = distance(tx, rx)
-        return cls(d, 10.0 ** (pathloss_db(pl, d) / 20.0), np.ones(1))
+    def direct(cls, tx: Point3, rx: Point3, pl: PathlossParams, freq_hz: float):
+        d = distance(tx, rx)   # no pattern, one element
+        return cls(d, 10.0 ** (pathloss_db(pl, freq_hz, d) / 20.0), np.ones(1))
 
     def coefficient(self, shadow_db, eta):
         """gain 10^(-shadow_db/20) e^{j eta}: the scale of the response for
@@ -141,47 +149,48 @@ class Sightline:
 
 
 def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
-                    shadow_los: bool = True, los: LosModel | None = None,
-                    end_z: float = 0.0, tx_z: float = 0.0) -> tuple[bool, float, float]:
+                    los: LosModel | None = None, end_z: float = 0.0,
+                    tx_z: float = 0.0) -> tuple[bool, float, float]:
     """(visible, shadow_db, eta) of one draw of link, in that order: visibility
     under los between heights end_z and tx_z (none without los), then if
-    visible the shadow, if shadow_los, and eta = 2 pi U, rng.uniform(0, 2 pi)'s bits."""
+    visible the shadow and eta = 2 pi U, rng.uniform(0, 2 pi)'s bits."""
     if los is not None and not los_indicator(los, link.distance, end_z, tx_z, rng):
         return False, 0.0, 0.0
-    shadow = sample_shadow(pl.shadow_sigma_db, rng) if shadow_los else 0.0
+    shadow = sample_shadow(pl.shadow_sigma_db, rng)
     return True, shadow, 2.0 * math.pi * rng.random()
 
 
 def surface_paths(ris: RisDescriptor, scatterers: Placement, pl_nlos: PathlossParams,
-                  k: float) -> tuple[np.ndarray, ...]:
+                  freq_hz: float) -> tuple[np.ndarray, ...]:
     """(scale, ez, ex) of the paths to the surface via a Placement's
     scatterers: the pattern amplitude times 10^(loss/20), loss
     unshadowed over d_from_tx + d_to_surface, and the ramps at their
     directions u.  Paths of weights w (normalization times gain) add up as
     (ez w scale) @ ex.T, each path shadowed by s scaled by 10^(-s/20)."""
     u = directions_to_targets(ris.position, ris.orient, scatterers.positions)
-    ex, ez = _lattice_factors(ris, u[2::-2], k)
-    loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + scatterers.d_to_surface)
+    ex, ez = _lattice_factors(ris, u[2::-2], wavenumber(freq_hz))
+    loss_db = pathloss_db(pl_nlos, freq_hz, scatterers.d_from_tx + scatterers.d_to_surface)
     return (_pattern_amp(u[0] * u[0] + u[1] * u[1], ris.pattern_exponent)
             * np.exp(loss_db * _NEPERS_PER_DB), ez, ex)
 
 
 def direct_paths(scatterers: Placement, d_to_rx: np.ndarray, pl_nlos: PathlossParams,
-                 k: float) -> np.ndarray:
+                 freq_hz: float) -> np.ndarray:
     """The direct paths via a Placement's scatterers to the receiver at
-    distances d_to_rx: exp(j k (d_to_surface - d_to_rx)) times
-    10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
-    loss_db = pathloss_db(pl_nlos, scatterers.d_from_tx + d_to_rx)
-    return np.exp(loss_db * _NEPERS_PER_DB + 1j * (k * (scatterers.d_to_surface - d_to_rx)))
+    distances d_to_rx: exp(j k (d_to_surface - d_to_rx)), k the carrier's
+    wavenumber, times 10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
+    loss_db = pathloss_db(pl_nlos, freq_hz, scatterers.d_from_tx + d_to_rx)
+    excess = wavenumber(freq_hz) * (scatterers.d_to_surface - d_to_rx)
+    return np.exp(loss_db * _NEPERS_PER_DB + 1j * excess)
 
 
 def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> np.ndarray:
     """(B,) direct links of B trials: trial i sums its weighted direct_paths
-    paths[edges[i]:edges[i + 1]], each shadowed unless shadows is None, and
+    paths[edges[i]:edges[i + 1]], each shadowed by its entry of shadows, and
     adds link's coefficient for its row (visible, shadow_db, eta) of draws
     where visible.  One reduceat over the non-empty segments takes every
     sum, each free of where it sits; an empty one would give a[i], not 0."""
-    terms = paths if shadows is None else paths * np.exp(shadows * -_NEPERS_PER_DB)
+    terms = paths * np.exp(shadows * -_NEPERS_PER_DB)
     edges = np.asarray(edges)
     full = edges[1:] > edges[:-1]
     total = np.zeros(len(full), dtype=complex)
@@ -204,9 +213,8 @@ def tx_ris_channel(
     pl_los: PathlossParams,
     pl_nlos: PathlossParams,
     los: LosModel,
+    freq_hz: float,
     rng: np.random.Generator,
-    shadow_scatter: bool = True,
-    shadow_los: bool = True,
     *, link: Sightline | None = None, paths: tuple | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
@@ -216,7 +224,7 @@ def tx_ris_channel(
     sqrt(loss_s) response(u_s) over the trial's S scatterers, u_s the unit
     vector to scatterer s and loss_s over the detour d_from_tx + d_to_surface;
     the sightline adds its coefficient, with a uniform random phase eta,
-    times its response if visible.  link, Sightline.between(ris, tx, pl_los),
+    times its response if visible.  link, Sightline.between(ris, tx, pl_los, freq_hz),
     and paths, the weighted surface_paths (ez w scale, ex) of clusters, one
     trial's Placement, are built here unless passed in; paths then carries
     the gains and its scatterer axis counts the scatter shadows, and
@@ -227,38 +235,35 @@ def tx_ris_channel(
     """
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
     if paths is None:
-        scale, ez, ex = surface_paths(ris, clusters, pl_nlos, wavenumber(pl_los.freq_hz))
+        scale, ez, ex = surface_paths(ris, clusters, pl_nlos, freq_hz)
         paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
     wz, ex = paths
-    if shadow_scatter:
-        shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=wz.shape[-1])
-        wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
+    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=wz.shape[-1])
+    wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 
-    link = link or Sightline.between(ris, tx, pl_los)
-    visible, shadow, eta = sightline_draws(link, pl_los, rng, shadow_los, los,
-                                           ris.position.z, tx.z)
+    link = link or Sightline.between(ris, tx, pl_los, freq_hz)
+    visible, shadow, eta = sightline_draws(link, pl_los, rng, los, ris.position.z, tx.z)
     if visible:
         h += link.coefficient(shadow, eta) * link.resp
     return h, visible
 
 
-def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams,
-                   rng: np.random.Generator, shadow_los: bool = True) -> np.ndarray:
+def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams, freq_hz: float,
+                   rng: np.random.Generator) -> np.ndarray:
     """(N,) surface -> receiver vector; this hop is modelled as pure sightline.
 
     Draw order on rng: shadow, eta.  run_scenario takes a block's responses,
     coefficient[:, None] * resp, at once; this takes them for a block of one.
     """
-    link = Sightline.between(ris, rx, pl)
-    _, shadow, eta = sightline_draws(link, pl, rng, shadow_los)
+    link = Sightline.between(ris, rx, pl, freq_hz)
+    _, shadow, eta = sightline_draws(link, pl, rng)
     return (link.coefficient(np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
 
 
 def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: PathlossParams,
-                   pl_nlos: PathlossParams, los: LosModel, k: float,
-                   rng: np.random.Generator, shadow_scatter: bool = True,
-                   shadow_los: bool = True) -> tuple[complex, bool]:
+                   pl_nlos: PathlossParams, los: LosModel, freq_hz: float,
+                   rng: np.random.Generator) -> tuple[complex, bool]:
     """Scalar transmitter -> receiver link sharing the surface's clusters.
 
     Each scatterer of one trial's Placement contributes its shared gain, a
@@ -268,11 +273,10 @@ def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: Pathloss
     than the surface does.  Draw order matches tx_ris_channel.  run_scenario
     takes a block's direct_block at once; this takes it for a block of one.
     """
-    link = Sightline.direct(tx, rx, pl_los)
+    link = Sightline.direct(tx, rx, pl_los, freq_hz)
     d_to_rx = row_norms(clusters.positions - rx.as_array())
-    paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, k)
-    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(paths)) \
-        if shadow_scatter else None
-    draws = sightline_draws(link, pl_los, rng, shadow_los, los, rx.z, tx.z)
+    paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, freq_hz)
+    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(paths))
+    draws = sightline_draws(link, pl_los, rng, los, rx.z, tx.z)
     total = direct_block(link, paths, [0, len(paths)], shadows, [draws])
     return complex(total[0]), draws[0]

@@ -12,6 +12,11 @@ turns one of them into a generator.  The tests compare every stream with
 numpy's own SeedSequence, so a numpy release that changed its hash would
 fail them rather than silently move the streams.
 
+The config states each physical fact once: one carrier, freq_hz, for every
+link, and shadowing on every link, with sigma = 0 the only way to turn it
+off.  A trial draws every shadow whatever its sigma, so a config's streams
+do not depend on its sigmas.
+
 run_scenario takes the trials in blocks (see the resource bounds for their
 size).  Per trial it only draws: raw cluster variates (sample_clusters, or
 fresh gain normals on frozen base draws), the surface links' shadows and
@@ -51,9 +56,7 @@ from .metrics import (  # effective_channel stays importable for perfbench's tra
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
 )
-from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavelength, wavenumber,
-)
+from .propagation import LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavelength
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
     combined_phase_vector, optimal_phases, partition_elements,
 )
@@ -73,6 +76,7 @@ class ScenarioConfig:
     rx: list[Point3]                      # one entry per user
     ris_list: list[RisDescriptor] = field(default_factory=list)
     env: EnvironmentConfig = field(default_factory=EnvironmentConfig)
+    freq_hz: float = 73e9                 # Hz, the carrier of every link
     pl_los: PathlossParams = LOS_73GHZ
     pl_nlos: PathlossParams = NLOS_73GHZ
     los_model: LosModel = field(default_factory=LosModel)
@@ -81,8 +85,6 @@ class ScenarioConfig:
     master_seed: int = 1
     direct_phase_sign: str = "paper"      # cascade at -arg h_d; "aligned": +arg h_d
     offblock: str = "include"             # other users' elements: include | exclude
-    shadow_scatter_paths: bool = True
-    shadow_los_paths: bool = True
     resample_geometry: bool = True        # fresh clusters every trial
 
     def __post_init__(self):
@@ -124,7 +126,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     """Collect every violation instead of stopping at the first.
 
     A config past a resource bound could not run at all: that raises
-    ConfigError instead."""
+    ConfigError instead.  Each bound is written so that nan fails it."""
     if cfg.n_trials > MAX_TRIALS:
         raise ConfigError(f"n_trials must be at most {MAX_TRIALS}, got {cfg.n_trials}")
     if len(cfg.rx) > MAX_USERS:
@@ -135,12 +137,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                               f"at most {MAX_ELEMENTS} are allowed")
     for label, p in [("tx", cfg.tx), *((f"rx[{u}]", r) for u, r in enumerate(cfg.rx)),
                      *((f"ris[{m}]", r.position) for m, r in enumerate(cfg.ris_list))]:
-        if max(abs(p.x), abs(p.y), abs(p.z)) > MAX_COORDINATE:
+        if not all(abs(c) <= MAX_COORDINATE for c in (p.x, p.y, p.z)):
             raise ConfigError(f"{label} coordinates must lie within ±{MAX_COORDINATE:g} m")
-    if cfg.env.min_range_m > MAX_COORDINATE:   # a cluster's range, as a coordinate
+    if not cfg.env.min_range_m <= MAX_COORDINATE:   # a cluster's range, as a coordinate
         raise ConfigError(f"env.min_range_m must be at most {MAX_COORDINATE:g} m, "
                           f"got {cfg.env.min_range_m:g}")
-    if (scatterers := _expected_scatterers(cfg.env)) > MAX_SCATTERERS:
+    if not (scatterers := _expected_scatterers(cfg.env)) <= MAX_SCATTERERS:
         raise ConfigError(f"env.mean_clusters and env.max_scatterers_per_cluster give "
                           f"{scatterers:.3g} expected scatterers a trial, "
                           f"at most {MAX_SCATTERERS} are allowed")
@@ -156,21 +158,18 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                       f"got {cfg.direct_phase_sign!r}")
     if cfg.offblock not in ("include", "exclude"):
         issues.append(f"offblock must be 'include' or 'exclude', got {cfg.offblock!r}")
-    if cfg.pl_los.freq_hz != cfg.pl_nlos.freq_hz:
-        issues.append("pl_los and pl_nlos must share one carrier frequency")
+    if not cfg.freq_hz >= MIN_FREQ_HZ:
+        issues.append(f"freq_hz must be at least {MIN_FREQ_HZ:g} Hz, got {cfg.freq_hz:g}")
     for name, pl in (("pl_los", cfg.pl_los), ("pl_nlos", cfg.pl_nlos)):
-        if pl.freq_hz < MIN_FREQ_HZ:
-            issues.append(f"{name}.freq_hz must be at least {MIN_FREQ_HZ:g} Hz, "
-                          f"got {pl.freq_hz:g}")
-        if pl.shadow_sigma_db > MAX_SHADOW_SIGMA_DB:
+        if not pl.shadow_sigma_db <= MAX_SHADOW_SIGMA_DB:
             issues.append(f"{name}.shadow_sigma_db must be at most "
                           f"{MAX_SHADOW_SIGMA_DB:g} dB, got {pl.shadow_sigma_db:g}")
-        if not 0.0 < pl.slope < math.inf:
+        if not 0.0 < (slope := pl.slope(cfg.freq_hz)) < math.inf:
             issues.append(f"{name}'s effective pathloss exponent, exponent x (1 + "
                           f"freq_dependence (freq_hz - ref_freq_hz) / ref_freq_hz), "
-                          f"must be finite and positive, got {pl.slope:g}")
+                          f"must be finite and positive, got {slope:g}")
     for name in ("tx_power_dbm", "noise_power_dbm"):
-        if abs(getattr(cfg.budget, name)) > MAX_POWER_DBM:
+        if not abs(getattr(cfg.budget, name)) <= MAX_POWER_DBM:
             issues.append(f"budget.{name} must lie within ±{MAX_POWER_DBM:g} dBm, "
                           f"got {getattr(cfg.budget, name):g}")
 
@@ -190,16 +189,16 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         for u, rx in enumerate(cfg.rx):
             if distance(rx, ris.position) == 0.0:
                 issues.append(f"ris[{m}] coincides with rx[{u}]")
-        if ris.pattern_exponent > MAX_PATTERN_EXPONENT:
+        if not ris.pattern_exponent <= MAX_PATTERN_EXPONENT:
             issues.append(f"ris[{m}].pattern_exponent must be at most "
                           f"{MAX_PATTERN_EXPONENT:g}, got {ris.pattern_exponent:g}")
         if len(cfg.rx) > ris.n_elements:
             issues.append(
                 f"ris[{m}] has {ris.n_elements} elements for {len(cfg.rx)} users")
-        pitch = ris.spacing if ris.spacing is not None else wavelength(cfg.pl_los.freq_hz) / 2
-        if pitch * ris.side > MAX_COORDINATE:
+        pitch = ris.spacing if ris.spacing is not None else wavelength(cfg.freq_hz) / 2
+        if not pitch * ris.side <= MAX_COORDINATE:
             issues.append(f"ris[{m}] lattice extent, spacing (or half the wavelength of "
-                          f"pl_los.freq_hz) x sqrt(n_elements), must be at most "
+                          f"freq_hz) x sqrt(n_elements), must be at most "
                           f"{MAX_COORDINATE:g} m, got {pitch * ris.side:g}")
     return issues
 
@@ -516,16 +515,16 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
     n_users = len(receivers)
-    k = wavenumber(cfg.pl_los.freq_hz)
     anchors = [r.position for r in surfaces] or [receivers[0]]
     # only the first anchor's clusters feed the direct links
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
     seed, sweep = cfg.master_seed, sweep_index
     # what every sightline keeps from trial to trial, one pass per surface and run
-    by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los) for ris in surfaces]
+    by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
+                  for ris in surfaces]
     tx_links = [links[0] for links in by_surface]
     rx_links = [[links[1 + u] for links in by_surface] for u in range(n_users)]
-    direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los) for rx in receivers]
+    direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz) for rx in receivers]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
     # tx->surface and direct links, four for surface->rx, one stream_states
@@ -574,7 +573,6 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     h = np.empty((block, edges[-1]), dtype=complex)
     h_d = np.empty((block, n_users), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
-    shadow_scatter, shadow_los = cfg.shadow_scatter_paths, cfg.shadow_los_paths
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
@@ -590,36 +588,33 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                  for m in range(n_anchors)]
         places = [place_clusters(d, cfg.tx, a, seen)
                   for d, a, seen in zip(draws, anchors, seen_by)]
-        surface = [surface_paths(r, p, cfg.pl_nlos, k) for r, p in zip(surfaces, places)]
-        direct = [direct_paths(places[0], d, cfg.pl_nlos, k) for d in places[0].d_to_rx]
+        surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
+        direct = [direct_paths(places[0], d, cfg.pl_nlos, cfg.freq_hz) for d in places[0].d_to_rx]
         weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
 
         at = places[0].edges
-        shadows = np.empty((n_users, at[-1])) if shadow_scatter else [None] * n_users
+        shadows = np.empty((n_users, at[-1]))
         rx_draws, direct_draws = [], []
         for i in range(n):
             for m, (ris, (wz, ex)) in enumerate(zip(surfaces, tx_paths)):
                 lo, hi = places[m].edges[i:i + 2]
                 tx_ris_channel(
                     ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
-                    derived_rng(tx_st[i, m]), shadow_scatter, shadow_los,
-                    link=tx_links[m], paths=(wz[:, lo:hi], ex[:, lo:hi]),
-                    out=h[i, cols[m]])
+                    cfg.freq_hz, derived_rng(tx_st[i, m]),
+                    link=tx_links[m], paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
             for u, rx in enumerate(receivers):
                 rx_draws += [sightline_draws(rx_links[u][m], cfg.pl_los,
-                                             derived_rng(rx_st[i, u, m]), shadow_los)
+                                             derived_rng(rx_st[i, u, m]))
                              for m in range(n_surfaces)]
                 rng = derived_rng(direct_st[i, u])
-                if shadow_scatter:   # N(0, 1) here, scaled per block below
-                    rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])
+                rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])   # scaled per block below
                 direct_draws.append(sightline_draws(
-                    direct_links[u], cfg.pl_los, rng, shadow_los, cfg.los_model,
-                    rx.z, cfg.tx.z))
+                    direct_links[u], cfg.pl_los, rng, cfg.los_model, rx.z, cfg.tx.z))
 
-        if shadow_scatter:   # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
-            shadows *= cfg.pl_nlos.shadow_sigma_db
+        # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
+        shadows *= cfg.pl_nlos.shadow_sigma_db
         direct_draws = np.array(direct_draws).reshape(n, n_users, 3)
         for u, link in enumerate(direct_links):
             h_d[:n, u] = direct_block(link, weights[0] * direct[u], at, shadows[u],

@@ -16,15 +16,15 @@ SPEED_OF_LIGHT = 299_792_458.0
 class PathlossParams:
     """Distance-exponent pathloss with a frequency-dependence correction.
 
-    Loss in dB at distance d:
+    Loss in dB at distance d on carrier f:
         -20 log10(4 pi / lambda) - 10 n (1 + b (f - f0)/f0) log10(d) - X
-    where X is a shadowing draw in dB and lambda = c / f.
+    where X is a shadowing draw in dB and lambda = c / f.  The carrier is the
+    scenario's, one for every link; sigma = 0 leaves a link unshadowed.
     """
 
     exponent: float          # n, distance exponent
     freq_dependence: float   # b, dimensionless slope around the anchor
     shadow_sigma_db: float   # std-dev of the lognormal shadow term, dB
-    freq_hz: float           # operating carrier
     ref_freq_hz: float       # anchor frequency the exponent was fitted at
 
     def __post_init__(self):
@@ -32,24 +32,21 @@ class PathlossParams:
             raise ValueError("pathloss exponent must be positive")
         if self.shadow_sigma_db < 0:
             raise ValueError("shadow sigma must be non-negative")
-        if self.freq_hz <= 0 or self.ref_freq_hz <= 0:
-            raise ValueError("frequencies must be positive")
+        if self.ref_freq_hz <= 0:
+            raise ValueError("the anchor frequency must be positive")
 
-    @property
-    def slope(self) -> float:
-        """The effective distance exponent n (1 + b (f - f0) / f0)."""
+    def slope(self, freq_hz: float) -> float:
+        """The effective distance exponent n (1 + b (f - f0) / f0) on carrier f."""
         return self.exponent * (
-            1.0 + self.freq_dependence * (self.freq_hz - self.ref_freq_hz) / self.ref_freq_hz)
+            1.0 + self.freq_dependence * (freq_hz - self.ref_freq_hz) / self.ref_freq_hz)
 
 
 # 73 GHz measurement-fitted defaults.
 LOS_73GHZ = PathlossParams(
-    exponent=1.73, freq_dependence=0.0, shadow_sigma_db=3.02,
-    freq_hz=73e9, ref_freq_hz=73e9,
+    exponent=1.73, freq_dependence=0.0, shadow_sigma_db=3.02, ref_freq_hz=73e9,
 )
 NLOS_73GHZ = PathlossParams(
-    exponent=3.19, freq_dependence=0.06, shadow_sigma_db=8.29,
-    freq_hz=73e9, ref_freq_hz=73e9,
+    exponent=3.19, freq_dependence=0.06, shadow_sigma_db=8.29, ref_freq_hz=73e9,
 )
 
 
@@ -85,14 +82,15 @@ def wavenumber(freq_hz: float) -> float:
     return 2.0 * np.pi / wavelength(freq_hz)
 
 
-def pathloss_db(params: PathlossParams, dist_m):
-    """Pathloss in dB (negative = attenuation). Accepts scalar or array distance."""
+def pathloss_db(params: PathlossParams, freq_hz: float, dist_m):
+    """Pathloss in dB (negative = attenuation) on carrier freq_hz. Accepts
+    scalar or array distance."""
     d = np.asarray(dist_m, dtype=float)
     # initial=1.0 passes an empty array; a nan fails every comparison
     if not 0.0 < d.min(initial=1.0) <= d.max(initial=1.0) < math.inf:
         raise ValueError("pathloss requires a positive, finite distance")
-    lam = wavelength(params.freq_hz)
-    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * params.slope * np.log10(d)
+    lam = wavelength(freq_hz)
+    out = -20.0 * np.log10(4.0 * np.pi / lam) - 10.0 * params.slope(freq_hz) * np.log10(d)
     return out if out.ndim else float(out)
 
 

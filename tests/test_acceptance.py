@@ -7,6 +7,7 @@ with a paired bootstrap: we require the 5th percentile of the resampled
 mean gap to stay above zero before calling an improvement real.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ from risim.geometry import (
 from risim.metrics import LinkBudget, effective_channel
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, los_indicator, pathloss_db,
-    sample_shadow, wavenumber,
+    sample_shadow,
 )
 from risim.riscontrol import optimal_phases
 
-K73 = wavenumber(73e9)
+F73 = 73e9
 TX = Point3(0.0, 20.0, 2.0)
 RX_MAIN = ((75.0, 35.0, 1.0),)
 TRIALS = 10_000
@@ -64,8 +65,8 @@ def _gap_lo5(better, worse, seed=0):
 
 
 def test_01_pathloss_anchor_values():
-    assert pathloss_db(LOS_73GHZ, 1.0) == pytest.approx(-69.71, abs=0.01)
-    assert pathloss_db(NLOS_73GHZ, 10.0) == pytest.approx(-101.61, abs=0.01)
+    assert pathloss_db(LOS_73GHZ, F73, 1.0) == pytest.approx(-69.71, abs=0.01)
+    assert pathloss_db(NLOS_73GHZ, F73, 10.0) == pytest.approx(-101.61, abs=0.01)
 
 
 def test_02_distances_and_angles_consistent():
@@ -105,11 +106,12 @@ def test_03_zero_tilt_is_identity():
         n = int(rng.choice([4, 16, 64, 256]))
         target = Point3(*rng.uniform(-30.0, 30.0, size=3))
         flat = Orientation(plane=plane)
-        want = Sightline.between(RisDescriptor(position, flat, n), target, LOS_73GHZ).resp
+        want = Sightline.between(RisDescriptor(position, flat, n), target,
+                                 LOS_73GHZ, F73).resp
         for axis in TiltAxis:
             zero = Orientation(plane=plane, tilt_axis=axis, tilt_rad=0.0)
             got = Sightline.between(RisDescriptor(position, zero, n), target,
-                                    LOS_73GHZ).resp
+                                    LOS_73GHZ, F73).resp
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     # and rotating an element forth and back is lossless
@@ -122,8 +124,9 @@ def test_03_zero_tilt_is_identity():
 
 
 def test_04_cascade_power_scales_with_aperture_squared():
-    # pure sightline hops, no shadowing, co-phased elements: quadrupling
-    # the element count must multiply the cascaded power by 16
+    # pure sightline hops, no shadowing (sigma 0), co-phased elements:
+    # quadrupling the element count must multiply the cascaded power by 16
+    los = dataclasses.replace(LOS_73GHZ, shadow_sigma_db=0.0)
     rx, surface = Point3(*RX_MAIN[0]), Point3(75.0, 30.0, 2.0)
     no_scatter = place_clusters([sample_clusters(
         EnvironmentConfig(include_scatter=False), np.random.default_rng(0))],
@@ -131,11 +134,10 @@ def test_04_cascade_power_scales_with_aperture_squared():
     powers = {}
     for n in (64, 256):
         ris = RisDescriptor(position=surface, n_elements=n)
-        h, _ = tx_ris_channel(ris, no_scatter, TX, LOS_73GHZ,
-                              NLOS_73GHZ, LosModel(mode=LosMode.ALWAYS),
-                              np.random.default_rng(1), shadow_los=False)
-        g = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(2),
-                           shadow_los=False)
+        h, _ = tx_ris_channel(ris, no_scatter, TX, los,
+                              NLOS_73GHZ, LosModel(mode=LosMode.ALWAYS), F73,
+                              np.random.default_rng(1))
+        g = ris_rx_channel(ris, rx, los, F73, np.random.default_rng(2))
         cascaded = effective_channel(np.zeros(1), g[None],
                                      np.exp(1j * optimal_phases(g, h, 0.0)), h)
         powers[n] = abs(cascaded[0]) ** 2

@@ -21,7 +21,11 @@ from risim.propagation import (
     sample_shadow, wavelength, wavenumber,
 )
 
-K73 = wavenumber(73e9)
+F73 = 73e9
+K73 = wavenumber(F73)
+# unshadowed links: sigma = 0 scales every path by 10^(-0/20) = 1 exactly
+LOS0 = dataclasses.replace(LOS_73GHZ, shadow_sigma_db=0.0)
+NLOS0 = dataclasses.replace(NLOS_73GHZ, shadow_sigma_db=0.0)
 ORIGIN = Point3(0.0, 0.0, 0.0)
 ALWAYS = LosModel(mode=LosMode.ALWAYS)
 NEVER = LosModel(mode=LosMode.NEVER)
@@ -49,9 +53,18 @@ def _toward(ris, az, el, r=10.0):
     return Point3(*(ris.position.as_array() + r * surface_basis(ris.orient) @ local))
 
 
-def _response(ris, target, pl=LOS_73GHZ):
+def _response(ris, target, freq_hz=F73):
     """The surface's (N,) response to target, as its sightlines steer."""
-    return Sightline.between(ris, target, pl).resp
+    return Sightline.between(ris, target, LOS_73GHZ, freq_hz).resp
+
+
+def _eta(seed, normals):
+    """The sightline phase a stream of seed draws after its first normals
+    shadow draws: the scatter paths' and the sightline's, drawn even at
+    sigma = 0."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(normals)
+    return rng.uniform(0.0, 2.0 * math.pi)
 
 
 def test_descriptor_validation():
@@ -168,8 +181,8 @@ def test_wavenumber_scaling_doubles_phases():
     ris = _ris(4, spacing=0.0005)
     target = _toward(ris, 0.2, 0.3)
     a1 = _response(ris, target)
-    a2 = _response(ris, target, dataclasses.replace(LOS_73GHZ, freq_hz=2 * 73e9))
-    assert wavenumber(2 * 73e9) == 2 * K73
+    a2 = _response(ris, target, 2 * F73)
+    assert wavenumber(2 * F73) == 2 * K73
     np.testing.assert_allclose(np.angle(a2), 2 * np.angle(a1), atol=1e-12)
 
 
@@ -224,8 +237,8 @@ def test_exact_grazing_has_no_pattern_gain():
     for q in (0.0, 0.285, 1.0):
         ris = RisDescriptor(position=Point3(75, 35, 2), orient=Orientation(Plane.YZ),
                             pattern_exponent=q)
-        gain = Sightline.between(ris, below, LOS_73GHZ).gain
-        scale = surface_paths(ris, one, NLOS_73GHZ, K73)[0]
+        gain = Sightline.between(ris, below, LOS_73GHZ, F73).gain
+        scale = surface_paths(ris, one, NLOS_73GHZ, F73)[0]
         if q > 0:
             assert gain == 0.0 and scale[0] == 0.0
         else:
@@ -248,14 +261,47 @@ def test_sightlines_towards_several_ends_have_the_bits_of_each_alone(plane, tilt
     mirrored = offsets - 2.0 * np.outer(offsets @ basis[:, 1], basis[:, 1])
     grazing = -3.0 * basis[:, 2]
     ends = [Point3(*(centre.as_array() + d)) for d in [*offsets, *mirrored, grazing]]
-    links = Sightline.towards(ris, ends, LOS_73GHZ)
+    links = Sightline.towards(ris, ends, LOS_73GHZ, F73)
     assert len(links) == len(ends)
     for end, link in zip(ends, links):
-        alone = Sightline.between(ris, end, LOS_73GHZ)
+        alone = Sightline.between(ris, end, LOS_73GHZ, F73)
         assert (link.distance, link.gain) == (alone.distance, alone.gain)
         assert link.resp.shape == (n,) and link.resp.tobytes() == alone.resp.tobytes()
     if tilt == 0.0:
         assert links[-1].gain == 0.0
+
+
+@pytest.mark.parametrize("plane, ends", [
+    (Plane.XZ, [(75.0, 35.0, 1.0), (81.5, 36.25, 4.75)]),
+    (Plane.YZ, [(80.0, 33.0, 1.0), (77.25, 21.5, 0.5)]),
+])
+def test_a_surface_serves_both_half_spaces(plane, ends):
+    """Elements radiate into both half-spaces: the pattern reads cos^2(el) =
+    u_x^2 + u_y^2, even in the normal component u_y, so an endpoint and its
+    mirror image across the surface plane get the same sightline gain and
+    response, and a scatterer there the same path factors.  Every canned
+    xz-surface run has tx and rx on opposite sides of its surface's plane;
+    a one-sided pattern would zero them all."""
+    centre = Point3(75.0, 30.0, 2.0)
+    ris = RisDescriptor(position=centre, orient=Orientation(plane), n_elements=64)
+    normal = surface_basis(ris.orient)[:, 1]
+    for end in ends:
+        offset = np.array(end) - centre.as_array()
+        mirror = centre.as_array() + offset - 2.0 * (offset @ normal) * normal
+        pair = [Point3(*end), Point3(*mirror)]
+        assert (pair[0].as_array() - centre.as_array()) @ normal > 0 > \
+            (pair[1].as_array() - centre.as_array()) @ normal
+        front, back = (Sightline.between(ris, p, LOS_73GHZ, F73) for p in pair)
+        assert front.gain > 0.0
+        assert (front.distance, front.gain) == (back.distance, back.gain)
+        assert front.resp.tobytes() == back.resp.tobytes()
+        scatterers = [Placement(p.as_array()[None, :], np.ones(1, dtype=complex),
+                                np.array([10.0]), np.array([front.distance]), [], [0, 1])
+                      for p in pair]
+        paths = [surface_paths(ris, at, NLOS_73GHZ, F73) for at in scatterers]
+        assert paths[0][0][0] > 0.0
+        for a, b in zip(*paths):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_scatterer_at_the_surface_centre_raises():
@@ -267,7 +313,7 @@ def test_scatterer_at_the_surface_centre_raises():
     for tilt in (0.0, 0.4):
         ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=tilt))
         with pytest.raises(DegenerateGeometryError):
-            tx_ris_channel(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS,
+            tx_ris_channel(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS, F73,
                            np.random.default_rng(0))
 
 
@@ -277,18 +323,19 @@ def test_links_take_their_part_of_block_paths():
     it builds on its own from the trial placed alone; direct_block over a
     block's weighted direct_paths and each trial's draws gives every trial
     the bytes of direct_channel; each stream ends in the same state: two
-    tilted surfaces, a ragged block, no scatter, and unshadowed scatter paths."""
+    tilted surfaces, a ragged block, no scatter, and unshadowed (sigma = 0)
+    scatter paths."""
     tx, rx = Point3(0, 20, 2), Point3(70, 35, 1)
     los = LosModel(decay_length_m=80.0)
-    link = Sightline.direct(tx, rx, LOS_73GHZ)
+    link = Sightline.direct(tx, rx, LOS_73GHZ, F73)
     surfaces = [
         RisDescriptor(position=Point3(70, 30, 1.5), n_elements=16,
                       orient=Orientation(Plane.XZ, tilt_rad=-0.3)),
         RisDescriptor(position=Point3(74, 30, 2.5), n_elements=64,
                       orient=Orientation(Plane.YZ, tilt_rad=0.4)),
     ]
-    for env, shadow in ((EnvironmentConfig(), True), (EnvironmentConfig(), False),
-                        (EnvironmentConfig(include_scatter=False), True)):
+    for env, nlos in ((EnvironmentConfig(), NLOS_73GHZ), (EnvironmentConfig(), NLOS0),
+                      (EnvironmentConfig(include_scatter=False), NLOS_73GHZ)):
         for ris in surfaces:
             draws = [sample_clusters(env, np.random.default_rng((5, i))) for i in range(7)]
             placed = place_clusters(draws, tx, ris.position, [rx])
@@ -296,9 +343,9 @@ def test_links_take_their_part_of_block_paths():
             assert len(set(sizes)) > 1 if env.include_scatter else not sizes.any()
             # run_scenario's weights: each trial's normalization times the gains
             weights = np.sqrt(1.0 / np.repeat(sizes, sizes)) * placed.gains
-            scale, ez, ex = surface_paths(ris, placed, NLOS_73GHZ, K73)
+            scale, ez, ex = surface_paths(ris, placed, nlos, F73)
             wz = np.multiply(ez, weights * scale, out=ez)
-            direct = weights * direct_paths(placed, placed.d_to_rx[0], NLOS_73GHZ, K73)
+            direct = weights * direct_paths(placed, placed.d_to_rx[0], nlos, F73)
             alone, shadows, rows = [], [], []
             for i, (lo, hi) in enumerate(zip(placed.edges, placed.edges[1:])):
                 trial = place_clusters([draws[i]], tx, ris.position, [rx])
@@ -307,24 +354,19 @@ def test_links_take_their_part_of_block_paths():
                                         (draws[i], (wz[:, lo:hi], ex[:, lo:hi]))):
                     rng = np.random.default_rng((9, i))
                     h, seen = tx_ris_channel(ris, clusters, tx, LOS_73GHZ,
-                                             NLOS_73GHZ, los, rng,
-                                             shadow_scatter=shadow, paths=paths)
+                                             nlos, los, F73, rng, paths=paths)
                     runs.append((h.tobytes(), seen, rng.bit_generator.state))
                 assert runs[0] == runs[1]
                 # the direct link alone, then its draws as run_scenario takes them
                 rng = np.random.default_rng((8, i))
                 alone.append(direct_channel(trial, tx, rx, LOS_73GHZ,
-                                            NLOS_73GHZ, los, K73, rng,
-                                            shadow_scatter=shadow))
+                                            nlos, los, F73, rng))
                 end = rng.bit_generator.state
                 rng = np.random.default_rng((8, i))
-                if shadow:
-                    shadows.append(sample_shadow(NLOS_73GHZ.shadow_sigma_db, rng,
-                                                 size=hi - lo))
-                rows.append(sightline_draws(link, LOS_73GHZ, rng, True, los, rx.z, tx.z))
+                shadows.append(sample_shadow(nlos.shadow_sigma_db, rng, size=hi - lo))
+                rows.append(sightline_draws(link, LOS_73GHZ, rng, los, rx.z, tx.z))
                 assert rng.bit_generator.state == end
-            block = direct_block(link, direct, placed.edges,
-                                 np.concatenate(shadows) if shadow else None, rows)
+            block = direct_block(link, direct, placed.edges, np.concatenate(shadows), rows)
             assert [np.complex128(d).tobytes() for d, _ in alone] == \
                 [d.tobytes() for d in block]
             assert [heard for _, heard in alone] == [row[0] for row in rows]
@@ -335,38 +377,37 @@ def test_phase_draw_has_the_bits_of_a_uniform_draw():
     """A sightline's phase 2 pi U from rng.random() is bit for bit
     rng.uniform(0, 2 pi), which numpy computes as low + (high - low) U; a
     numpy release that changed either would move every phase, and fails here."""
-    link = Sightline.direct(ORIGIN, Point3(3.0, 4.0, 0.0), LOS_73GHZ)
+    link = Sightline.direct(ORIGIN, Point3(3.0, 4.0, 0.0), LOS_73GHZ, F73)
     for seed in range(200):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [2.0 * math.pi * rng.random() for _ in range(3)] == \
             [ref.uniform(0.0, 2.0 * math.pi) for _ in range(3)]
-        _, shadow, eta = sightline_draws(link, LOS_73GHZ, rng, True)
+        _, shadow, eta = sightline_draws(link, LOS_73GHZ, rng)
         assert (shadow, eta) == (ref.normal(0.0, LOS_73GHZ.shadow_sigma_db),
                                  ref.uniform(0.0, 2.0 * math.pi))
 
 
 def test_tx_ris_zero_when_fully_blocked():
     h, visible = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, 10, 0),
-                                LOS_73GHZ, NLOS_73GHZ, NEVER,
+                                LOS_73GHZ, NLOS_73GHZ, NEVER, F73,
                                 np.random.default_rng(0))
     assert not visible
     np.testing.assert_array_equal(h, np.zeros(16, dtype=complex))
 
 
 def test_tx_ris_sightline_only_value():
-    """Broadside transmitter at 1 m, no scatter, no shadowing: every element
+    """Broadside transmitter at 1 m, no scatter, sigma = 0: every element
     carries sqrt(G(0) L(1 m)) at the drawn common phase."""
     seed = 5
     tx = Point3(0.0, 1.0, 0.0)
     for n in (1, 16):
         h, visible = tx_ris_channel(_ris(n), NO_SCATTER, tx,
-                                    LOS_73GHZ, NLOS_73GHZ, ALWAYS,
-                                    np.random.default_rng(seed),
-                                    shadow_los=False)
+                                    LOS0, NLOS_73GHZ, ALWAYS, F73,
+                                    np.random.default_rng(seed))
         assert visible
-        eta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+        eta = _eta(seed, 1)
         amp = math.sqrt(element_gain(0.0, 0.285)
-                        * 10.0 ** (pathloss_db(LOS_73GHZ, 1.0) / 10.0))
+                        * 10.0 ** (pathloss_db(LOS_73GHZ, F73, 1.0) / 10.0))
         np.testing.assert_allclose(h, amp * np.exp(1j * eta) * np.ones(n),
                                    rtol=1e-12)
 
@@ -376,11 +417,10 @@ def test_sightline_amplitude_tracks_pathloss():
     channel norm by exactly 10^(delta_dB / 20)."""
     def norm_at(d):
         h, _ = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, d, 0),
-                              LOS_73GHZ, NLOS_73GHZ, ALWAYS,
-                              np.random.default_rng(1), shadow_los=False)
+                              LOS0, NLOS_73GHZ, ALWAYS, F73, np.random.default_rng(1))
         return np.linalg.norm(h)
 
-    delta_db = pathloss_db(LOS_73GHZ, 4.0) - pathloss_db(LOS_73GHZ, 1.0)
+    delta_db = pathloss_db(LOS_73GHZ, F73, 4.0) - pathloss_db(LOS_73GHZ, F73, 1.0)
     assert norm_at(4.0) / norm_at(1.0) == pytest.approx(
         10.0 ** (delta_db / 20.0), rel=1e-12)
 
@@ -388,14 +428,13 @@ def test_sightline_amplitude_tracks_pathloss():
 def test_ris_rx_rank_one_structure():
     ris = _ris(16)
     rx = Point3(3.0, 4.0, 2.0)
-    g = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(7),
-                       shadow_los=False)
+    g = ris_rx_channel(ris, rx, LOS0, F73, np.random.default_rng(7))
     # constant envelope across elements
     np.testing.assert_allclose(np.abs(g), np.abs(g[0]), rtol=1e-12)
     az, el = angles_to_targets(ris.position, ris.orient, rx.as_array()[None, :])
     d = math.sqrt(3.0 ** 2 + 4.0 ** 2 + 2.0 ** 2)
     expect_pow = element_gain(el[0], 0.285) \
-        * 10.0 ** (pathloss_db(LOS_73GHZ, d) / 10.0)
+        * 10.0 ** (pathloss_db(LOS_73GHZ, F73, d) / 10.0)
     np.testing.assert_allclose(np.abs(g) ** 2, expect_pow, rtol=1e-12)
     # separable: phase progression matches the dense array response exactly
     a = _dense_response(ris, az, el, K73)[0]
@@ -405,10 +444,8 @@ def test_ris_rx_rank_one_structure():
 def test_ris_rx_shadow_changes_envelope_only():
     ris = _ris(9)
     rx = Point3(1.0, 6.0, 0.5)
-    g0 = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(8),
-                        shadow_los=False)
-    g1 = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(8),
-                        shadow_los=True)
+    g0 = ris_rx_channel(ris, rx, LOS0, F73, np.random.default_rng(8))
+    g1 = ris_rx_channel(ris, rx, LOS_73GHZ, F73, np.random.default_rng(8))
     np.testing.assert_allclose(np.abs(g1 / g0), np.abs(g1[0] / g0[0]), rtol=1e-12)
 
 
@@ -422,9 +459,8 @@ def test_direct_single_scatterer_phase_follows_gain():
         d_to_rx=[], edges=[0, 1],
     )
     d, visible = direct_channel(cs, Point3(0, 0, 0), Point3(20, 0, 0),
-                                LOS_73GHZ, NLOS_73GHZ, NEVER, K73,
-                                np.random.default_rng(0),
-                                shadow_scatter=False)
+                                LOS_73GHZ, NLOS0, NEVER, F73,
+                                np.random.default_rng(0))
     assert not visible
     assert np.angle(d) == pytest.approx(np.angle(beta), abs=1e-12)
 
@@ -434,7 +470,7 @@ def test_direct_second_moment_oracle():
     equals normalization^2 times the summed linear detour losses."""
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(75, 35, 1)
     cs = _placed(tx, surface, rx, 12)
-    loss = pathloss_db(NLOS_73GHZ, cs.d_from_tx + cs.d_to_rx[0])
+    loss = pathloss_db(NLOS_73GHZ, F73, cs.d_from_tx + cs.d_to_rx[0])
     expect = np.sum(10.0 ** (loss / 10.0)) / len(cs.gains)   # normalization^2 = 1 / S
 
     n_trials = 10_000
@@ -442,9 +478,8 @@ def test_direct_second_moment_oracle():
     for t in range(n_trials):
         trial = cs._replace(gains=complex_normal(np.random.default_rng((t, 1)),
                                                  size=len(cs.gains)))
-        d, _ = direct_channel(trial, tx, rx, LOS_73GHZ, NLOS_73GHZ, NEVER, K73,
-                              np.random.default_rng((t, 2)),
-                              shadow_scatter=False)
+        d, _ = direct_channel(trial, tx, rx, LOS_73GHZ, NLOS0, NEVER, F73,
+                              np.random.default_rng((t, 2)))
         acc += abs(d) ** 2
     assert acc / n_trials == pytest.approx(expect, rel=0.05)
 
@@ -459,8 +494,8 @@ def test_draw_counts_independent_of_lattice_and_tilt():
         ris = RisDescriptor(position=Point3(75, 30, 2),
                             orient=Orientation(tilt_rad=tilt), n_elements=n)
         rng = np.random.default_rng(55)
-        tx_ris_channel(ris, cs, tx, LOS_73GHZ, NLOS_73GHZ, LosModel(), rng)
-        ris_rx_channel(ris, rx, LOS_73GHZ, rng)
+        tx_ris_channel(ris, cs, tx, LOS_73GHZ, NLOS_73GHZ, LosModel(), F73, rng)
+        ris_rx_channel(ris, rx, LOS_73GHZ, F73, rng)
         probes.append(rng.random())
     assert probes[0] == probes[1] == probes[2]
 
@@ -479,7 +514,7 @@ def _dense_tx_ris(ris, clusters, tx, eta):
     h = np.zeros(ris.n_elements, dtype=complex)
     if len(clusters.gains):
         az, el = angles_to_targets(ris.position, ris.orient, clusters.positions)
-        loss = pathloss_db(NLOS_73GHZ, clusters.d_from_tx + clusters.d_to_surface)
+        loss = pathloss_db(NLOS_73GHZ, F73, clusters.d_from_tx + clusters.d_to_surface)
         amp = np.sqrt(element_gain(el, ris.pattern_exponent) * 10.0 ** (loss / 10.0))
         h = math.sqrt(1.0 / len(clusters.gains)) * (
             (clusters.gains * amp) @ _dense_response(ris, az, el, K73))
@@ -488,7 +523,7 @@ def _dense_tx_ris(ris, clusters, tx, eta):
 
 def _dense_sightline(ris, end, pl, eta):
     az, el = angles_to_targets(ris.position, ris.orient, end.as_array()[None, :])
-    loss = pathloss_db(pl, math.dist(end.as_array(), ris.position.as_array()))
+    loss = pathloss_db(pl, F73, math.dist(end.as_array(), ris.position.as_array()))
     amp = math.sqrt(element_gain(el[0], ris.pattern_exponent) * 10.0 ** (loss / 10.0))
     return amp * np.exp(1j * eta) * _dense_response(ris, az, el, K73)[0]
 
@@ -501,22 +536,20 @@ def test_links_match_dense_reference(plane, n):
     tx, surface, rx = Point3(0, 20, 2), Point3(75, 30, 2), Point3(70, 35, 1)
     cs = _placed(tx, surface, rx, n)
     one = Placement(*(a[:1] for a in cs[:4]), [cs.d_to_rx[0][:1]], [0, 1])
-    eta = np.random.default_rng(9).uniform(0.0, 2.0 * math.pi)
     for tilt in (0.0, -0.6, 0.25, 1.2):
         for spacing in (None, 0.0031):
             ris = RisDescriptor(position=surface,
                                 orient=Orientation(plane, tilt_rad=tilt),
                                 n_elements=n, spacing=spacing)
             for clusters in (NO_SCATTER, one, cs):
-                h, _ = tx_ris_channel(ris, clusters, tx, LOS_73GHZ, NLOS_73GHZ,
-                                      ALWAYS, np.random.default_rng(9),
-                                      shadow_scatter=False, shadow_los=False)
+                h, _ = tx_ris_channel(ris, clusters, tx, LOS0, NLOS0, ALWAYS, F73,
+                                      np.random.default_rng(9))
+                eta = _eta(9, len(clusters.gains) + 1)
                 np.testing.assert_allclose(
                     h, _dense_tx_ris(ris, clusters, tx, eta), rtol=1e-12, atol=0)
-            g = ris_rx_channel(ris, rx, LOS_73GHZ, np.random.default_rng(9),
-                               shadow_los=False)
+            g = ris_rx_channel(ris, rx, LOS0, F73, np.random.default_rng(9))
             np.testing.assert_allclose(
-                g, _dense_sightline(ris, rx, LOS_73GHZ, eta), rtol=1e-12, atol=0)
+                g, _dense_sightline(ris, rx, LOS_73GHZ, _eta(9, 1)), rtol=1e-12, atol=0)
 
 
 def test_steering_is_the_plane_wave_for_any_plane_and_tilt():
@@ -544,7 +577,7 @@ def test_steering_is_the_plane_wave_for_any_plane_and_tilt():
         # a scatterer at the target steers the scatter paths' ramps alike
         at = Placement(target.as_array()[None, :], np.ones(1, dtype=complex),
                        np.ones(1), np.ones(1), [], [0, 1])
-        _, ez, ex = surface_paths(ris, at, NLOS_73GHZ, K73)
+        _, ez, ex = surface_paths(ris, at, NLOS_73GHZ, F73)
         np.testing.assert_allclose((ez * ex.T).ravel(), want, atol=1e-9)
-        g = ris_rx_channel(ris, target, LOS_73GHZ, np.random.default_rng(0))
+        g = ris_rx_channel(ris, target, LOS_73GHZ, F73, np.random.default_rng(0))
         np.testing.assert_allclose(g / g[0], want, atol=1e-9)

@@ -148,11 +148,30 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, where, key", [
+    ({"pl_los": {**_LOS, "freq_hz": 73e9}}, "pl_los", "freq_hz"),
+    ({"pl_nlos": {**_NLOS, "freq_hz": 73e9}}, "pl_nlos", "freq_hz"),
+    ({"shadow_scatter_paths": False}, "scenario", "shadow_scatter_paths"),
+    ({"shadow_los_paths": False}, "scenario", "shadow_los_paths"),
+], ids=["los_carrier", "nlos_carrier", "scatter_shadow_flag", "los_shadow_flag"])
+def test_retired_config_key_exits_two(tmp_path, capsys, override, where, key):
+    # the carrier is the one top-level freq_hz, and sigma = 0 unshadows a link
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps({"tx": [0, 20, 2], "rx": [75, 35, 1], **override}))
+    for argv in (["validate", str(path)],
+                 ["simulate", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unknown key(s) in {where}: {key}")
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ({"n_trials": "100"}, "n_trials must be an integer"),
     ({"budget": {"tx_power_dbm": "30"}}, "budget.tx_power_dbm must be a number"),
     ({"master_seed": 1.5}, "master_seed must be an integer"),
-    ({"shadow_los_paths": "no"}, "shadow_los_paths must be true or false"),
+    ({"resample_geometry": "no"}, "resample_geometry must be true or false"),
     ({"ris_list": {"a": 1}}, "ris_list must be a list"),
     ({"budget": {"tx_power_dbm": math.nan}},
      "budget.tx_power_dbm must be a finite number"),
@@ -219,8 +238,7 @@ def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"pl_los": {**_LOS, "freq_hz": 1e-300}, "pl_nlos": {**_NLOS, "freq_hz": 1e-300}},
-     "pl_los.freq_hz must be at least"),
+    ({"freq_hz": 1e-300}, "freq_hz must be at least"),
     ({"budget": {"tx_power_dbm": 1e300}}, "budget.tx_power_dbm must lie within"),
     ({"budget": {"noise_power_dbm": 1e300}}, "budget.noise_power_dbm must lie within"),
     ({"ris_list": [{"position": [75, 30, 2], "spacing": 1e308}]},
@@ -255,9 +273,9 @@ def test_bounds_are_inclusive(tmp_path, capsys):
     path.write_text(json.dumps({
         "tx": [-MAX_COORDINATE, 20, 2], "rx": [[75, 35, 1]] * MAX_USERS,
         "n_trials": MAX_TRIALS, "env": {"min_range_m": MAX_COORDINATE},
-        "pl_los": {**_LOS, "freq_hz": MIN_FREQ_HZ, "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
-        "pl_nlos": {**_NLOS, "freq_hz": MIN_FREQ_HZ,
-                    "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
+        "freq_hz": MIN_FREQ_HZ,
+        "pl_los": {**_LOS, "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
+        "pl_nlos": {**_NLOS, "shadow_sigma_db": MAX_SHADOW_SIGMA_DB},
         "budget": {"tx_power_dbm": MAX_POWER_DBM, "noise_power_dbm": -MAX_POWER_DBM},
         "ris_list": [{"position": [75, 30, 2], "n_elements": MAX_ELEMENTS,
                       "spacing": MAX_COORDINATE / side,

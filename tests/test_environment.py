@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from risim.environment import (
 )
 from risim.geometry import Point3
 from risim.propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, wavelength, wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, wavelength,
 )
 
 TX = Point3(0.0, 20.0, 2.0)
@@ -112,8 +113,8 @@ def test_rebind_receiver():
 def test_excess_phase_cases():
     """The direct link rotates each scatterer's gain by the excess phase
     k (d_to_surface - d_to_rx)."""
-    k = wavenumber(73e9)
     lam = wavelength(73e9)
+    nlos = dataclasses.replace(NLOS_73GHZ, shadow_sigma_db=0.0)
     gain = 0.7 * np.exp(1j * 0.4)
 
     def phase_offset(excess):
@@ -123,9 +124,8 @@ def test_excess_phase_cases():
             d_to_rx=[], edges=[0, 1],
         )
         d, visible = direct_channel(
-            cs, Point3(0, 0, 0), Point3(20, 0, 0), LOS_73GHZ, NLOS_73GHZ,
-            LosModel(mode=LosMode.NEVER), k, np.random.default_rng(0),
-            shadow_scatter=False)
+            cs, Point3(0, 0, 0), Point3(20, 0, 0), LOS_73GHZ, nlos,
+            LosModel(mode=LosMode.NEVER), 73e9, np.random.default_rng(0))
         assert not visible
         return np.angle(d * np.conj(gain))
 

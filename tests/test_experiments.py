@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from risim import experiments
 from risim.channel import RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel
@@ -21,13 +22,15 @@ from risim.geometry import (
 )
 from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
-    LOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
-    wavenumber,
+    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
 )
 from risim.riscontrol import optimal_phases, partition_elements
 
 TX = Point3(0.0, 20.0, 2.0)
 RX = Point3(75.0, 35.0, 1.0)
+# unshadowed links: sigma = 0 scales every path by 10^(-0/20) = 1 exactly
+LOS0 = dataclasses.replace(LOS_73GHZ, shadow_sigma_db=0.0)
+NLOS0 = dataclasses.replace(NLOS_73GHZ, shadow_sigma_db=0.0)
 
 
 def _cfg(n_elements=16, n_trials=30, seed=7, **overrides):
@@ -63,11 +66,10 @@ def test_pure_sightline_matches_closed_form(surfaces):
     cfg = _cfg(ris_list=surfaces, n_trials=20,
                los_model=LosModel(mode=LosMode.ALWAYS),
                env=EnvironmentConfig(include_scatter=False),
-               shadow_scatter_paths=False, shadow_los_paths=False,
-               direct_phase_sign="aligned")
+               pl_los=LOS0, pl_nlos=NLOS0, direct_phase_sign="aligned")
 
     def magnitude(a, b, ris=None):
-        gain = 10.0 ** (pathloss_db(LOS_73GHZ, distance(a, b)) / 10.0)
+        gain = 10.0 ** (pathloss_db(LOS_73GHZ, cfg.freq_hz, distance(a, b)) / 10.0)
         if ris is not None:
             el = angles_to_targets(ris.position, ris.orient, b.as_array()[None, :])[1][0]
             gain *= element_gain(el, ris.pattern_exponent)
@@ -217,6 +219,37 @@ def test_validate_flags_coincident_nodes():
     assert any("coincides" in s for s in validate(cfg))
 
 
+_SURFACE = Point3(75.0, 30.0, 2.0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"pl_nlos": dataclasses.replace(NLOS_73GHZ, shadow_sigma_db=math.nan)},
+     "pl_nlos.shadow_sigma_db must be at most"),
+    ({"pl_los": dataclasses.replace(LOS_73GHZ, shadow_sigma_db=math.nan)},
+     "pl_los.shadow_sigma_db must be at most"),
+    ({"budget": LinkBudget(tx_power_dbm=math.nan)}, "budget.tx_power_dbm must lie within"),
+    ({"budget": LinkBudget(noise_power_dbm=math.nan)},
+     "budget.noise_power_dbm must lie within"),
+    ({"ris_list": [RisDescriptor(_SURFACE, n_elements=16, pattern_exponent=math.nan)]},
+     "ris[0].pattern_exponent must be at most"),
+    ({"ris_list": [RisDescriptor(_SURFACE, n_elements=16, spacing=math.nan)]},
+     "ris[0] lattice extent"),
+    ({"env": EnvironmentConfig(mean_clusters=math.nan)},
+     "env.mean_clusters and env.max_scatterers_per_cluster give nan"),
+    ({"env": EnvironmentConfig(min_range_m=math.nan)}, "env.min_range_m must be at most"),
+    ({"freq_hz": math.nan}, "freq_hz must be at least"),
+    ({"rx": [Point3(75.0, math.nan, 1.0)]}, "rx[0] coordinates must lie within"),
+], ids=["nlos_sigma", "los_sigma", "tx_power", "noise_power", "pattern_exponent",
+        "spacing", "mean_clusters", "min_range", "carrier", "rx_coordinate"])
+def test_nan_fails_every_bound_from_the_python_api(overrides, message):
+    # JSON cannot carry a nan past the decoder, but a config built in Python
+    # can: each bound is written so that nan fails it, where x > MAX would not
+    cfg = _cfg(n_trials=4, **overrides)
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg)
+    assert message in str(err.value)
+
+
 def test_config_dict_round_trip(tmp_path):
     cfg = _cfg(rx=[RX, Point3(70.0, 32.0, 1.0)])
     cfg.ris_list[0] = RisDescriptor(position=Point3(75.0, 30.0, 2.0),
@@ -278,7 +311,7 @@ def _assert_keys_are_fields(echo, obj):
 def test_schema_echo_parse_is_identity_off_defaults():
     """Every field at every level moved off its default: a field that the
     parser or the echo dropped would come back at its default here."""
-    pl = dict(freq_dependence=0.1, freq_hz=28e9, ref_freq_hz=30e9)
+    pl = dict(freq_dependence=0.1, ref_freq_hz=30e9)
     cfg = ScenarioConfig(
         tx=Point3(1.0, 2.0, 3.0),
         rx=[Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.5)],
@@ -293,14 +326,14 @@ def test_schema_echo_parse_is_identity_off_defaults():
             azimuth_spread_deg=7.0, elevation_spread_deg=3.0,
             cluster_azimuth_limit_deg=60.0, cluster_elevation_limit_deg=30.0,
             min_range_m=2.0, include_scatter=False),
+        freq_hz=28e9,
         pl_los=PathlossParams(exponent=2.0, shadow_sigma_db=4.0, **pl),
         pl_nlos=PathlossParams(exponent=3.0, shadow_sigma_db=9.0, **pl),
         los_model=LosModel(mode=LosMode.ALWAYS, decay_length_m=12.5,
                            force_if_above_tx=False),
         budget=LinkBudget(tx_power_dbm=20.0, noise_power_dbm=-90.0),
         n_trials=77, master_seed=5, direct_phase_sign="aligned",
-        offblock="exclude", shadow_scatter_paths=False,
-        shadow_los_paths=False, resample_geometry=False,
+        offblock="exclude", resample_geometry=False,
     )
     _assert_off_defaults(cfg, "scenario")
 
@@ -526,8 +559,8 @@ def test_trial_prefix_matches_shorter_run(overrides):
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "resample_geometry": False},
     {"ris_list": []},
     {"env": EnvironmentConfig(include_scatter=False)},
-    {"ris_list": _TWO_SURFACES, "shadow_scatter_paths": False},
-    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_los_paths": False},
+    {"ris_list": _TWO_SURFACES, "pl_nlos": NLOS0},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "pl_los": LOS0},
     {"ris_list": _TWO_SURFACES, "los_model": LosModel(mode=LosMode.NEVER)},
     {"rx": _GRAZED_USERS, "ris_list": _GRAZING, "offblock": "include"},
     {"rx": _GRAZED_USERS[::-1], "ris_list": _GRAZING, "offblock": "include"},
@@ -584,7 +617,8 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
 
     h = np.array([np.concatenate(blocks["h"][2 * t:2 * t + 2]) for t in range(40)])
     h_d = np.concatenate(blocks["h_d"])
-    g = np.array([np.concatenate([ris_rx_channel(ris, RX, LOS_73GHZ, _stream(7, 0, t, 3, m, 0))
+    g = np.array([np.concatenate([ris_rx_channel(ris, RX, LOS_73GHZ, cfg.freq_hz,
+                                                 _stream(7, 0, t, 3, m, 0))
                                   for m, ris in enumerate(_TWO_SURFACES)])
                   for t in range(40)])
     assert 0 < (h_d != 0).sum() < 40 and np.all(np.abs(h).sum(axis=1) > 0)
@@ -602,7 +636,6 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     its owner with optimal_phases and summed with effective_channel."""
     users, surfaces, env = cfg.rx, cfg.ris_list, cfg.env
     anchors = [r.position for r in surfaces] or [users[0]]
-    k = wavenumber(cfg.pl_los.freq_hz)
 
     def rng(*key):
         return _stream(cfg.master_seed, 0, *key)
@@ -626,15 +659,15 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
             places = [p._replace(gains=complex_normal(rng(t, 1, m), size=len(p.gains)))
                       for m, p in enumerate(base)]
         h = np.concatenate([np.empty(0, dtype=complex)] + [tx_ris_channel(
-            ris, places[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, rng(t, 2, m),
-            cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+            ris, places[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, cfg.freq_hz,
+            rng(t, 2, m))[0]
             for m, ris in enumerate(surfaces)])
         g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [ris_rx_channel(
-            ris, rx, cfg.pl_los, rng(t, 3, m, u), cfg.shadow_los_paths)
+            ris, rx, cfg.pl_los, cfg.freq_hz, rng(t, 3, m, u))
             for m, ris in enumerate(surfaces)]) for u, rx in enumerate(users)])
         h_d = np.array([direct_channel(
-            places[0], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, k,
-            rng(t, 4, u), cfg.shadow_scatter_paths, cfg.shadow_los_paths)[0]
+            places[0], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, cfg.freq_hz,
+            rng(t, 4, u))[0]
             for u, rx in enumerate(users)])
         phases = np.empty(len(owner))
         for u in range(len(users)):
@@ -653,8 +686,7 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "resample_geometry": False},
     {"resample_geometry": False},
     {"ris_list": _TWO_SURFACES, "env": EnvironmentConfig(include_scatter=False)},
-    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "shadow_scatter_paths": False,
-     "shadow_los_paths": False},
+    {"rx": _TWO_USERS, "ris_list": _TWO_SURFACES, "pl_los": LOS0, "pl_nlos": NLOS0},
     {"ris_list": []},
     {"rx": _TWO_USERS, "ris_list": []},
     {"ris_list": _TWO_SURFACES, "direct_phase_sign": "aligned"},
@@ -669,6 +701,62 @@ def test_run_scenario_matches_per_trial_links(overrides):
     cfg = _cfg(n_trials=23, **overrides)
     for got, want in zip(run_scenario(cfg), _per_trial_rates(cfg), strict=True):
         np.testing.assert_allclose(got.rate_samples, want, rtol=1e-12, atol=0)
+
+
+def _coordinate(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _point(x, y, z):
+    return st.builds(Point3, _coordinate(*x), _coordinate(*y), _coordinate(*z))
+
+
+@st.composite
+def _scenarios(draw):
+    """Configs around the paper's hall: 0-3 surfaces of 4-64 elements on
+    either plane, tilted to +-1.5 rad, 1-3 users, every sign, offblock and
+    sightline mode, sigma 0 or not on either model, fresh or frozen
+    geometry, four carriers, 1-9 trials and seeds up to 2^40."""
+    surface = st.builds(
+        RisDescriptor, position=_point((10, 80), (20, 40), (0, 5)),
+        orient=st.builds(Orientation, plane=st.sampled_from(Plane),
+                         tilt_axis=st.sampled_from([None, *TiltAxis]),
+                         tilt_rad=_coordinate(-1.5, 1.5)),
+        n_elements=st.sampled_from([4, 9, 16, 25, 36, 49, 64]),
+        amplitude=st.sampled_from([1.0, 0.6]))
+    env = st.builds(EnvironmentConfig, mean_clusters=_coordinate(0.1, 4),
+                    max_scatterers_per_cluster=st.integers(1, 12),
+                    include_scatter=st.booleans())
+    return ScenarioConfig(
+        tx=draw(_point((-5, 20), (10, 30), (0, 5))),
+        rx=draw(st.lists(_point((30, 90), (20, 40), (0, 5)), min_size=1, max_size=3)),
+        ris_list=draw(st.lists(surface, max_size=3)),
+        env=draw(env),
+        freq_hz=draw(st.sampled_from([28e9, 60e9, 73e9, 140e9])),
+        pl_los=draw(st.sampled_from([LOS_73GHZ, LOS0])),
+        pl_nlos=draw(st.sampled_from([NLOS_73GHZ, NLOS0])),
+        los_model=draw(st.builds(LosModel, mode=st.sampled_from(LosMode),
+                                 force_if_above_tx=st.booleans())),
+        n_trials=draw(st.integers(1, 9)),
+        master_seed=draw(st.integers(0, 2 ** 40)),
+        direct_phase_sign=draw(st.sampled_from(["paper", "aligned"])),
+        offblock=draw(st.sampled_from(["include", "exclude"])),
+        resample_geometry=draw(st.booleans()))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=250, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+def test_run_scenario_matches_per_trial_links_on_any_accepted_config(cfg):
+    # the fixed cases above, over whatever validate accepts
+    try:
+        accepted = not validate(cfg)
+    except ConfigError:
+        accepted = False
+    assume(accepted)
+    for got, want in zip(run_scenario(cfg), _per_trial_rates(cfg), strict=True):
+        np.testing.assert_allclose(got.rate_samples, want, rtol=1e-12, atol=1e-15)
 
 
 def test_block_size_fits_its_memory_budget():

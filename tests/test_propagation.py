@@ -10,6 +10,7 @@ from risim.propagation import (
 )
 
 # hand evaluations at 73 GHz (lambda = c / 73e9)
+F73 = 73e9
 LOS_1M_DB = -69.7142404242925
 NLOS_10M_DB = -101.61424042429249
 
@@ -21,61 +22,64 @@ def test_wavelength_and_wavenumber():
 
 
 def test_pathloss_reference_values():
-    assert pathloss_db(LOS_73GHZ, 1.0) == pytest.approx(LOS_1M_DB, abs=1e-9)
-    assert pathloss_db(NLOS_73GHZ, 10.0) == pytest.approx(NLOS_10M_DB, abs=1e-9)
+    assert pathloss_db(LOS_73GHZ, F73, 1.0) == pytest.approx(LOS_1M_DB, abs=1e-9)
+    assert pathloss_db(NLOS_73GHZ, F73, 10.0) == pytest.approx(NLOS_10M_DB, abs=1e-9)
     # coarse anchors
-    assert pathloss_db(LOS_73GHZ, 1.0) == pytest.approx(-69.71, abs=0.01)
-    assert pathloss_db(NLOS_73GHZ, 10.0) == pytest.approx(-101.61, abs=0.01)
+    assert pathloss_db(LOS_73GHZ, F73, 1.0) == pytest.approx(-69.71, abs=0.01)
+    assert pathloss_db(NLOS_73GHZ, F73, 10.0) == pytest.approx(-101.61, abs=0.01)
 
 
 def test_pathloss_inverse_square_slope():
     p = PathlossParams(exponent=2.0, freq_dependence=0.0, shadow_sigma_db=0.0,
-                       freq_hz=73e9, ref_freq_hz=73e9)
-    delta = pathloss_db(p, 2.0) - pathloss_db(p, 1.0)
+                       ref_freq_hz=73e9)
+    delta = pathloss_db(p, F73, 2.0) - pathloss_db(p, F73, 1.0)
     assert delta == pytest.approx(-6.020599913279624, abs=1e-12)
 
 
 def test_pathloss_monotone_and_array():
     d = np.linspace(1.0, 200.0, 50)
-    out = pathloss_db(NLOS_73GHZ, d)
+    out = pathloss_db(NLOS_73GHZ, F73, d)
     assert out.shape == d.shape
     assert np.all(np.diff(out) < 0)
     # a float distance takes the same path and comes back as a float
-    singles = [pathloss_db(NLOS_73GHZ, float(x)) for x in d]
+    singles = [pathloss_db(NLOS_73GHZ, F73, float(x)) for x in d]
     assert all(type(v) is float for v in singles) and singles == out.tolist()
 
 
 def test_pathloss_shadow_shift_and_errors():
     with pytest.raises(ValueError):
-        pathloss_db(LOS_73GHZ, 0.0)
+        pathloss_db(LOS_73GHZ, F73, 0.0)
     with pytest.raises(ValueError):
-        pathloss_db(LOS_73GHZ, np.array([1.0, -2.0]))
+        pathloss_db(LOS_73GHZ, F73, np.array([1.0, -2.0]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_pathloss_rejects_non_positive_and_non_finite_distances(bad):
     for dist in (bad, np.array([5.0, bad]), np.array(bad)):
         with pytest.raises(ValueError, match="positive, finite distance"):
-            pathloss_db(NLOS_73GHZ, dist)
+            pathloss_db(NLOS_73GHZ, F73, dist)
 
 
 def test_freq_dependence_inert_at_anchor():
     with_b = PathlossParams(exponent=3.19, freq_dependence=0.06,
-                            shadow_sigma_db=0.0, freq_hz=73e9, ref_freq_hz=73e9)
+                            shadow_sigma_db=0.0, ref_freq_hz=73e9)
     without = PathlossParams(exponent=3.19, freq_dependence=0.0,
-                             shadow_sigma_db=0.0, freq_hz=73e9, ref_freq_hz=73e9)
+                             shadow_sigma_db=0.0, ref_freq_hz=73e9)
     for d in (1.0, 7.0, 120.0):
-        assert pathloss_db(with_b, d) == pytest.approx(pathloss_db(without, d),
-                                                       abs=1e-12)
+        assert pathloss_db(with_b, F73, d) == pytest.approx(pathloss_db(without, F73, d),
+                                                            abs=1e-12)
+    # off the anchor the exponent moves with the carrier, n (1 + b (f - f0) / f0)
+    assert with_b.slope(28e9) == pytest.approx(3.19 * (1 - 0.06 * 45 / 73), rel=1e-12)
+    assert without.slope(28e9) == 3.19
 
 
 def test_pathloss_params_validation():
     with pytest.raises(ValueError):
         PathlossParams(exponent=0.0, freq_dependence=0.0, shadow_sigma_db=1.0,
-                       freq_hz=73e9, ref_freq_hz=73e9)
+                       ref_freq_hz=73e9)
     with pytest.raises(ValueError):
         PathlossParams(exponent=2.0, freq_dependence=0.0, shadow_sigma_db=-1.0,
-                       freq_hz=73e9, ref_freq_hz=73e9)
+                       ref_freq_hz=73e9)
 
 
 def test_shadow_moments():
