@@ -47,7 +47,7 @@ class EnvironmentConfig:
             raise ValueError("min_range_m must be positive")
         for name in ("azimuth_spread_deg", "elevation_spread_deg",
                      "cluster_azimuth_limit_deg", "cluster_elevation_limit_deg"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:   # nan fails it
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 

@@ -95,9 +95,9 @@ class ScenarioConfig:
         self.ris_list = list(self.ris_list)
 
 
-# Resource bounds.  bootstrap_mean_ci draws an (N_BOOT, n_trials) int64 index
-# array, 0.8 GB at MAX_TRIALS, and gathers its samples 2 MiB at a time; at
-# MAX_USERS, h_eff is 410 MB.  run_scenario keeps a block of up to
+# Resource bounds.  bootstrap_mean_ci draws and gathers its resamples about
+# 256 KiB at a time, one row (0.8 MB each) at MAX_TRIALS; at MAX_USERS,
+# h_eff is 410 MB.  run_scenario keeps a block of up to
 # TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
 # scatterers' receiver distances, direct shadows and surface ramps, within
 # about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at

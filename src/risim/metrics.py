@@ -78,27 +78,30 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-_GATHER_BYTES = 1 << 21   # resampled floats gathered at a time, as run_scenario's blocks
+_GATHER_BYTES = 1 << 18   # resampled floats drawn and gathered at a time
 N_BOOT = 1000
 CONFIDENCE = 0.95
 
 
 def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap interval for the sample mean at CONFIDENCE, from
-    N_BOOT resamples drawn from rng (each run passes its own stream).  A
-    row's mean sums that row alone, so gathering _GATHER_BYTES of rows at a
-    time keeps its bits.  The bounds are np.quantile's "linear" ones from one
-    partition: the order statistics either side of (N_BOOT - 1) q, mixed as
-    numpy's _lerp mixes them, and (nan, nan) if a mean is nan."""
+    N_BOOT resamples drawn from rng (each run passes its own stream).  Rows
+    of resamples are drawn, gathered and summed about _GATHER_BYTES at a
+    time: consecutive integers() calls continue one call's stream (PCG64
+    keeps the spare half of a 64-bit word in its state), and a row's mean
+    sums that row alone, so the chunks keep the bits of one draw and one
+    gather.  The bounds are np.quantile's "linear" ones from one partition:
+    the order statistics either side of (N_BOOT - 1) q, mixed as numpy's
+    _lerp mixes them, and (nan, nan) if a mean is nan."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
         raise ValueError("bootstrap needs at least one sample")
-    idx = rng.integers(0, n, size=(N_BOOT, n))
     rows = max(1, _GATHER_BYTES // (samples.itemsize * n))
     means = np.empty(N_BOOT)
     for r in range(0, N_BOOT, rows):   # mean's own arithmetic: row sums, then / n
-        np.add.reduce(samples[idx[r:r + rows]], axis=1, out=means[r:r + rows])
+        idx = rng.integers(0, n, size=(min(rows, N_BOOT - r), n))
+        np.add.reduce(samples[idx], axis=1, out=means[r:r + rows])
     means /= n
     tail = (1.0 - CONFIDENCE) / 2.0
     at = (N_BOOT - 1) * np.array([tail, 1.0 - tail])

@@ -70,7 +70,7 @@ class LosModel:
     force_if_above_tx: bool = True
 
     def __post_init__(self):
-        if self.decay_length_m <= 0:
+        if not self.decay_length_m > 0:   # nan fails it
             raise ValueError("decay_length_m must be positive")
 
 

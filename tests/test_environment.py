@@ -154,6 +154,16 @@ def test_config_validation():
             EnvironmentConfig(**{name: -1.0})
 
 
+@pytest.mark.parametrize("name", ["azimuth_spread_deg", "elevation_spread_deg",
+                                  "cluster_azimuth_limit_deg",
+                                  "cluster_elevation_limit_deg"])
+def test_nan_angle_is_rejected(name):
+    """A nan angle fails its sign check: passed on, it made scatterer
+    positions nan and the run died in pathloss."""
+    with pytest.raises(ValueError, match=name):
+        EnvironmentConfig(**{name: math.nan})
+
+
 def test_elevations_physical():
     # spread wide enough to hit the clip; positions must stay finite
     cs = _sample(seed=9, elevation_spread_deg=80.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ def test_bootstrap_gathers_in_chunks_with_the_bits_of_one_gather(monkeypatch):
         assert list(bootstrap_mean_ci(samples, rng=np.random.default_rng(7))) == want
 
 
+def test_bootstrap_memory_stays_within_one_chunk():
+    """At 20000 samples one row of draws and one of gathered floats are
+    live at a time, 0.3 MB, where one (N_BOOT, n) draw would take 160 MB."""
+    samples = np.random.default_rng(3).random(20_000)
+    tracemalloc.start()
+    try:
+        bootstrap_mean_ci(samples, rng=np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _numpy_bounds(samples, seed):
     """np.quantile's bounds over the resampled means bootstrap_mean_ci draws
     from default_rng(seed), each mean taken by ndarray.mean."""
@@ -236,11 +250,26 @@ def _same_bits(got, want):
     return (nan == np.isnan(want)).all() and got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 100, 2000, 2621, 2622])
+@pytest.mark.parametrize("n, rows", [(331, 99), (331, 1), (7, 3), (13, 11)])
+def test_bootstrap_draws_odd_chunks_with_the_bits_of_one_draw(monkeypatch, n, rows):
+    """Chunks of an odd number of draws leave PCG64 half a 64-bit word,
+    which the next chunk's integers() call takes first: the bounds and the
+    stream left behind are those of one integers() call."""
+    samples = np.random.default_rng(n).exponential(3.0, size=n)
+    monkeypatch.setattr(metrics, "_GATHER_BYTES", rows * 8 * n)
+    rng = np.random.default_rng(7)
+    assert _same_bits(bootstrap_mean_ci(samples, rng=rng), _numpy_bounds(samples, 7))
+    one = np.random.default_rng(7)
+    one.integers(0, n, size=(metrics.N_BOOT, n))
+    assert rng.bit_generator.state == one.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 327, 328, 2000, 2621, 2622])
 def test_bootstrap_bounds_have_the_bits_of_numpys_quantile(n):
     """The one-partition bounds equal np.quantile's on continuous, tied
-    (rounded) and constant samples.  2621 samples gather 100 rows of
-    resamples at a time, ten even chunks; 2622 gather 99, with a ragged last."""
+    (rounded) and constant samples.  327 samples draw and gather 100 rows of
+    resamples at a time, ten even chunks; 328 take 99, with a ragged last;
+    2621 and 2622 take 12, with a last of 4."""
     rng = np.random.default_rng(n)
     continuous = rng.exponential(3.0, size=n)
     for samples in (continuous, np.round(continuous), np.full(n, 0.7)):

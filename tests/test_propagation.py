@@ -110,6 +110,13 @@ def test_los_probability_rules():
         LosModel(decay_length_m=0.0)
 
 
+def test_nan_decay_length_is_rejected():
+    """exp(-d / nan) is nan, which no draw falls below: passed on, a nan
+    decay length blocked every probabilistic link without an error."""
+    with pytest.raises(ValueError, match="decay_length_m"):
+        LosModel(decay_length_m=math.nan)
+
+
 def test_los_empirical_mean_quick():
     model = LosModel(mode=LosMode.PROBABILISTIC, decay_length_m=30.0)
     rng = np.random.default_rng(123)
