@@ -96,7 +96,7 @@ class ScenarioConfig:
 
 
 # Resource bounds.  bootstrap_mean_ci draws and gathers its resamples about
-# 256 KiB at a time, one row (0.8 MB each) at MAX_TRIALS; at MAX_USERS,
+# 256 KiB at a time, one 0.8 MB row of each at MAX_TRIALS; at MAX_USERS,
 # h_eff is 410 MB.  run_scenario keeps a block of up to
 # TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
 # scatterers' receiver distances, direct shadows and surface ramps, within

@@ -78,7 +78,7 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-_GATHER_BYTES = 1 << 18   # resampled floats drawn and gathered at a time
+_GATHER_BYTES = 1 << 18   # bytes of resample indices, and of their floats, per chunk
 N_BOOT = 1000
 CONFIDENCE = 0.95
 
