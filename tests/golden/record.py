@@ -1,8 +1,8 @@
 """Regenerate the golden result tables that tests/test_golden.py compares.
 
-Runs figures F3, F5, F8 and F9 at a small trial count and keeps their sweep
-CSVs.  Run from the root of a checkout after a change that is meant to
-move Monte Carlo numbers:
+Runs figures F2, F3, F5, F7, F8 and F9 at a small trial count and keeps
+their sweep and CDF CSVs.  Run from the root of a checkout after a change
+that is meant to move Monte Carlo numbers:
 
     PYTHONPATH=src python tests/golden/record.py
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from risim.figures import reproduce_figure
 
-FIGURES = ("F3", "F5", "F8", "F9")
+FIGURES = ("F2", "F3", "F5", "F7", "F8", "F9")
 TRIALS = 30
 SEED = 7
 GOLDEN_DIR = Path(__file__).resolve().parent

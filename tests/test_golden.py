@@ -1,4 +1,5 @@
-"""Golden regression: small F3, F5, F8 and F9 runs against stored tables.
+"""Golden regression: small F2, F3, F5, F7, F8 and F9 runs against stored
+tables.
 
 The stored CSVs are written by tests/golden/record.py.  Headers must match
 exactly and every value to rtol 1e-9, so a refactor that moves any Monte
@@ -30,7 +31,7 @@ def test_figure_tables_match_golden(tmp_path):
     written = _recorder().write_tables(tmp_path)
     stored = sorted(p.name for p in GOLDEN_DIR.glob("*.csv"))
     assert sorted(p.name for p in written) == stored
-    assert len(stored) == 11
+    assert len(stored) == 21
     for name in stored:
         want_header, want = _read(GOLDEN_DIR / name)
         got_header, got = _read(tmp_path / name)
