@@ -13,8 +13,8 @@ Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
 times gain, a draw only scales each path by 10^(-shadow/20) and sums.  A
 Sightline keeps its fixed response; a draw only makes its coefficient.
 run_scenario takes a whole block of surface -> receiver and direct draws at
-once, with the kernels that ris_rx_channel and direct_channel run on a
-block of one.
+once, for every receiver, with the kernels that ris_rx_channel and
+direct_channel run on a block of one trial and one receiver.
 
 Every builder takes the scenario's one carrier freq_hz, which sets the
 wavenumber and enters pathloss_db.  Every path is shadowed: a draw scales
@@ -143,9 +143,15 @@ class Sightline:
         return cls(d, 10.0 ** (pathloss_db(pl, freq_hz, d) / 20.0), np.ones(1))
 
     def coefficient(self, shadow_db, eta):
-        """gain 10^(-shadow_db/20) e^{j eta}: the scale of the response for
-        draws of shadow and phase, scalars or arrays."""
-        return self.gain * np.exp(shadow_db * -_NEPERS_PER_DB + 1j * eta)
+        """coefficients of this sightline's gain."""
+        return coefficients(self.gain, shadow_db, eta)
+
+
+def coefficients(gain, shadow_db, eta):
+    """gain 10^(-shadow_db/20) e^{j eta}: the scale of a sightline's response
+    for draws of shadow and phase, elementwise over broadcast arrays, such
+    as one gain per (surface, receiver) against a block's draws."""
+    return gain * np.exp(shadow_db * -_NEPERS_PER_DB + 1j * eta)
 
 
 def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
@@ -176,27 +182,28 @@ def surface_paths(ris: RisDescriptor, scatterers: Placement, pl_nlos: PathlossPa
 
 def direct_paths(scatterers: Placement, d_to_rx: np.ndarray, pl_nlos: PathlossParams,
                  freq_hz: float) -> np.ndarray:
-    """The direct paths via a Placement's scatterers to the receiver at
-    distances d_to_rx: exp(j k (d_to_surface - d_to_rx)), k the carrier's
-    wavenumber, times 10^(loss/20), loss unshadowed over d_from_tx + d_to_rx."""
+    """The direct paths via a Placement's scatterers to receivers at (S,) or
+    (U, S) distances d_to_rx: exp(j k (d_to_surface - d_to_rx)), k the
+    carrier's wavenumber, times 10^(loss/20), loss over d_from_tx + d_to_rx."""
     loss_db = pathloss_db(pl_nlos, freq_hz, scatterers.d_from_tx + d_to_rx)
     excess = wavenumber(freq_hz) * (scatterers.d_to_surface - d_to_rx)
     return np.exp(loss_db * _NEPERS_PER_DB + 1j * excess)
 
 
-def direct_block(link: Sightline, paths: np.ndarray, edges, shadows, draws) -> np.ndarray:
-    """(B,) direct links of B trials: trial i sums its weighted direct_paths
-    paths[edges[i]:edges[i + 1]], each shadowed by its entry of shadows, and
-    adds link's coefficient for its row (visible, shadow_db, eta) of draws
-    where visible.  One reduceat over the non-empty segments takes every
-    sum, each free of where it sits; an empty one would give a[i], not 0."""
+def direct_block(gains: np.ndarray, paths: np.ndarray, edges, shadows, draws) -> np.ndarray:
+    """(B, U) direct links of B trials to U receivers: trial i's to u sums
+    its weighted direct_paths paths[u, edges[i]:edges[i + 1]], each shadowed
+    by its entry of the (U, S) shadows, and adds the coefficient of gains[u]
+    for draws[i, u] = (visible, shadow_db, eta) where visible.  One reduceat
+    over the non-empty segments takes every sum, each free of where it sits
+    and of the other rows; an empty one would give a[i], not 0."""
     terms = paths * np.exp(shadows * -_NEPERS_PER_DB)
     edges = np.asarray(edges)
     full = edges[1:] > edges[:-1]
-    total = np.zeros(len(full), dtype=complex)
-    total[full] = np.add.reduceat(terms, edges[:-1][full])
-    visible, shadow, eta = np.asarray(draws, dtype=float).T
-    return total + np.where(visible, link.coefficient(shadow, eta), 0.0)
+    total = np.zeros((len(full), len(terms)), dtype=complex)
+    total[full] = np.add.reduceat(terms, edges[:-1][full], axis=1).T
+    visible, shadow, eta = np.asarray(draws, dtype=float).transpose(2, 0, 1)
+    return total + np.where(visible, coefficients(gains, shadow, eta), 0.0)
 
 
 def _weights(scatterers: Placement) -> np.ndarray:
@@ -276,7 +283,7 @@ def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: Pathloss
     link = Sightline.direct(tx, rx, pl_los, freq_hz)
     d_to_rx = row_norms(clusters.positions - rx.as_array())
     paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, freq_hz)
-    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=len(paths))
+    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=(1, len(paths)))
     draws = sightline_draws(link, pl_los, rng, los, rx.z, tx.z)
-    total = direct_block(link, paths, [0, len(paths)], shadows, [draws])
-    return complex(total[0]), draws[0]
+    total = direct_block(np.array([link.gain]), paths[None], [0, len(paths)], shadows, [[draws]])
+    return complex(total[0, 0]), draws[0]

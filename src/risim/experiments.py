@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (  # ris_rx_channel, direct_channel: kept for perfbench's tracer
-    RisDescriptor, Sightline, _weights, direct_block, direct_channel, direct_paths,
-    ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
+    RisDescriptor, Sightline, _weights, coefficients, direct_block, direct_channel,
+    direct_paths, ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
     ClusterDraws, EnvironmentConfig, place_clusters, rebind_receiver, sample_clusters,
@@ -58,7 +58,7 @@ from .metrics import (  # effective_channel stays importable for perfbench's tra
 )
 from .propagation import LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavelength
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
-    combined_phase_vector, optimal_phases, partition_elements,
+    arg, combined_phase_vector, optimal_phases, partition_elements,
 )
 
 
@@ -498,19 +498,21 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     paths on each link in one pass over the block's scatterers.  Per trial:
     each surface's tx_ris_channel into one row of the block's h, every
     surface's elements on one axis, and the draws of the other links.  Per
-    block again: the direct links as segment sums plus their sightlines, the
-    surface -> receiver sightlines as one coefficient c each, and one
-    combination for any user count.  User u's link on surface m is c_{u,m}
-    times a fixed response resp_u; element k is co-phased for its owner o
-    against h_d,o with sign s (+1 "paper", -1 "aligned"), so
+    block again, each over every receiver at once: the (B, U) direct links
+    as segment sums plus their sightlines, the (B, M, U) surface -> receiver
+    coefficients c from the run's (M, U) gains, and one combination for any
+    user count.  User u's link on surface m is c_{u,m} times a fixed
+    response resp_u; element k is co-phased for its owner o against h_d,o
+    with sign s (+1 "paper", -1 "aligned"), and arg(+-0) = 0, so
 
       h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
               + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
 
     a segment sum per (surface, owner), and with offblock "include" and
-    several users a product per trial and surface.  The direct links share
-    the first surface's clusters; a surface-free run anchors them on the
-    first receiver.  threads is ignored: perfbench still passes it.
+    several users a product per trial and surface, e^{j phase_k} being
+    combined_phase_vector's phasor.  The direct links share the first
+    surface's clusters; a surface-free run anchors them on the first
+    receiver.  threads is ignored: perfbench still passes it.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -522,27 +524,27 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     # what every sightline keeps from trial to trial, one pass per surface and run
     by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
                   for ris in surfaces]
-    tx_links = [links[0] for links in by_surface]
-    rx_links = [[links[1 + u] for links in by_surface] for u in range(n_users)]
+    rx_links = [links[1:] for links in by_surface]   # [m][u], as c's (m, u) axes
+    rx_gain = np.reshape([x.gain for row in rx_links for x in row], (len(surfaces), n_users))
     direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz) for rx in receivers]
+    direct_gain = np.array([link.gain for link in direct_links])
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
     # tx->surface and direct links, four for surface->rx, one stream_states
-    # pass per key width and block.  The run's own streams, frozen geometry
-    # (0, 5, m) and bootstrap (0, 6, u), take one pass before the blocks.
+    # pass per key width and block.  The run's own streams, trial 0's keys (0,
+    # 5, m) of frozen geometry and (0, 6, u) of the bootstrap, ride in block 0's.
     n_anchors, n_surfaces = len(anchors), len(surfaces)
+    frozen = [] if cfg.resample_geometry else list(range(n_anchors))
     tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
                     + [(_TX_RIS, m) for m in range(n_surfaces)]
-                    + [(_DIRECT, u) for u in range(n_users)])
+                    + [(_DIRECT, u) for u in range(n_users)]
+                    + [(_BASE_GEOMETRY, m) for m in frozen]
+                    + [(_BOOTSTRAP, u) for u in range(n_users)])
+    n_trial_tags = n_anchors + n_surfaces + n_users
     groups = (slice(0, n_anchors), slice(n_anchors, n_anchors + n_surfaces),
-              slice(n_anchors + n_surfaces, None))
-    rx_tags = np.array([(_RIS_RX, m, u) for u in range(n_users)
-                        for m in range(n_surfaces)])
-    frozen = [] if cfg.resample_geometry else list(range(n_anchors))
-    run_states = stream_states(seed, sweep, range(1), np.array(
-        [(_BASE_GEOMETRY, m) for m in frozen] + [(_BOOTSTRAP, u) for u in range(n_users)]))[0]
-    base = [sample_clusters(cfg.env, derived_rng(run_states[m])) for m in frozen]
-    boot_states = run_states[len(frozen):]
+              slice(n_anchors + n_surfaces, n_trial_tags))
+    rx_tags = np.array([(_RIS_RX, m, u) for m in range(n_surfaces)
+                        for u in range(n_users)])
 
     def draw(m: int, rng: np.random.Generator) -> ClusterDraws:
         """One trial's draws of anchor m: fresh, or the base draws with fresh gains."""
@@ -564,22 +566,24 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
     others = n_users > 1 and n_surfaces > 0 and cfg.offblock == "include"
     if others:   # the fixed responses: the owner's, and each surface's others'
-        resp = np.array([np.concatenate([link.resp for link in row]) for row in rx_links])
+        resp = np.concatenate([[link.resp for link in row] for row in rx_links], axis=1)
         own_resp = resp[owner, np.arange(len(owner))]
         other_resp = [np.where(owner[col] == np.arange(n_users)[:, None], 0, resp[:, col]).T
                       for col in cols]
 
     block = min(_block_size(n_users, sizes, _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
-    h_d = np.empty((block, n_users), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
-        states = stream_states(seed, sweep, trials, tags)
+        states = stream_states(seed, sweep, trials, tags[:n_trial_tags] if start else tags)
+        if not start:
+            base_states, boot_states = np.split(states[0, n_trial_tags:], [len(frozen)])
+            base = [sample_clusters(cfg.env, derived_rng(state)) for state in base_states]
         cluster_st, tx_st, direct_st = (states[:, group] for group in groups)
         rx_st = stream_states(seed, sweep, trials, rx_tags).reshape(
-            n, n_users, n_surfaces, 4) if surfaces else None
+            n, n_surfaces, n_users, 4) if surfaces else None
 
         # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
         # at edges[i]:edges[i + 1]; the last block's, loop views too, go first
@@ -589,7 +593,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         places = [place_clusters(d, cfg.tx, a, seen)
                   for d, a, seen in zip(draws, anchors, seen_by)]
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
-        direct = [direct_paths(places[0], d, cfg.pl_nlos, cfg.freq_hz) for d in places[0].d_to_rx]
+        direct = direct_paths(places[0], np.array(places[0].d_to_rx), cfg.pl_nlos, cfg.freq_hz)
         weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
@@ -603,11 +607,10 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                 tx_ris_channel(
                     ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     cfg.freq_hz, derived_rng(tx_st[i, m]),
-                    link=tx_links[m], paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
+                    link=by_surface[m][0], paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
+            rx_draws += [sightline_draws(rx_links[m][u], cfg.pl_los, derived_rng(rx_st[i, m, u]))
+                         for m in range(n_surfaces) for u in range(n_users)]
             for u, rx in enumerate(receivers):
-                rx_draws += [sightline_draws(rx_links[u][m], cfg.pl_los,
-                                             derived_rng(rx_st[i, u, m]))
-                             for m in range(n_surfaces)]
                 rng = derived_rng(direct_st[i, u])
                 rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])   # scaled per block below
                 direct_draws.append(sightline_draws(
@@ -615,24 +618,20 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
 
         # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
         shadows *= cfg.pl_nlos.shadow_sigma_db
-        direct_draws = np.array(direct_draws).reshape(n, n_users, 3)
-        for u, link in enumerate(direct_links):
-            h_d[:n, u] = direct_block(link, weights[0] * direct[u], at, shadows[u],
-                                      direct_draws[:, u])
-        _, rx_shadow, rx_eta = np.array(   # surface -> receiver draws, (n, U, M) each
-            rx_draws, dtype=float).reshape(n, n_users, n_surfaces, 3).transpose(3, 0, 1, 2)
+        h_d = direct_block(direct_gain, weights[0] * direct, at, shadows,
+                           np.array(direct_draws).reshape(n, n_users, 3))
+        _, rx_shadow, rx_eta = np.array(   # surface -> receiver draws, (n, M, U) each
+            rx_draws, dtype=float).reshape(n, n_surfaces, n_users, 3).transpose(3, 0, 1, 2)
         # user u's surface -> receiver link on surface m is c[:, m, u] times its resp
-        c = np.empty((n, n_surfaces, n_users), dtype=complex)
-        for u, m in np.ndindex(n_users, n_surfaces):
-            c[:, m, u] = rx_links[u][m].coefficient(rx_shadow[:, u, m], rx_eta[:, u, m])
+        c = coefficients(rx_gain, rx_shadow, rx_eta)
         # an owned element co-phased against h_d adds amp_k |c||h_k| e^{-j sign arg h_d}
         own = (np.abs(c).reshape(n, -1) * np.add.reduceat(
             amplitude * np.abs(h[:n]), starts, axis=1)).reshape(n, n_surfaces, n_users)
-        out = h_d[:n] + own.sum(axis=1) * np.exp(-1j * sign * np.angle(h_d[:n]))
+        out = h_d + own.sum(axis=1) * np.exp(-1j * sign * arg(h_d))
         if others:   # the other users' elements, x = amp e^{j phase} h, reach u through resp
-            phases = combined_phase_vector(owner, c[:, surface_of, owner] * own_resp,
-                                           h[:n], h_d[:n], cfg.direct_phase_sign)
-            x = amplitude * np.exp(1j * phases) * h[:n]
+            x = combined_phase_vector(owner, c[:, surface_of, owner] * own_resp,
+                                      h[:n], h_d, cfg.direct_phase_sign)
+            x *= amplitude * h[:n]
             for m, col in enumerate(cols):   # one product per trial: bits free of n
                 out += c[:, m] * (x[:, None, col] @ other_resp[m])[:, 0]
         h_eff[:, start:stop] = out.T

@@ -366,11 +366,44 @@ def test_links_take_their_part_of_block_paths():
                 shadows.append(sample_shadow(nlos.shadow_sigma_db, rng, size=hi - lo))
                 rows.append(sightline_draws(link, LOS_73GHZ, rng, los, rx.z, tx.z))
                 assert rng.bit_generator.state == end
-            block = direct_block(link, direct, placed.edges, np.concatenate(shadows), rows)
+            block = direct_block(np.array([link.gain]), direct[None], placed.edges,
+                                 np.concatenate(shadows)[None], np.array(rows)[:, None])[:, 0]
             assert [np.complex128(d).tobytes() for d, _ in alone] == \
                 [d.tobytes() for d in block]
             assert [heard for _, heard in alone] == [row[0] for row in rows]
             assert any(row[0] for row in rows) and not all(row[0] for row in rows)
+
+
+def test_direct_links_of_every_receiver_take_one_call():
+    """direct_paths and direct_block over U receivers give each receiver the
+    bytes of its own one-receiver call: a block with an empty scatter
+    segment, and sightlines visible in some trials and not in others."""
+    tx, surface = Point3(0, 20, 2), Point3(75, 30, 2)
+    receivers = [Point3(70, 35, 1), Point3(60, 28, 1.5), Point3(75, 25, 3)]
+    draws = [sample_clusters(EnvironmentConfig(), np.random.default_rng((4, i)))
+             for i in range(6)]
+    draws[2] = sample_clusters(EnvironmentConfig(include_scatter=False),
+                               np.random.default_rng(0))
+    placed = place_clusters(draws, tx, surface, receivers)
+    assert np.diff(placed.edges)[2] == 0 and placed.edges[-1] > 0
+    paths = direct_paths(placed, np.array(placed.d_to_rx), NLOS_73GHZ, F73)
+    assert paths.shape == (3, placed.edges[-1])
+    for u, d in enumerate(placed.d_to_rx):
+        assert paths[u].tobytes() == direct_paths(placed, d, NLOS_73GHZ, F73).tobytes()
+    rng = np.random.default_rng(12)
+    shadows = sample_shadow(NLOS_73GHZ.shadow_sigma_db, rng, size=paths.shape)
+    links = [Sightline.direct(tx, rx, LOS_73GHZ, F73) for rx in receivers]
+    los = LosModel(decay_length_m=80.0)
+    rows = np.array([[sightline_draws(link, LOS_73GHZ, rng, los, rx.z, tx.z)
+                      for link, rx in zip(links, receivers)] for _ in range(6)])
+    assert 0 < rows[..., 0].sum() < rows[..., 0].size
+    gains = np.array([link.gain for link in links])
+    block = direct_block(gains, paths, placed.edges, shadows, rows)
+    assert block.shape == (6, 3)
+    for u in range(3):
+        alone = direct_block(gains[u:u + 1], paths[u:u + 1], placed.edges,
+                             shadows[u:u + 1], rows[:, u:u + 1])
+        assert alone[:, 0].tobytes() == block[:, u].tobytes()
 
 
 def test_phase_draw_has_the_bits_of_a_uniform_draw():

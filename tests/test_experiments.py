@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from risim import experiments
-from risim.channel import RisDescriptor, direct_channel, ris_rx_channel, tx_ris_channel
+from risim.channel import (
+    RisDescriptor, Sightline, coefficients, direct_channel, ris_rx_channel,
+    sightline_draws, tx_ris_channel,
+)
 from risim.environment import (
     EnvironmentConfig, complex_normal, place_clusters, sample_clusters,
 )
@@ -602,7 +605,7 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
         return wrapped
 
     for name, attr, pick in (("h", "tx_ris_channel", lambda out: out[0]),
-                             ("h_d", "direct_block", lambda out: out)):
+                             ("h_d", "direct_block", lambda out: out[:, 0])):
         monkeypatch.setattr(experiments, attr, keep(name, getattr(experiments, attr), pick))
     summarize = experiments.summarize
 
@@ -819,6 +822,73 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert {s.tobytes() for trials, tags in keys
             for s in stream_states(seed, 0, trials, np.array(tags)).reshape(-1, 4)} \
         == set(base)
+
+
+def test_surface_coefficients_are_each_links(monkeypatch):
+    # the (B, M, U) coefficients of a block, one expression over the run's
+    # (M, U) gains, hold the bytes of Sightline.coefficient of link (u, m) on
+    # the draws of its streams (t, 3, m, u), in ragged blocks of 4
+    blocks = []
+
+    def keep(*args):
+        blocks.append(coefficients(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(experiments, "coefficients", keep)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
+    cfg = _cfg(rx=[*_TWO_USERS, RX], ris_list=_TWO_SURFACES, n_trials=9)
+    run_scenario(cfg)
+    c = np.concatenate(blocks)
+    assert c.shape == (9, 2, 3) and len(blocks) == 3
+    for m, ris in enumerate(_TWO_SURFACES):
+        links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)[1:]
+        for u, link in enumerate(links):
+            _, shadow, eta = np.array([
+                sightline_draws(link, cfg.pl_los, _stream(cfg.master_seed, 0, t, 3, m, u))
+                for t in range(9)]).T
+            assert c[:, m, u].tobytes() == link.coefficient(shadow, eta).tobytes()
+
+
+@pytest.mark.parametrize("n_trials", [1, 7, experiments.TRIAL_BLOCK + 3])
+@pytest.mark.parametrize("resample", [True, False], ids=["fresh", "frozen"])
+def test_run_streams_are_trial_zero_keys(monkeypatch, n_trials, resample):
+    # the run's own streams ride in block 0's stream pass: user u's bootstrap
+    # generator is PCG64(SeedSequence((seed, sweep, 0, 6, u))), and frozen
+    # geometry draws anchor m's base from the (seed, sweep, 0, 5, m) stream
+    seed, sweep = 31, 3
+    boot, base = [], []
+    bootstrap, sample = experiments.bootstrap_mean_ci, experiments.sample_clusters
+
+    def keep_boot(samples, rng):
+        boot.append(rng.bit_generator.state)
+        return bootstrap(samples, rng=rng)
+
+    def keep_sample(env, rng):
+        state = rng.bit_generator.state
+        base.append((state, sample(env, rng)))
+        return base[-1][1]
+
+    monkeypatch.setattr(experiments, "bootstrap_mean_ci", keep_boot)
+    monkeypatch.setattr(experiments, "sample_clusters", keep_sample)
+    cfg = _cfg(rx=_TWO_USERS, ris_list=_TWO_SURFACES, n_trials=n_trials, seed=seed,
+               resample_geometry=resample)
+    run_scenario(cfg, sweep_index=sweep)
+
+    def stream(*tag):
+        return np.random.default_rng(np.random.SeedSequence((seed, sweep, 0, *tag)))
+
+    assert boot == [stream(6, u).bit_generator.state for u in range(2)]
+    anchors = [stream(5, m) for m in range(2)]
+    if resample:   # every draw is a trial's, none the base streams'
+        assert len(base) == 2 * n_trials
+        assert not {str(a.bit_generator.state) for a in anchors} \
+            & {str(state) for state, _ in base}
+    else:
+        assert [state for state, _ in base] == [a.bit_generator.state for a in anchors]
+        for (_, got), rng in zip(base, anchors):
+            want = sample(cfg.env, rng)
+            assert [x.tobytes() for x in (got.sizes, got.uniforms, got.normals)] == \
+                [x.tobytes() for x in (want.sizes, want.uniforms, want.normals)]
 
 
 def test_offblock_choice_changes_multiuser_rates():

@@ -50,7 +50,8 @@ def _element_axis_channel(h_d, gs, hs, amps, sign, offblock):
     elements on one axis: a user's own elements, co-phased against its
     direct link, add amp_k |g_k||h_k| e^{-js arg h_d}; with "include" and
     several users, the other users' elements add g_k amp_k e^{j phase_k} h_k
-    at the phases combined_phase_vector grants their owners."""
+    at the unit phasors e^{j phase_k} combined_phase_vector grants their
+    owners."""
     n_users = len(h_d)
     g = np.array([np.concatenate(row) for row in gs])
     h = np.concatenate(hs)
@@ -61,8 +62,8 @@ def _element_axis_channel(h_d, gs, hs, amps, sign, offblock):
     out = h_d + (mine * amplitude * np.abs(g) * np.abs(h)).sum(axis=1) \
         * np.exp(-1j * s * np.angle(h_d))
     if n_users > 1 and offblock == "include":
-        phases = combined_phase_vector(owner, g[owner, np.arange(len(h))], h, h_d, sign)
-        out += (~mine * g) @ (amplitude * np.exp(1j * phases) * h)
+        phasors = combined_phase_vector(owner, g[owner, np.arange(len(h))], h, h_d, sign)
+        out += (~mine * g) @ (amplitude * phasors * h)
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from risim.riscontrol import (
-    combined_phase_vector, optimal_phases, partition_elements,
+    arg, combined_phase_vector, optimal_phases, partition_elements, unit,
 )
 
 
@@ -116,6 +116,16 @@ def _own(owner, g):
     return g[..., owner, np.arange(len(owner))]
 
 
+# combined_phase_vector's phasors against e^{j optimal_phases}: both are
+# unit-magnitude, so an absolute bound of a few ulps of 1 holds
+_PHASOR_ATOL = 1e-14
+
+
+def _assert_phasors(got, phases):
+    np.testing.assert_allclose(got, np.exp(1j * np.asarray(phases)), rtol=0,
+                               atol=_PHASOR_ATOL)
+
+
 def test_combined_phase_vector_mixes_blocks():
     owner = partition_elements(6, 2)
     rng = np.random.default_rng(7)
@@ -123,11 +133,12 @@ def test_combined_phase_vector_mixes_blocks():
     out = combined_phase_vector(owner, _own(owner, g), h, h_d, "paper")
     per_user = [optimal_phases(g[u], h, h_d[u]) for u in range(2)]
     # each element carries its owner's co-phase
-    np.testing.assert_array_equal(out[:3], per_user[0][:3])
-    np.testing.assert_array_equal(out[3:], per_user[1][3:])
+    _assert_phasors(out[:3], per_user[0][:3])
+    _assert_phasors(out[3:], per_user[1][3:])
     aligned = combined_phase_vector(owner, _own(owner, g), h, h_d, "aligned")
-    np.testing.assert_array_equal(
-        aligned[3:], optimal_phases(g[1], h, h_d[1], "aligned")[3:])
+    _assert_phasors(aligned[3:], optimal_phases(g[1], h, h_d[1], "aligned")[3:])
+    with pytest.raises(ValueError):
+        combined_phase_vector(owner, _own(owner, g), h, h_d, "bogus")
     # a leading trial axis carries through, trial by trial
     gb, hb, h_db = _cn(rng, 4, 2, 6), _cn(rng, 4, 6), _cn(rng, 4, 2)
     block = combined_phase_vector(owner, _own(owner, gb), hb, h_db)
@@ -145,4 +156,42 @@ def test_combined_phase_vector_across_surfaces():
     out = combined_phase_vector(owner, _own(owner, g), h, h_d)
     per_user = [optimal_phases(g[u], h, h_d[u]) for u in range(2)]
     picks = [0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
-    np.testing.assert_array_equal(out, [per_user[u][k] for k, u in enumerate(picks)])
+    _assert_phasors(out, [per_user[u][k] for k, u in enumerate(picks)])
+
+
+@pytest.mark.parametrize("sign", ["paper", "aligned"])
+def test_phasors_are_unit_exps_of_the_phases_across_magnitudes(sign):
+    # blocks of (10, 256) elements and two users, magnitudes over 10 decades
+    owner = partition_elements(256, 2)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        g, h = (_cn(rng, 10, 256) * 10.0 ** rng.uniform(-5, 5, size=(10, 256))
+                for _ in range(2))
+        h_d = _cn(rng, 10, 2) * 10.0 ** rng.uniform(-5, 5, size=(10, 2))
+        phasors = combined_phase_vector(owner, g, h, h_d, sign)
+        np.testing.assert_allclose(np.abs(phasors), 1.0, rtol=0, atol=_PHASOR_ATOL)
+        _assert_phasors(phasors, optimal_phases(g, h, h_d[:, owner], sign))
+
+
+_SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("zero", _SIGNED_ZEROS, ids=["+0+0j", "+0-0j", "-0+0j", "-0-0j"])
+@pytest.mark.parametrize("where", ["g", "h", "h_d"])
+def test_every_signed_zero_has_arg_zero(zero, where):
+    # a zero of either sign in g, h or h_d co-phases as a positive real one:
+    # np.angle reads -0 + 0j as pi, arg and unit read every zero as arg 0
+    assert arg(zero) == 0.0 and unit(zero) == 1.0
+    owner = partition_elements(4, 2)
+    rng = np.random.default_rng(3)
+    values = {"g": _cn(rng, 4), "h": _cn(rng, 4), "h_d": _cn(rng, 2)}
+    for sign in ("paper", "aligned"):
+        phases, phasors = [], []
+        for fill in (zero, 1.0):
+            args = {**values, where: values[where].copy()}
+            args[where][1] = fill
+            phases.append(optimal_phases(args["g"], args["h"], args["h_d"][owner], sign))
+            phasors.append(combined_phase_vector(owner, args["g"], args["h"], args["h_d"],
+                                                 sign))
+        assert phases[0].tobytes() == phases[1].tobytes()
+        assert phasors[0].tobytes() == phasors[1].tobytes()
