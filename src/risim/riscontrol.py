@@ -46,9 +46,9 @@ def optimal_phases(g: np.ndarray, h: np.ndarray, h_txrx: complex | np.ndarray,
     The direct-phase sign convention: with "paper" each element k gets
     -(arg g_k + arg h_k + arg h_txrx), so the cascaded sum lands at phase
     -arg(h_txrx); "aligned" flips the direct link's sign, so the sum lands
-    at +arg(h_txrx) and adds constructively with it.  arg is arg's, 0 for
-    a zero of either sign.  h_txrx is a scalar or an array that broadcasts
-    against g, such as one (B, 1) column for a block of B trials.
+    at +arg(h_txrx) and adds constructively with it.  Each arg is this
+    module's arg, 0 for a zero of either sign.  h_txrx is a scalar or an
+    array that broadcasts against g, such as one (B, 1) column of B trials.
     """
     return wrap_angle(-(arg(g) + arg(h) + _direct_sign(direct_phase_sign) * arg(h_txrx)))
 
