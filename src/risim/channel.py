@@ -6,7 +6,12 @@ Element lattices are square with a row-major (z, x) scan, x running fastest.
 A direction's unit vector u in the surface frame steers the x index by
 u_z = sin(el), along the lattice's vertical axis, and the z index by
 u_x = sin(az) cos(el), along its horizontal one: one direction's (N,)
-response is kron(ez, ex), with ez and ex side-long phase ramps.  Scatterers
+response is kron(ez, ex), with ez and ex side-long phase ramps.  The
+lattice's phase reference is element (0, 0), the first of the scan, whose
+response is 1 in every direction, while distances, and with them pathloss
+and the direct links' excess phase, are taken at the surface centre,
+position: a response referenced at the centre would be this one times
+e^{-j k d c (u_z + u_x)}, c = (side - 1) / 2, d the pitch.  Scatterers
 and sightlines are steered from u alone, with no angle.  surface_paths and
 direct_paths build what scatter paths keep from draw to draw over a
 Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
@@ -40,9 +45,9 @@ from .geometry import (  # angles_to_targets stays importable for perfbench's tr
     Orientation, Point3, angles_to_targets, directions_to_targets, distance,
     row_norms,
 )
-from .propagation import (  # element_gain stays importable for perfbench's tracer
-    LosModel, PathlossParams, element_gain, los_indicator, pathloss_db,
-    sample_shadow, wavenumber,
+from .propagation import (  # element_gain, los_indicator, sample_shadow: for perfbench's tracer
+    LosModel, PathlossParams, Visibility, element_gain, los_indicator, pathloss_db,
+    sample_shadow, visibility, wavenumber,
 )
 
 
@@ -155,14 +160,14 @@ def coefficients(gain, shadow_db, eta):
 
 
 def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
-                    los: LosModel | None = None, end_z: float = 0.0,
-                    tx_z: float = 0.0) -> tuple[bool, float, float]:
-    """(visible, shadow_db, eta) of one draw of link, in that order: visibility
-    under los between heights end_z and tx_z (none without los), then if
-    visible the shadow and eta = 2 pi U, rng.uniform(0, 2 pi)'s bits."""
-    if los is not None and not los_indicator(los, link.distance, end_z, tx_z, rng):
+                    seen: Visibility | None = None) -> tuple[bool, float, float]:
+    """(visible, shadow_db, eta) of one draw of link, in that order: its
+    visibility seen, built once per link and run by propagation.visibility
+    (always visible, with no draw, if None), then if visible the shadow,
+    rng.normal(0, sigma)'s bits, and eta = 2 pi U, rng.uniform(0, 2 pi)'s."""
+    if seen is not None and not seen.draw(rng):
         return False, 0.0, 0.0
-    shadow = sample_shadow(pl.shadow_sigma_db, rng)
+    shadow = rng.normal(0.0, pl.shadow_sigma_db)
     return True, shadow, 2.0 * math.pi * rng.random()
 
 
@@ -222,8 +227,8 @@ def tx_ris_channel(
     los: LosModel,
     freq_hz: float,
     rng: np.random.Generator,
-    *, link: Sightline | None = None, paths: tuple | None = None,
-    out: np.ndarray | None = None,
+    *, link: Sightline | None = None, seen: Visibility | None = None,
+    paths: tuple | None = None, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
     """(N,) vector from the transmitter to the surface, plus the sightline flag.
 
@@ -232,6 +237,7 @@ def tx_ris_channel(
     vector to scatterer s and loss_s over the detour d_from_tx + d_to_surface;
     the sightline adds its coefficient, with a uniform random phase eta,
     times its response if visible.  link, Sightline.between(ris, tx, pl_los, freq_hz),
+    its Visibility seen under los between the surface's and tx's heights,
     and paths, the weighted surface_paths (ez w scale, ex) of clusters, one
     trial's Placement, are built here unless passed in; paths then carries
     the gains and its scatterer axis counts the scatter shadows, and
@@ -245,12 +251,13 @@ def tx_ris_channel(
         scale, ez, ex = surface_paths(ris, clusters, pl_nlos, freq_hz)
         paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
     wz, ex = paths
-    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=wz.shape[-1])
+    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, size=wz.shape[-1])
     wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
 
     link = link or Sightline.between(ris, tx, pl_los, freq_hz)
-    visible, shadow, eta = sightline_draws(link, pl_los, rng, los, ris.position.z, tx.z)
+    seen = seen or visibility(los, link.distance, ris.position.z, tx.z)
+    visible, shadow, eta = sightline_draws(link, pl_los, rng, seen)
     if visible:
         h += link.coefficient(shadow, eta) * link.resp
     return h, visible
@@ -283,7 +290,7 @@ def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: Pathloss
     link = Sightline.direct(tx, rx, pl_los, freq_hz)
     d_to_rx = row_norms(clusters.positions - rx.as_array())
     paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, freq_hz)
-    shadows = sample_shadow(pl_nlos.shadow_sigma_db, rng, size=(1, len(paths)))
-    draws = sightline_draws(link, pl_los, rng, los, rx.z, tx.z)
+    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, size=(1, len(paths)))
+    draws = sightline_draws(link, pl_los, rng, visibility(los, link.distance, rx.z, tx.z))
     total = direct_block(np.array([link.gain]), paths[None], [0, len(paths)], shadows, [[draws]])
     return complex(total[0, 0]), draws[0]

@@ -130,26 +130,19 @@ def sample_clusters(cfg: EnvironmentConfig, rng: np.random.Generator) -> Cluster
                         rng.standard_normal((4, sum(sizes.tolist()))), cfg)
 
 
-def _norms(rel: np.ndarray) -> np.ndarray:
-    """Column norms of a (3, S) array, summed x, y, z in order as row_norms
-    sums the rows of an (S, 3) one; rel is squared in place."""
-    rel *= rel
-    return np.sqrt(rel[0] + rel[1] + rel[2])
-
-
 class Placement(NamedTuple):
     """place_clusters' result: every trial's scatterers on one flat axis.
 
     positions is (sum S, 3) in trial order, trial i's rows being
-    edges[i]:edges[i + 1]; the gains and distances, d_to_rx[u] to receiver
-    u, run along the same axis.  A NamedTuple's len() counts its fields:
-    len(gains) is the scatterer count."""
+    edges[i]:edges[i + 1]; the gains and distances, row d_to_rx[u] to
+    receiver u, run along the same axis.  A NamedTuple's len() counts its
+    fields: len(gains) is the scatterer count."""
 
     positions: np.ndarray
     gains: np.ndarray
     d_from_tx: np.ndarray
     d_to_surface: np.ndarray       # to the anchor
-    d_to_rx: list[np.ndarray]
+    d_to_rx: np.ndarray            # (U, sum S)
     edges: list[int]
 
 
@@ -163,10 +156,10 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     the bits are theirs.  Each scatterer sits at its cluster's range along
     its direction, the cluster mean plus its offset, elevation clipped to
     [-pi/2, pi/2], in the aim frame of tx -> anchor.  Its distances to tx,
-    anchor and each receiver are taken in the same pass, one endpoint's
-    (3, S) differences at a time, with rebind_receiver's sums.  Every step
-    is elementwise or within one scatterer, so a trial placed with others
-    gets the bytes it gets placed alone."""
+    anchor and every receiver are one (E, 3, S) difference against those E
+    endpoints, squared in place, summed x + y + z as rebind_receiver sums,
+    and one sqrt.  Every step is elementwise or within one scatterer, so a
+    trial placed with others gets the bytes it gets placed alone."""
     txv, span, frame = _anchor(tx, anchor)
     env = draws[0].env
     az_lim = math.radians(env.cluster_azimuth_limit_deg)
@@ -193,12 +186,14 @@ def place_clusters(draws: Sequence[ClusterDraws], tx: Point3, anchor: Point3,
     np.multiply(cos_el, np.sin(az), out=local[1])
     np.sin(el, out=local[2])
     xyz = txv[:, None] + ranges[cluster] * (frame.T @ local)   # (3, S)
-    d_from_tx, d_to_anchor, *d_to_rx = [_norms(xyz - end.as_array()[:, None])
-                                        for end in (tx, anchor, *receivers)]
-    return Placement(xyz.T, _complex(normals[2:]), d_from_tx, d_to_anchor, d_to_rx, edges)
+    ends = np.array([(p.x, p.y, p.z) for p in (tx, anchor, *receivers)], dtype=float)
+    rel = xyz - ends[:, :, None]   # (E, 3, S)
+    rel *= rel
+    d = np.sqrt(rel[:, 0] + rel[:, 1] + rel[:, 2])   # x + y + z, as row_norms sums
+    return Placement(xyz.T, _complex(normals[2:]), d[0], d[1], d[2:], edges)
 
 
 def rebind_receiver(p: Placement, rx: Point3) -> Placement:
     """Same geometry and gains, seen from rx alone: the distances
     place_clusters gives rx when placing with it as a receiver."""
-    return p._replace(d_to_rx=[row_norms(p.positions - rx.as_array())])
+    return p._replace(d_to_rx=row_norms(p.positions - rx.as_array())[None])

@@ -56,7 +56,9 @@ from .metrics import (  # effective_channel stays importable for perfbench's tra
     LinkBudget, MetricsResult, bootstrap_mean_ci, effective_channel,
     empirical_cdf, summarize,
 )
-from .propagation import LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, wavelength
+from .propagation import (
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, visibility, wavelength,
+)
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
     arg, combined_phase_vector, optimal_phases, partition_elements,
 )
@@ -528,6 +530,11 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     rx_gain = np.reshape([x.gain for row in rx_links for x in row], (len(surfaces), n_users))
     direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz) for rx in receivers]
     direct_gain = np.array([link.gain for link in direct_links])
+    # each blockable link's visibility, fixed by its length and heights
+    tx_seen = [visibility(cfg.los_model, links[0].distance, ris.position.z, cfg.tx.z)
+               for ris, links in zip(surfaces, by_surface)]
+    direct_seen = [visibility(cfg.los_model, link.distance, rx.z, cfg.tx.z)
+                   for rx, link in zip(receivers, direct_links)]
 
     # Trial t's streams are keyed (t, *tag): three ints for its clusters,
     # tx->surface and direct links, four for surface->rx, one stream_states
@@ -593,7 +600,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
         places = [place_clusters(d, cfg.tx, a, seen)
                   for d, a, seen in zip(draws, anchors, seen_by)]
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
-        direct = direct_paths(places[0], np.array(places[0].d_to_rx), cfg.pl_nlos, cfg.freq_hz)
+        direct = direct_paths(places[0], places[0].d_to_rx, cfg.pl_nlos, cfg.freq_hz)
         weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
@@ -607,14 +614,15 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
                 tx_ris_channel(
                     ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
                     cfg.freq_hz, derived_rng(tx_st[i, m]),
-                    link=by_surface[m][0], paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
+                    link=by_surface[m][0], seen=tx_seen[m], paths=(wz[:, lo:hi], ex[:, lo:hi]),
+                    out=h[i, cols[m]])
             rx_draws += [sightline_draws(rx_links[m][u], cfg.pl_los, derived_rng(rx_st[i, m, u]))
                          for m in range(n_surfaces) for u in range(n_users)]
-            for u, rx in enumerate(receivers):
+            for u in range(n_users):
                 rng = derived_rng(direct_st[i, u])
                 rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])   # scaled per block below
-                direct_draws.append(sightline_draws(
-                    direct_links[u], cfg.pl_los, rng, cfg.los_model, rx.z, cfg.tx.z))
+                direct_draws.append(
+                    sightline_draws(direct_links[u], cfg.pl_los, rng, direct_seen[u]))
 
         # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
         shadows *= cfg.pl_nlos.shadow_sigma_db
@@ -674,10 +682,12 @@ def parse_values(text, kind: type, name: str):
     text is a comma-separated string or, from Python, a number or a list.
     A list takes one or more numbers, a float exactly one, an int exactly
     one whole number, kept exact rather than passed through float.  Every
-    number must be finite; the checks are the config decoder's.
+    number must be finite; the checks are the config decoder's.  An empty
+    field, as in "10,,20" or "10,", is an error, not a skipped value.
     """
-    items = text if isinstance(text, (list, tuple)) else [
-        t for t in str(text).split(",") if t.strip()]
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    if any(isinstance(t, str) and not t.strip() for t in items):
+        raise ConfigError(f"{name} has an empty field, got {text!r}")
     numbers = [_number(t, name) for t in items]
     if kind is list and numbers:
         return _decode(list[float], numbers, name)

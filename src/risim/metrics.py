@@ -58,10 +58,11 @@ def summarize(h_effective: np.ndarray, budget: LinkBudget, seed: int = 0) -> Met
     array, so the result does not depend on how trials were scheduled."""
     lin = snr(np.asarray(h_effective), budget)
     samples = np.log2(1.0 + lin)
-    with np.errstate(divide="ignore"):
-        mean_db = float(10.0 * np.log10(np.mean(lin))) if len(lin) else math.nan
+    n = len(samples)
+    with np.errstate(divide="ignore"):   # np.mean's sum and divide, less its wrapper
+        mean_db = float(10.0 * np.log10(np.add.reduce(lin) / n)) if n else math.nan
     return MetricsResult(
-        ergodic_rate=float(np.mean(samples)),
+        ergodic_rate=float(np.add.reduce(samples) / n) if n else math.nan,
         mean_snr_db=mean_db,
         rate_samples=samples,
         n_trials=len(samples),
@@ -81,6 +82,18 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 _GATHER_BYTES = 1 << 18   # bytes of resample indices, and of their floats, per chunk
 N_BOOT = 1000
 CONFIDENCE = 0.95
+# np.quantile's "linear" positions (N_BOOT - 1) q of both bounds: the order
+# statistics either side of each, the partition's kth, and the weights
+_AT = (N_BOOT - 1) * np.array([(1.0 - CONFIDENCE) / 2.0, 1.0 - (1.0 - CONFIDENCE) / 2.0])
+_BELOW = _AT.astype(np.intp)   # floor: _AT >= 0
+_KTH = np.concatenate((_BELOW, _BELOW + 1, [N_BOOT - 1]))
+_BOUNDS = list(zip(_BELOW.tolist(), (_AT - _BELOW).tolist()))
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's _lerp of floats a, b at t, its operations in its order."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
@@ -90,9 +103,10 @@ def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[fl
     time: consecutive integers() calls continue one call's stream (PCG64
     keeps the spare half of a 64-bit word in its state), and a row's mean
     sums that row alone, so the chunks keep the bits of one draw and one
-    gather.  The bounds are np.quantile's "linear" ones from one partition:
-    the order statistics either side of (N_BOOT - 1) q, mixed as numpy's
-    _lerp mixes them, and (nan, nan) if a mean is nan."""
+    gather.  The bounds are np.quantile's "linear" ones from one partition
+    at positions fixed on import: the order statistics either side of
+    (N_BOOT - 1) q, mixed on Python floats as numpy's _lerp mixes them, and
+    (nan, nan) if a mean is nan."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
@@ -103,12 +117,8 @@ def bootstrap_mean_ci(samples: np.ndarray, rng: np.random.Generator) -> tuple[fl
         idx = rng.integers(0, n, size=(min(rows, N_BOOT - r), n))
         np.add.reduce(samples[idx], axis=1, out=means[r:r + rows])
     means /= n
-    tail = (1.0 - CONFIDENCE) / 2.0
-    at = (N_BOOT - 1) * np.array([tail, 1.0 - tail])
-    below = at.astype(np.intp)   # floor: at >= 0
-    means.partition(np.concatenate((below, below + 1, [N_BOOT - 1])))
-    if np.isnan(means[-1]):   # nan sorts last
+    means.partition(_KTH)
+    if math.isnan(means.item(-1)):   # nan sorts last
         return math.nan, math.nan
-    a, b, t = means[below], means[below + 1], at - below
-    lo, hi = np.where(t < 0.5, a + (b - a) * t, b - (b - a) * (1 - t))
-    return float(lo), float(hi)
+    lo, hi = (_lerp(means.item(k), means.item(k + 1), t) for k, t in _BOUNDS)
+    return lo, hi

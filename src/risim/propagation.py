@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,17 +110,33 @@ def los_probability(model: LosModel, dist_m: float, endpoint_z: float, tx_z: flo
     return math.exp(-dist_m / model.decay_length_m)
 
 
+class Visibility(NamedTuple):
+    """One link's blockage rule, fixed for a run by its distance and
+    endpoint heights.  A deterministic mode (draws False) is visible at p = 1
+    (ALWAYS) or hidden at p = 0 (NEVER) and consumes no randomness;
+    PROBABILISTIC (draws True) is one rng.random() < p, also when
+    force_if_above_tx makes p = 1."""
+
+    p: float
+    draws: bool
+
+    def draw(self, rng: np.random.Generator) -> bool:
+        return rng.random() < self.p if self.draws else self.p == 1.0
+
+
+def visibility(model: LosModel, dist_m: float, endpoint_z: float, tx_z: float
+               ) -> Visibility:
+    """The Visibility of a link of length dist_m between heights endpoint_z and tx_z."""
+    return Visibility(los_probability(model, dist_m, endpoint_z, tx_z),
+                      model.mode is LosMode.PROBABILISTIC)
+
+
 def los_indicator(
     model: LosModel, dist_m: float, endpoint_z: float, tx_z: float,
     rng: np.random.Generator,
 ) -> int:
-    """Bernoulli visibility draw; deterministic modes consume no randomness."""
-    if model.mode is LosMode.ALWAYS:
-        return 1
-    if model.mode is LosMode.NEVER:
-        return 0
-    p = los_probability(model, dist_m, endpoint_z, tx_z)
-    return int(rng.random() < p)
+    """Bernoulli visibility draw, the link's Visibility drawn once."""
+    return int(visibility(model, dist_m, endpoint_z, tx_z).draw(rng))
 
 
 def element_gain(theta, q: float = 0.285):

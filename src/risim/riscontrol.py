@@ -27,9 +27,15 @@ def arg(z) -> np.ndarray:
 
 
 def unit(z) -> np.ndarray:
-    """e^{j arg z} = z / |z|, taken without an angle: 1 for a signed zero."""
-    mag = np.abs(z)
-    return np.divide(z, mag, out=np.ones(np.shape(mag), dtype=complex), where=mag > 0)
+    """e^{j arg z} = z / |z|, taken without an angle: 1 for a signed zero,
+    whose magnitude is replaced by 1 before one plain divide."""
+    z = np.asarray(z)
+    mag = np.abs(z, out=np.empty(z.shape))   # out: an array for one value too
+    zero = mag == 0
+    mag[zero] = 1.0
+    u = np.divide(z, mag, out=np.empty(z.shape, dtype=complex))
+    u[zero] = 1.0
+    return u
 
 
 def _direct_sign(direct_phase_sign: str) -> float:

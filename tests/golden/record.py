@@ -1,25 +1,38 @@
-"""Regenerate the golden result tables that tests/test_golden.py compares.
+"""Regenerate the golden result tables that tests/test_golden.py compares,
+or print digests of what they would hold.
 
 Runs figures F2, F3, F5, F7, F8 and F9 at a small trial count and keeps
 their sweep and CDF CSVs.  Run from the root of a checkout after a change
 that is meant to move Monte Carlo numbers:
 
     PYTHONPATH=src python tests/golden/record.py
+
+With --digest it writes nothing: it prints a sha256 for each golden table,
+as the table would be written, and one for each golden run over every
+point's per-trial rate_samples and rate_ci_low, rate_ci_high bytes, user by
+user.  Two checkouts whose printouts match give the same bytes:
+
+    PYTHONPATH=src python tests/golden/record.py --digest
 """
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-from risim.figures import reproduce_figure
+import numpy as np
+
+from risim.experiments import run_sweep
+from risim.figures import build_figure, reproduce_figure
 
 FIGURES = ("F2", "F3", "F5", "F7", "F8", "F9")
 TRIALS = 30
 SEED = 7
 GOLDEN_DIR = Path(__file__).resolve().parent
+KNOBS = {"trials": TRIALS, "seed": SEED}
 
 
 def write_tables(out_dir) -> list[Path]:
@@ -29,13 +42,34 @@ def write_tables(out_dir) -> list[Path]:
     kept = []
     with tempfile.TemporaryDirectory() as scratch:
         for fig in FIGURES:
-            for path in reproduce_figure(fig, {"trials": TRIALS, "seed": SEED},
-                                         out_dir=scratch):
+            for path in reproduce_figure(fig, KNOBS, out_dir=scratch):
                 if path.suffix == ".csv":
                     kept.append(Path(shutil.copy(path, out_dir / path.name)))
     return kept
 
 
+def digests() -> list[tuple[str, str]]:
+    """(sha256, name) of every golden table, then of every golden run's
+    per-trial rates and interval bounds, named <figure>_<run>.samples."""
+    out = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for path in sorted(write_tables(scratch)):
+            out.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.name))
+    for fig in FIGURES:
+        for run in build_figure(fig, KNOBS):
+            sha = hashlib.sha256()
+            for _, per_user in run_sweep(run.cfg, run.sweep):
+                for res in per_user:
+                    sha.update(res.rate_samples.tobytes())
+                    sha.update(np.array([res.rate_ci_low, res.rate_ci_high]).tobytes())
+            out.append((sha.hexdigest(), f"{fig.lower()}_{run.name}.samples"))
+    return out
+
+
 if __name__ == "__main__":
-    for path in write_tables(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_DIR):
-        print(f"wrote {path}")
+    if sys.argv[1:] == ["--digest"]:
+        for sha, name in digests():
+            print(f"{sha}  {name}")
+    else:
+        for path in write_tables(sys.argv[1] if len(sys.argv) > 1 else GOLDEN_DIR):
+            print(f"wrote {path}")

@@ -18,7 +18,7 @@ from risim.geometry import (
 )
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, element_gain, pathloss_db,
-    sample_shadow, wavelength, wavenumber,
+    sample_shadow, visibility, wavelength, wavenumber,
 )
 
 F73 = 73e9
@@ -328,6 +328,7 @@ def test_links_take_their_part_of_block_paths():
     tx, rx = Point3(0, 20, 2), Point3(70, 35, 1)
     los = LosModel(decay_length_m=80.0)
     link = Sightline.direct(tx, rx, LOS_73GHZ, F73)
+    rule = visibility(los, link.distance, rx.z, tx.z)
     surfaces = [
         RisDescriptor(position=Point3(70, 30, 1.5), n_elements=16,
                       orient=Orientation(Plane.XZ, tilt_rad=-0.3)),
@@ -364,7 +365,7 @@ def test_links_take_their_part_of_block_paths():
                 end = rng.bit_generator.state
                 rng = np.random.default_rng((8, i))
                 shadows.append(sample_shadow(nlos.shadow_sigma_db, rng, size=hi - lo))
-                rows.append(sightline_draws(link, LOS_73GHZ, rng, los, rx.z, tx.z))
+                rows.append(sightline_draws(link, LOS_73GHZ, rng, rule))
                 assert rng.bit_generator.state == end
             block = direct_block(np.array([link.gain]), direct[None], placed.edges,
                                  np.concatenate(shadows)[None], np.array(rows)[:, None])[:, 0]
@@ -394,7 +395,8 @@ def test_direct_links_of_every_receiver_take_one_call():
     shadows = sample_shadow(NLOS_73GHZ.shadow_sigma_db, rng, size=paths.shape)
     links = [Sightline.direct(tx, rx, LOS_73GHZ, F73) for rx in receivers]
     los = LosModel(decay_length_m=80.0)
-    rows = np.array([[sightline_draws(link, LOS_73GHZ, rng, los, rx.z, tx.z)
+    rows = np.array([[sightline_draws(link, LOS_73GHZ, rng,
+                                      visibility(los, link.distance, rx.z, tx.z))
                       for link, rx in zip(links, receivers)] for _ in range(6)])
     assert 0 < rows[..., 0].sum() < rows[..., 0].size
     gains = np.array([link.gain for link in links])

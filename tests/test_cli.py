@@ -379,21 +379,32 @@ def test_threads_flag_runs_every_trial_on_the_calling_thread(
     assert callers and set(callers) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,abc"],
-    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "nan"],
-    ["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "inf"],
-    ["figure", "F6", "--override", "pt_values=1,x"],
-    ["figure", "F6", "--override", "trials=2.5"],
-    ["figure", "F6", "--override", "z_ris=abc"],
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,abc"], "--values"),
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "nan"], "--values"),
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "inf"], "--values"),
+    (["figure", "F6", "--override", "pt_values=1,x"], "pt_values"),
+    (["figure", "F6", "--override", "trials=2.5"], "trials"),
+    (["figure", "F6", "--override", "z_ris=abc"], "z_ris"),
+    # an empty field fails rather than being skipped
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,,20"], "--values"),
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10,"], "--values"),
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", ",10"], "--values"),
+    (["sweep", "{cfg}", "--var", "tx_power_dbm", "--values", "10, ,20"], "--values"),
+    (["figure", "F6", "--override", "z_ris=5,"], "z_ris"),
+    (["figure", "F6", "--override", "pt_values=1,,2"], "pt_values"),
+    (["figure", "F6", "--override", "trials="], "trials"),
 ], ids=["values_text", "values_nan", "values_inf", "override_list_text",
-        "override_trials_fraction", "override_float_text"])
-def test_malformed_cli_values_exit_two(scenario_file, tmp_path, capsys, argv):
+        "override_trials_fraction", "override_float_text", "values_empty_middle",
+        "values_empty_last", "values_empty_first", "values_blank_middle",
+        "override_float_empty_last", "override_list_empty_middle", "override_empty"])
+def test_malformed_cli_values_exit_two(scenario_file, tmp_path, capsys, argv, name):
     argv = [a.format(cfg=scenario_file) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and name in captured.err
     assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
 
 
 # A valid scenario with every field spelled out, including optional ones

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -25,7 +26,8 @@ from risim.geometry import (
 )
 from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, pathloss_db,
+    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, los_indicator,
+    los_probability, pathloss_db,
 )
 from risim.riscontrol import optimal_phases, partition_elements
 
@@ -822,6 +824,47 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert {s.tobytes() for trials, tags in keys
             for s in stream_states(seed, 0, trials, np.array(tags)).reshape(-1, 4)} \
         == set(base)
+
+
+@pytest.mark.parametrize("rx_z", [1.0, 3.0], ids=["rx_below_tx", "rx_above_tx"])
+@pytest.mark.parametrize("force", [True, False], ids=["forced", "unforced"])
+@pytest.mark.parametrize("mode", list(LosMode), ids=[m.value for m in LosMode])
+def test_los_draws_keep_the_indicator_contract(monkeypatch, mode, force, rx_z):
+    # every blockable stream, tx -> surface (t, 2, m) and direct (t, 4, u),
+    # ends where its scatter shadows, then los_indicator on a copy of the
+    # generator, then the sightline's shadow and eta if visible leave it:
+    # ALWAYS and NEVER consume nothing, PROBABILISTIC one uniform, even where
+    # force_if_above_tx makes p = 1 (the surface at 2.5 m over the tx at 2 m)
+    los = LosModel(mode=mode, decay_length_m=40.0, force_if_above_tx=force)
+    users = [dataclasses.replace(rx, z=rx_z) for rx in _TWO_USERS]
+    cfg = _cfg(rx=users, ris_list=_TWO_SURFACES, n_trials=12, los_model=los)
+    ends = _end_states(monkeypatch, cfg)
+    seed, tx = cfg.master_seed, cfg.tx
+    links = [(2, m, m, distance(tx, ris.position), ris.position.z)
+             for m, ris in enumerate(_TWO_SURFACES)]
+    links += [(4, u, 0, distance(tx, rx), rx.z) for u, rx in enumerate(users)]
+    seen, certain = set(), False
+    for t in range(12):
+        for tag, k, anchor, dist, end_z in links:
+            scatterers = len(sample_clusters(cfg.env, _stream(seed, 0, t, 1, anchor)))
+            rng = _stream(seed, 0, t, tag, k)
+            rng.standard_normal(scatterers)
+            drawn = copy.deepcopy(rng)
+            visible = los_indicator(los, dist, end_z, tx.z, drawn)
+            if mode is LosMode.PROBABILISTIC:
+                rng.random()
+            assert drawn.bit_generator.state == rng.bit_generator.state
+            if visible:
+                drawn.normal()
+                drawn.random()
+            key = stream_states(seed, 0, range(t, t + 1), np.array([(tag, k)]))[0, 0]
+            assert ends[key.tobytes()] == drawn.bit_generator.state
+            seen.add(visible)
+            certain |= mode is LosMode.PROBABILISTIC \
+                and los_probability(los, dist, end_z, tx.z) == 1.0
+    assert seen == ({True, False} if mode is LosMode.PROBABILISTIC
+                    else {mode is LosMode.ALWAYS})
+    assert certain == (mode is LosMode.PROBABILISTIC and force)
 
 
 def test_surface_coefficients_are_each_links(monkeypatch):
