@@ -2,10 +2,12 @@
 canned experiment geometries, and result serialization.
 
 Reproducibility contract: every random draw of a run comes from a stream
-derived statelessly from (master_seed, sweep_index, trial, component), so
-a trial's draws do not depend on the trial count or on the order trials run.
-Each stream is PCG64 seeded by SeedSequence(entropy=key), bit for bit, for
-a key (master_seed, sweep_index, t, *tag) with one-word trial and tag ints.
+derived statelessly from (master_seed, trial, component), so a trial's
+draws do not depend on the trial count or on the order trials run.  A key
+holds nothing of the config but its seed: two configs that share a seed,
+such as the points of a sweep, run on common random numbers.  Each stream
+is PCG64 seeded by SeedSequence(entropy=key), bit for bit, for a key
+(master_seed, 0, t, *tag) with one-word trial and tag ints.
 stream_states derives the seed words of a range of trials times an array
 of tags in one vectorized pass of SeedSequence's hash, and derived_rng
 turns one of them into a generator.  The tests compare every stream with
@@ -413,20 +415,19 @@ def _words(n) -> list[int]:
     return words
 
 
-def stream_states(master_seed: int, sweep_index: int, trials: range,
-                  tags: np.ndarray) -> np.ndarray:
-    """PCG64 seed words of the streams keyed (master_seed, sweep_index, t,
-    *tag), for t in trials and tag a row of the (G, w) integer array tags,
-    as a (len(trials), G, 4) uint64 array.
+def stream_states(master_seed: int, trials: range, tags: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of the streams keyed (master_seed, 0, t, *tag), for
+    t in trials and tag a row of the (G, w) integer array tags, as a
+    (len(trials), G, 4) uint64 array.
 
-    Entry [i, g] is SeedSequence(entropy=(master_seed, sweep_index,
-    trials[i], *tags[g])).generate_state(4, np.uint64), bit for bit, from
-    one vectorized pass of the hash over every key.  The seed and sweep
-    index split into little-endian uint32 words, and a negative one raises
-    ValueError; each trial and tag entry is one word, below 2**32.  The tests
-    compare entries with numpy's own SeedSequence, so a numpy change to its
-    hash shows there."""
-    prefix = _words(master_seed) + _words(sweep_index)
+    Entry [i, g] is SeedSequence(entropy=(master_seed, 0, trials[i],
+    *tags[g])).generate_state(4, np.uint64), bit for bit, from one
+    vectorized pass of the hash over every key.  The seed splits into
+    little-endian uint32 words, and a negative one raises ValueError; the
+    0 word is a fixed part of every key; each trial and tag entry is one
+    word, below 2**32.  The tests compare entries with numpy's own
+    SeedSequence, so a numpy change to its hash shows there."""
+    prefix = _words(master_seed) + [0]
     n_tags, width = tags.shape
     words = np.empty((len(prefix) + 1 + width, len(trials), n_tags), dtype=np.uint32)
     words[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None, None]
@@ -456,11 +457,11 @@ def _seed_words() -> type:
 
 
 def derived_rng(state) -> np.random.Generator:
-    """Counter-style stream: one generator per (run, trial, component).
+    """Counter-style stream: one generator per (seed, trial, component).
 
     state is its (4,) entry of stream_states, whose one vectorized pass
     derives a whole block's entries, so the generator is PCG64 seeded by
-    SeedSequence(entropy=(master_seed, sweep_index, t, *tag)), bit for bit,
+    SeedSequence(entropy=(master_seed, 0, t, *tag)), bit for bit,
     without a SeedSequence of its own.  The tests check that equality
     against numpy's SeedSequence."""
     state = np.ascontiguousarray(state, dtype=np.uint64)
@@ -491,8 +492,7 @@ def _expected_scatterers(env: EnvironmentConfig) -> float:
     return clusters * (1 + env.max_scatterers_per_cluster) / 2
 
 
-def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
-                 ) -> list[MetricsResult]:
+def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
     Per block: draw every trial's cluster variates (frozen geometry: fresh
@@ -522,7 +522,7 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     anchors = [r.position for r in surfaces] or [receivers[0]]
     # only the first anchor's clusters feed the direct links
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
-    seed, sweep = cfg.master_seed, sweep_index
+    seed = cfg.master_seed
     # what every sightline keeps from trial to trial, one pass per surface and run
     by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
                   for ris in surfaces]
@@ -584,12 +584,12 @@ def run_scenario(cfg: ScenarioConfig, sweep_index: int = 0, threads: int = 1
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
-        states = stream_states(seed, sweep, trials, tags[:n_trial_tags] if start else tags)
+        states = stream_states(seed, trials, tags[:n_trial_tags] if start else tags)
         if not start:
             base_states, boot_states = np.split(states[0, n_trial_tags:], [len(frozen)])
             base = [sample_clusters(cfg.env, derived_rng(state)) for state in base_states]
         cluster_st, tx_st, direct_st = (states[:, group] for group in groups)
-        rx_st = stream_states(seed, sweep, trials, rx_tags).reshape(
+        rx_st = stream_states(seed, trials, rx_tags).reshape(
             n, n_surfaces, n_users, 4) if surfaces else None
 
         # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
@@ -736,11 +736,9 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
     ris = cfg.ris_list[spec.target_ris]
     try:
         if var is SweepVariable.RIS_X:
-            pos = ris.position
-            ris = replace(ris, position=Point3(float(value), pos.y, pos.z))
+            ris = replace(ris, position=replace(ris.position, x=float(value)))
         elif var is SweepVariable.RIS_Z:
-            pos = ris.position
-            ris = replace(ris, position=Point3(pos.x, pos.y, float(value)))
+            ris = replace(ris, position=replace(ris.position, z=float(value)))
         elif var is SweepVariable.TILT:
             ris = replace(ris, orient=replace(ris.orient, tilt_rad=float(value)))
         elif var is SweepVariable.N_ELEMENTS:
@@ -753,40 +751,42 @@ def apply_sweep_value(cfg: ScenarioConfig, spec: SweepSpec, value: float
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, threads: int = 1
               ) -> list[tuple[float, list[MetricsResult]]]:
-    """One seeded run per sweep value; the value index salts the streams.
+    """One run_scenario per sweep value, each point exactly the run of its
+    config.  The points share cfg's seed and so its streams: their errors
+    are correlated, which pins each gap between points tighter than either
+    point, but can shift a whole curve together.
 
     threads is ignored, as in run_scenario."""
     if not spec.values:
         raise ConfigError("sweep needs at least one value")
-    out = []
-    for i, value in enumerate(spec.values):
-        cfg_i = apply_sweep_value(cfg, spec, value)
-        out.append((float(value), run_scenario(cfg_i, sweep_index=i)))
-    return out
+    return [(float(v), run_scenario(apply_sweep_value(cfg, spec, v))) for v in spec.values]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-_RESULT_COLUMNS = ("ergodic_rate_bps_hz,mean_snr_db,"
-                   "rate_ci_low,rate_ci_high,n_trials,seed")
-SWEEP_HEADER = "sweep_value," + _RESULT_COLUMNS
+_RESULT_COLUMNS = ("ergodic_rate_bps_hz", "mean_snr_db", "rate_ci_low", "rate_ci_high",
+                   "n_trials", "seed")
+SWEEP_HEADER = ",".join(("sweep_value", *_RESULT_COLUMNS))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _record(res: MetricsResult) -> tuple:
+    """res's row in _RESULT_COLUMNS' order: four floats, then two ints."""
+    return (res.ergodic_rate, res.mean_snr_db, res.rate_ci_low, res.rate_ci_high,
+            res.n_trials, res.seed)
+
+
 def write_sweep_csv(path, rows: list[tuple[float, MetricsResult]],
                     key: str = "sweep_value") -> Path:
     """One row per (key value, result); key names the first column."""
-    lines = [f"{key},{_RESULT_COLUMNS}"]
+    lines = [",".join((key, *_RESULT_COLUMNS))]
     for value, res in rows:
-        lines.append(",".join([
-            _fmt(value), _fmt(res.ergodic_rate), _fmt(res.mean_snr_db),
-            _fmt(res.rate_ci_low), _fmt(res.rate_ci_high),
-            str(res.n_trials), str(res.seed),
-        ]))
+        *floats, n_trials, seed = _record(res)
+        lines.append(",".join([*map(_fmt, (value, *floats)), str(n_trials), str(seed)]))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -796,20 +796,9 @@ def write_sweep_json(path, rows: list[tuple[float, MetricsResult]],
                      key: str = "sweep_value") -> Path:
     """write_sweep_csv's table as JSON records; a non-finite float, such as
     the dB SNR of a zero-power run, is null."""
-    records = [
-        {
-            key: value,
-            "ergodic_rate_bps_hz": res.ergodic_rate,
-            "mean_snr_db": res.mean_snr_db,
-            "rate_ci_low": res.rate_ci_low,
-            "rate_ci_high": res.rate_ci_high,
-            "n_trials": res.n_trials,
-            "seed": res.seed,
-        }
-        for value, res in rows
-    ]
     records = [{name: None if isinstance(x, float) and not np.isfinite(x) else x
-                for name, x in record.items()} for record in records]
+                for name, x in zip((key, *_RESULT_COLUMNS), (value, *_record(res)))}
+               for value, res in rows]
     path = Path(path)
     path.write_text(json.dumps(records, indent=1, allow_nan=False) + "\n")
     return path

@@ -1,4 +1,18 @@
-"""Test plumbing: print one pass/fail line per acceptance check."""
+"""Test plumbing: print one pass/fail line per acceptance check, and load
+Hypothesis' failure reporter before any test turns warnings into errors."""
+
+import warnings
+
+# Hypothesis imports hypothesis.extra._patching, and libcst with it, only
+# when it reports a failing example.  Under a test's filterwarnings("error")
+# a DeprecationWarning raised by that import would abort the whole session
+# instead of failing the one test, so the import happens here, warnings off.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 _acceptance = {}
 

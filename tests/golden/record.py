@@ -8,9 +8,11 @@ that is meant to move Monte Carlo numbers:
     PYTHONPATH=src python tests/golden/record.py
 
 With --digest it writes nothing: it prints a sha256 for each golden table,
-as the table would be written, and one for each golden run over every
-point's per-trial rate_samples and rate_ci_low, rate_ci_high bytes, user by
-user.  Two checkouts whose printouts match give the same bytes:
+as the table would be written, and one for each sweep point of each golden
+run over its per-trial rate_samples and rate_ci_low, rate_ci_high bytes,
+user by user, named <figure>_<run>.samples[<point index>].  Two checkouts
+whose printouts match give the same bytes; where they differ, the lines
+name the points that moved:
 
     PYTHONPATH=src python tests/golden/record.py --digest
 """
@@ -49,20 +51,20 @@ def write_tables(out_dir) -> list[Path]:
 
 
 def digests() -> list[tuple[str, str]]:
-    """(sha256, name) of every golden table, then of every golden run's
-    per-trial rates and interval bounds, named <figure>_<run>.samples."""
+    """(sha256, name) of every golden table, then of each point of every
+    golden run: its per-trial rates and interval bounds, user by user."""
     out = []
     with tempfile.TemporaryDirectory() as scratch:
         for path in sorted(write_tables(scratch)):
             out.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.name))
     for fig in FIGURES:
         for run in build_figure(fig, KNOBS):
-            sha = hashlib.sha256()
-            for _, per_user in run_sweep(run.cfg, run.sweep):
+            for i, (_, per_user) in enumerate(run_sweep(run.cfg, run.sweep)):
+                sha = hashlib.sha256()
                 for res in per_user:
                     sha.update(res.rate_samples.tobytes())
                     sha.update(np.array([res.rate_ci_low, res.rate_ci_high]).tobytes())
-            out.append((sha.hexdigest(), f"{fig.lower()}_{run.name}.samples"))
+                out.append((sha.hexdigest(), f"{fig.lower()}_{run.name}.samples[{i}]"))
     return out
 
 

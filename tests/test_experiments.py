@@ -21,6 +21,7 @@ from risim.experiments import (
     scenario_from_dict, scenario_to_dict, stream_states, validate,
     write_cdf_csv, write_metadata, write_sweep_csv, write_sweep_json,
 )
+from risim.figures import build_figure
 from risim.geometry import (
     Orientation, Plane, Point3, TiltAxis, angles_to_targets, distance,
 )
@@ -115,7 +116,7 @@ def test_sweep_single_point_matches_direct_run():
     spec = SweepSpec(SweepVariable.TX_POWER_DBM, [25.0])
     (value, results), = run_sweep(cfg, spec)
     assert value == 25.0
-    manual = run_scenario(apply_sweep_value(cfg, spec, 25.0), sweep_index=0)
+    manual = run_scenario(apply_sweep_value(cfg, spec, 25.0))
     np.testing.assert_array_equal(results[0].rate_samples,
                                   manual[0].rate_samples)
 
@@ -183,10 +184,52 @@ def test_integral_sweep_values_are_not_truncated():
     assert out.ris_list == cfg.ris_list
 
 
-def test_repeated_sweep_value_draws_fresh_streams():
-    rows = run_sweep(_cfg(n_trials=40), SweepSpec(SweepVariable.TX_POWER_DBM,
-                                                  [30.0, 30.0]))
-    assert rows[0][1][0].ergodic_rate != rows[1][1][0].ergodic_rate
+def _bytes(results) -> list[bytes]:
+    return [b for res in results for b in (
+        res.rate_samples.tobytes(), np.array([res.rate_ci_low, res.rate_ci_high]).tobytes())]
+
+
+@pytest.mark.parametrize("cfg, spec", [
+    (_cfg(rx=[Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)], n_trials=40),
+     SweepSpec(SweepVariable.RIS_X, [60.0, 75.0, 60.0])),
+    (_cfg(n_trials=40), SweepSpec(SweepVariable.TILT, [-0.5, 0.0, -0.5])),
+], ids=["ris_x_two_users", "tilt"])
+def test_each_sweep_point_is_its_own_run(cfg, spec):
+    # a point is the run of its config: no stream depends on where in the
+    # sweep it sits, so a repeated value repeats its results
+    assert cfg.offblock == "include"
+    rows = run_sweep(cfg, spec)
+    assert [value for value, _ in rows] == spec.values
+    for value, results in rows:
+        assert _bytes(results) == _bytes(run_scenario(apply_sweep_value(cfg, spec, value)))
+    assert _bytes(rows[0][1]) == _bytes(rows[2][1]) != _bytes(rows[1][1])
+
+
+@pytest.mark.parametrize("rx", [[RX], [Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)]],
+                         ids=["one_user", "two_users"])
+def test_power_sweep_is_monotone_trial_by_trial(rx):
+    # power scales every trial's SNR on common streams, and every point
+    # resamples with the same bootstrap streams (0, 6, u), so no trial's rate
+    # and neither interval bound falls as power rises
+    rows = run_sweep(_cfg(rx=rx, n_trials=100),
+                     SweepSpec(SweepVariable.TX_POWER_DBM, [-10.0, 0.0, 10.0, 20.0, 30.0]))
+    for u in range(len(rx)):
+        rates = np.array([results[u].rate_samples for _, results in rows])
+        assert np.all(np.diff(rates, axis=0) >= 0) and np.all(rates[-1] > rates[0])
+        for bound in ("rate_ci_low", "rate_ci_high"):
+            assert np.all(np.diff([getattr(results[u], bound) for _, results in rows]) > 0)
+
+
+def test_adjacent_tilt_points_are_paired():
+    # F5 pivot_x's tilt gain (~0.0014 b/s/Hz) is far below one point's SE
+    # (~0.029): only common streams across points resolve it.  The SE of
+    # each adjacent gap, unpaired over paired, measured 78 to 349 here
+    run, _ = build_figure("F5", {"trials": 400, "seed": 3})
+    assert run.name == "pivot_x"
+    rates = np.array([results[0].rate_samples for _, results in run_sweep(run.cfg, run.sweep)])
+    var = rates.var(axis=1, ddof=1)
+    paired = np.diff(rates, axis=0).var(axis=1, ddof=1)
+    assert np.all(np.sqrt((var[1:] + var[:-1]) / paired) >= 20)
 
 
 def test_run_sweep_needs_values():
@@ -457,30 +500,28 @@ def test_write_metadata_echoes_config(tmp_path):
         == scenario_to_dict(cfg)
 
 
-def _stream(master_seed, sweep_index, t, *tag):
-    """derived_rng on the stream keyed (master_seed, sweep_index, t, *tag)."""
+def _stream(master_seed, t, *tag):
+    """derived_rng on the stream keyed (master_seed, 0, t, *tag)."""
     tags = np.array([tag], dtype=np.int64)
-    return derived_rng(stream_states(master_seed, sweep_index, range(t, t + 1), tags)[0, 0])
+    return derived_rng(stream_states(master_seed, range(t, t + 1), tags)[0, 0])
 
 
 def test_derived_rng_streams():
-    a = _stream(1, 0, 5, 2, 0).random()
-    assert a == _stream(1, 0, 5, 2, 0).random()
-    assert a != _stream(1, 0, 5, 2, 1).random()
-    assert a != _stream(1, 0, 6, 2, 0).random()
-    assert a != _stream(1, 1, 5, 2, 0).random()
-    assert a != _stream(2, 0, 5, 2, 0).random()
-    # each stream is PCG64 seeded by SeedSequence(entropy=key) as a tuple
-    for key in [(0, 0, 0, 1, 0), (2 ** 32 - 1, 3, 2 ** 32 - 1, 2, 2 ** 32 - 1),
-                (123456789012345678901, 0, 7, 5, 0),
-                (2 ** 32, 2 ** 64 + 5, 0, 6, 2 ** 32 - 1)]:
-        want = np.random.default_rng(np.random.SeedSequence(entropy=key))
-        got = _stream(*key)
+    a = _stream(1, 5, 2, 0).random()
+    assert a == _stream(1, 5, 2, 0).random()
+    assert a != _stream(1, 5, 2, 1).random()
+    assert a != _stream(1, 6, 2, 0).random()
+    assert a != _stream(2, 5, 2, 0).random()
+    # each stream is PCG64 seeded by SeedSequence(entropy=(seed, 0, t, *tag))
+    for seed, *key in [(0, 0, 1, 0), (2 ** 32 - 1, 2 ** 32 - 1, 2, 2 ** 32 - 1),
+                       (123456789012345678901, 7, 5, 0),
+                       (2 ** 64 + 5, 0, 6, 2 ** 32 - 1)]:
+        want = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0, *key)))
+        got = _stream(seed, *key)
         assert got.bit_generator.state == want.bit_generator.state, key
         np.testing.assert_array_equal(got.random(8), want.random(8))
-    for key in [(-1, 0, 0, 1), (1, -1, 0, 1)]:
-        with pytest.raises(ValueError):
-            _stream(*key)
+    with pytest.raises(ValueError):
+        _stream(-1, 0, 1)
 
 
 def _assert_seed_sequence_stream(key, state):
@@ -492,44 +533,44 @@ def _assert_seed_sequence_stream(key, state):
 
 @pytest.mark.parametrize("n_words", range(4, 10))
 def test_stream_states_match_seed_sequence(n_words):
-    # random one-word seed, sweep and tags, on a block of trials past 0
+    # random one-word seed and tags, on a block of trials past 0
     draw = np.random.default_rng(n_words)
-    seed, sweep = (int(w) for w in draw.integers(0, 2 ** 32, size=2))
+    seed = int(draw.integers(0, 2 ** 32))
     tags = draw.integers(0, 2 ** 32, size=(4, n_words - 3))
     tags[0], tags[1] = 0, 2 ** 32 - 1
     trials = range(61, 65)
-    states = stream_states(seed, sweep, trials, tags)
+    states = stream_states(seed, trials, tags)
     assert states.shape == (4, 4, 4) and states.dtype == np.uint64
     for t, row in zip(trials, states):
         for tag, state in zip(tags.tolist(), row):
-            _assert_seed_sequence_stream((seed, sweep, t, *tag), state)
+            _assert_seed_sequence_stream((seed, 0, t, *tag), state)
 
 
 _TRICKY = [0, 7, 2 ** 31, 2 ** 32 - 1]   # one-word trial and tag ints
 
 
-@pytest.mark.parametrize("seed, sweep", [(1, 0), (2 ** 32 - 1, 2 ** 32),
-                                         (123456789012345678901, 2 ** 64 + 5)])
-def test_stream_states_of_a_key_do_not_depend_on_its_batch(seed, sweep):
-    # tags 0 to 6 wide: keys from under the 4-word pool to past it
+@pytest.mark.parametrize("seed", [1, 2 ** 32, 123456789012345678901])
+def test_stream_states_of_a_key_do_not_depend_on_its_batch(seed):
+    # seeds of 1 to 3 words and tags 0 to 6 wide: keys from under the 4-word
+    # pool to past it
     for width in range(7):
         tags = np.random.default_rng(width).choice(_TRICKY, size=(3, width))
         trials = range(2 ** 32 - 4, 2 ** 32)
-        batch = stream_states(seed, sweep, trials, tags)
+        batch = stream_states(seed, trials, tags)
         for i, t in enumerate(trials):
             for g, tag in enumerate(tags.tolist()):
-                alone = stream_states(seed, sweep, range(t, t + 1), tags[g:g + 1])
+                alone = stream_states(seed, range(t, t + 1), tags[g:g + 1])
                 np.testing.assert_array_equal(alone[0, 0], batch[i, g])
-                _assert_seed_sequence_stream((seed, sweep, t, *tag), alone[0, 0])
+                _assert_seed_sequence_stream((seed, 0, t, *tag), alone[0, 0])
         # a block past 0 takes the entries its trials get in a block from 0
-        np.testing.assert_array_equal(stream_states(seed, sweep, range(61, 70), tags),
-                                      stream_states(seed, sweep, range(70), tags)[61:])
+        np.testing.assert_array_equal(stream_states(seed, range(61, 70), tags),
+                                      stream_states(seed, range(70), tags)[61:])
 
 
-@pytest.mark.parametrize("seed, sweep", [(-1, 0), (1, -1)], ids=["seed", "sweep"])
-def test_stream_states_reject_negative_components(seed, sweep):
+@pytest.mark.parametrize("seed", [-1, -2 ** 64], ids=["seed", "wide_seed"])
+def test_stream_states_reject_negative_components(seed):
     with pytest.raises(ValueError):
-        stream_states(seed, sweep, range(1), np.array([(0, 1)]))
+        stream_states(seed, range(1), np.array([(0, 1)]))
 
 
 _TWO_SURFACES = [
@@ -623,7 +664,7 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
     h = np.array([np.concatenate(blocks["h"][2 * t:2 * t + 2]) for t in range(40)])
     h_d = np.concatenate(blocks["h_d"])
     g = np.array([np.concatenate([ris_rx_channel(ris, RX, LOS_73GHZ, cfg.freq_hz,
-                                                 _stream(7, 0, t, 3, m, 0))
+                                                 _stream(7, t, 3, m, 0))
                                   for m, ris in enumerate(_TWO_SURFACES)])
                   for t in range(40)])
     assert 0 < (h_d != 0).sum() < 40 and np.all(np.abs(h).sum(axis=1) > 0)
@@ -643,7 +684,7 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     anchors = [r.position for r in surfaces] or [users[0]]
 
     def rng(*key):
-        return _stream(cfg.master_seed, 0, *key)
+        return _stream(cfg.master_seed, *key)
 
     def placed(m, draws):
         return place_clusters([draws], cfg.tx, anchors[m], [])   # direct_channel takes rx
@@ -822,7 +863,7 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
              + [(4, u) for u in range(2)]),
             (range(12), [(3, m, u) for m in range(2) for u in range(2)])]
     assert {s.tobytes() for trials, tags in keys
-            for s in stream_states(seed, 0, trials, np.array(tags)).reshape(-1, 4)} \
+            for s in stream_states(seed, trials, np.array(tags)).reshape(-1, 4)} \
         == set(base)
 
 
@@ -846,8 +887,8 @@ def test_los_draws_keep_the_indicator_contract(monkeypatch, mode, force, rx_z):
     seen, certain = set(), False
     for t in range(12):
         for tag, k, anchor, dist, end_z in links:
-            scatterers = len(sample_clusters(cfg.env, _stream(seed, 0, t, 1, anchor)))
-            rng = _stream(seed, 0, t, tag, k)
+            scatterers = len(sample_clusters(cfg.env, _stream(seed, t, 1, anchor)))
+            rng = _stream(seed, t, tag, k)
             rng.standard_normal(scatterers)
             drawn = copy.deepcopy(rng)
             visible = los_indicator(los, dist, end_z, tx.z, drawn)
@@ -857,7 +898,7 @@ def test_los_draws_keep_the_indicator_contract(monkeypatch, mode, force, rx_z):
             if visible:
                 drawn.normal()
                 drawn.random()
-            key = stream_states(seed, 0, range(t, t + 1), np.array([(tag, k)]))[0, 0]
+            key = stream_states(seed, range(t, t + 1), np.array([(tag, k)]))[0, 0]
             assert ends[key.tobytes()] == drawn.bit_generator.state
             seen.add(visible)
             certain |= mode is LosMode.PROBABILISTIC \
@@ -887,7 +928,7 @@ def test_surface_coefficients_are_each_links(monkeypatch):
         links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)[1:]
         for u, link in enumerate(links):
             _, shadow, eta = np.array([
-                sightline_draws(link, cfg.pl_los, _stream(cfg.master_seed, 0, t, 3, m, u))
+                sightline_draws(link, cfg.pl_los, _stream(cfg.master_seed, t, 3, m, u))
                 for t in range(9)]).T
             assert c[:, m, u].tobytes() == link.coefficient(shadow, eta).tobytes()
 
@@ -896,9 +937,9 @@ def test_surface_coefficients_are_each_links(monkeypatch):
 @pytest.mark.parametrize("resample", [True, False], ids=["fresh", "frozen"])
 def test_run_streams_are_trial_zero_keys(monkeypatch, n_trials, resample):
     # the run's own streams ride in block 0's stream pass: user u's bootstrap
-    # generator is PCG64(SeedSequence((seed, sweep, 0, 6, u))), and frozen
-    # geometry draws anchor m's base from the (seed, sweep, 0, 5, m) stream
-    seed, sweep = 31, 3
+    # generator is PCG64(SeedSequence((seed, 0, 0, 6, u))), and frozen
+    # geometry draws anchor m's base from the (seed, 0, 0, 5, m) stream
+    seed = 31
     boot, base = [], []
     bootstrap, sample = experiments.bootstrap_mean_ci, experiments.sample_clusters
 
@@ -915,10 +956,10 @@ def test_run_streams_are_trial_zero_keys(monkeypatch, n_trials, resample):
     monkeypatch.setattr(experiments, "sample_clusters", keep_sample)
     cfg = _cfg(rx=_TWO_USERS, ris_list=_TWO_SURFACES, n_trials=n_trials, seed=seed,
                resample_geometry=resample)
-    run_scenario(cfg, sweep_index=sweep)
+    run_scenario(cfg)
 
     def stream(*tag):
-        return np.random.default_rng(np.random.SeedSequence((seed, sweep, 0, *tag)))
+        return np.random.default_rng(np.random.SeedSequence((seed, 0, 0, *tag)))
 
     assert boot == [stream(6, u).bit_generator.state for u in range(2)]
     anchors = [stream(5, m) for m in range(2)]
