@@ -159,12 +159,13 @@ def coefficients(gain, shadow_db, eta):
     return gain * np.exp(shadow_db * -_NEPERS_PER_DB + 1j * eta)
 
 
-def sightline_draws(link: Sightline, pl: PathlossParams, rng: np.random.Generator,
+def sightline_draws(pl: PathlossParams, rng: np.random.Generator,
                     seen: Visibility | None = None) -> tuple[bool, float, float]:
-    """(visible, shadow_db, eta) of one draw of link, in that order: its
-    visibility seen, built once per link and run by propagation.visibility
-    (always visible, with no draw, if None), then if visible the shadow,
-    rng.normal(0, sigma)'s bits, and eta = 2 pi U, rng.uniform(0, 2 pi)'s."""
+    """(visible, shadow_db, eta) of one draw of a sightline, in that order:
+    its visibility seen, built once per link and run by
+    propagation.visibility (always visible, with no draw, if None), then if
+    visible the shadow, rng.normal(0, sigma)'s bits, and eta = 2 pi U,
+    rng.uniform(0, 2 pi)'s."""
     if seen is not None and not seen.draw(rng):
         return False, 0.0, 0.0
     shadow = rng.normal(0.0, pl.shadow_sigma_db)
@@ -224,43 +225,37 @@ def tx_ris_channel(
     tx: Point3,
     pl_los: PathlossParams,
     pl_nlos: PathlossParams,
-    los: LosModel,
     freq_hz: float,
-    rng: np.random.Generator,
-    *, link: Sightline | None = None, seen: Visibility | None = None,
-    paths: tuple | None = None, out: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
-    """(N,) vector from the transmitter to the surface, plus the sightline flag.
+    shadows: np.ndarray,
+    draws: tuple[bool, float, float],
+    *, link: Sightline | None = None, paths: tuple | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """(N,) vector from the transmitter to the surface for one trial's draws.
 
     Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(u_x,s^2 + u_y,s^2)
-    sqrt(loss_s) response(u_s) over the trial's S scatterers, u_s the unit
-    vector to scatterer s and loss_s over the detour d_from_tx + d_to_surface;
-    the sightline adds its coefficient, with a uniform random phase eta,
-    times its response if visible.  link, Sightline.between(ris, tx, pl_los, freq_hz),
-    its Visibility seen under los between the surface's and tx's heights,
-    and paths, the weighted surface_paths (ez w scale, ex) of clusters, one
-    trial's Placement, are built here unless passed in; paths then carries
-    the gains and its scatterer axis counts the scatter shadows, and
-    clusters, the trial's ClusterDraws, is not read: it names the trial for
-    a tracer's scatterer count.  The vector goes into out if given.
-
-    Draw order on rng: scatter shadows, visibility, sightline shadow, eta.
+    sqrt(loss_s) 10^(-shadows_s/20) response(u_s) over the trial's S
+    scatterers, u_s the unit vector to scatterer s and loss_s over the detour
+    d_from_tx + d_to_surface; the sightline adds its coefficient for draws,
+    sightline_draws' (visible, shadow_db, eta), times its response if
+    visible.  link, Sightline.between(ris, tx, pl_los, freq_hz), and paths,
+    the weighted surface_paths (ez w scale, ex) of clusters, one trial's
+    Placement, are built here unless passed in; paths then carries the
+    gains, and clusters, the trial's ClusterDraws, is not read: it names the
+    trial for a tracer's scatterer count.  The vector goes into out if given.
     """
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
     if paths is None:
         scale, ez, ex = surface_paths(ris, clusters, pl_nlos, freq_hz)
         paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
     wz, ex = paths
-    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, size=wz.shape[-1])
     wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
     np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
-
-    link = link or Sightline.between(ris, tx, pl_los, freq_hz)
-    seen = seen or visibility(los, link.distance, ris.position.z, tx.z)
-    visible, shadow, eta = sightline_draws(link, pl_los, rng, seen)
+    visible, shadow, eta = draws
     if visible:
+        link = link or Sightline.between(ris, tx, pl_los, freq_hz)
         h += link.coefficient(shadow, eta) * link.resp
-    return h, visible
+    return h
 
 
 def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams, freq_hz: float,
@@ -271,7 +266,7 @@ def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams, freq_hz: 
     coefficient[:, None] * resp, at once; this takes them for a block of one.
     """
     link = Sightline.between(ris, rx, pl, freq_hz)
-    _, shadow, eta = sightline_draws(link, pl, rng)
+    _, shadow, eta = sightline_draws(pl, rng)
     return (link.coefficient(np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
 
 
@@ -284,13 +279,13 @@ def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: Pathloss
     detour loss over d_from_tx + d_to_rx, d_to_rx taken to rx here with
     place_clusters' bytes, and the excess phase k (d_to_surface - d_to_rx)
     that accounts for the receiver hearing the bounce at a different delay
-    than the surface does.  Draw order matches tx_ris_channel.  run_scenario
-    takes a block's direct_block at once; this takes it for a block of one.
+    than the surface does.  run_scenario takes a block's direct_block at
+    once; this takes it for a block of one.
     """
     link = Sightline.direct(tx, rx, pl_los, freq_hz)
     d_to_rx = row_norms(clusters.positions - rx.as_array())
     paths = _weights(clusters) * direct_paths(clusters, d_to_rx, pl_nlos, freq_hz)
     shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, size=(1, len(paths)))
-    draws = sightline_draws(link, pl_los, rng, visibility(los, link.distance, rx.z, tx.z))
+    draws = sightline_draws(pl_los, rng, visibility(los, link.distance, rx.z, tx.z))
     total = direct_block(np.array([link.gain]), paths[None], [0, len(paths)], shadows, [[draws]])
     return complex(total[0, 0]), draws[0]

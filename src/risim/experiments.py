@@ -20,13 +20,7 @@ off.  A trial draws every shadow whatever its sigma, so a config's streams
 do not depend on its sigmas.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size).  Per trial it only draws: raw cluster variates (sample_clusters, or
-fresh gain normals on frozen base draws), the surface links' shadows and
-phases (tx_ris_channel, which also sums its part of the block's weighted
-scatter paths into one row of h) and the other links' draws into block
-arrays.  Mapping the variates, placement, scatter paths, the direct and
-surface -> receiver links, co-phasing and the effective channel run once per
-block, with one combination formula for any number of users (see
+size), each drawn, then built from its draws with no generator (see
 run_scenario).  Every step is elementwise or sums within one trial or one
 scatterer, so results do not depend on the block size.
 """
@@ -103,7 +97,7 @@ class ScenarioConfig:
 # 256 KiB at a time, one 0.8 MB row of each at MAX_TRIALS; at MAX_USERS,
 # h_eff is 410 MB.  run_scenario keeps a block of up to
 # TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
-# scatterers' receiver distances, direct shadows and surface ramps, within
+# scatterers' receiver distances, direct and tx shadows and ramps, within
 # about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
 # MAX_USERS x MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the
 # CLI's --threads, which is checked and then ignored: trials run on one
@@ -475,11 +469,11 @@ def _block_size(n_users: int, elements: list[int], n_scatterers: float = 0.0) ->
     block's h, one working array of its size for the combination and h_d
     on surfaces of the given element counts, and per each of
     n_scatterers expected scatterers a trial, a receiver distance and a
-    direct shadow per user and two side-long ramps a surface, in about
-    _BLOCK_BYTES."""
-    c = np.dtype(complex).itemsize
-    per_trial = c * (2 * sum(elements) + n_users) \
-        + (c * n_users + 2 * c * sum(map(math.isqrt, elements))) * n_scatterers
+    direct shadow per user and a scatter shadow and two side-long ramps a
+    surface, in about _BLOCK_BYTES."""
+    f, c = np.dtype(float).itemsize, np.dtype(complex).itemsize
+    per_trial = c * (2 * sum(elements) + n_users) + n_scatterers * (
+        c * n_users + sum(2 * c * math.isqrt(n) + f for n in elements))
     return max(1, min(TRIAL_BLOCK, int(_BLOCK_BYTES // per_trial)))
 
 
@@ -495,26 +489,33 @@ def _expected_scatterers(env: EnvironmentConfig) -> float:
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Per block: draw every trial's cluster variates (frozen geometry: fresh
-    gain normals on the base record), map and place them and weight their
-    paths on each link in one pass over the block's scatterers.  Per trial:
-    each surface's tx_ris_channel into one row of the block's h, every
-    surface's elements on one axis, and the draws of the other links.  Per
-    block again, each over every receiver at once: the (B, U) direct links
-    as segment sums plus their sightlines, the (B, M, U) surface -> receiver
-    coefficients c from the run's (M, U) gains, and one combination for any
-    user count.  User u's link on surface m is c_{u,m} times a fixed
-    response resp_u; element k is co-phased for its owner o against h_d,o
-    with sign s (+1 "paper", -1 "aligned"), and arg(+-0) = 0, so
+    Each block runs in two phases.  The draw phase derives its trials'
+    streams and draws each to its end into block arrays, in this order:
+    - clusters (t, 1, m): sample_clusters' variates, or with frozen geometry
+      with_fresh_gains' 2S normals on the base draws of (0, 5, m);
+    - tx -> surface (t, 2, m) and direct (t, 4, u): N(0, 1) shadows of the
+      trial's S scatterers of surface m or of the first anchor (surface 0,
+      else receiver 0), scaled by sigma per block, then sightline_draws'
+      visibility, shadow and phase;
+    - surface -> receiver (t, 3, m, u): sightline_draws' shadow and phase.
+    User u's bootstrap draws on (0, 6, u) after the last block.  The channel
+    phase touches no generator: it places the clusters and weights their
+    paths on each link in one pass over the block's scatterers, runs
+    tx_ris_channel per trial and surface into a row of the block's h, every
+    surface's elements on one axis, then, each over every receiver at once,
+    the (B, U) direct links as segment sums plus their sightlines, the (B,
+    M, U) surface -> receiver coefficients c from the run's (M, U) gains,
+    and one combination for any user count.  User u's link on surface m is
+    c_{u,m} times a fixed response resp_u; element k is co-phased for its
+    owner o against h_d,o with sign s (+1 "paper", -1 "aligned"), and
+    arg(+-0) = 0, so
 
       h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
               + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
 
     a segment sum per (surface, owner), and with offblock "include" and
     several users a product per trial and surface, e^{j phase_k} being
-    combined_phase_vector's phasor.  The direct links share the first
-    surface's clusters; a surface-free run anchors them on the first
-    receiver.  threads is ignored: perfbench still passes it.
+    combined_phase_vector's phasor.  threads is ignored: perfbench passes it.
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
@@ -536,10 +537,8 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     direct_seen = [visibility(cfg.los_model, link.distance, rx.z, cfg.tx.z)
                    for rx, link in zip(receivers, direct_links)]
 
-    # Trial t's streams are keyed (t, *tag): three ints for its clusters,
-    # tx->surface and direct links, four for surface->rx, one stream_states
-    # pass per key width and block.  The run's own streams, trial 0's keys (0,
-    # 5, m) of frozen geometry and (0, 6, u) of the bootstrap, ride in block 0's.
+    # one stream_states pass per key width and block; the run's own streams,
+    # trial 0's keys of frozen geometry and the bootstrap, ride in block 0's
     n_anchors, n_surfaces = len(anchors), len(surfaces)
     frozen = [] if cfg.resample_geometry else list(range(n_anchors))
     tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
@@ -581,9 +580,17 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     block = min(_block_size(n_users, sizes, _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
+
+    def link_draws(state, shadows: np.ndarray, seen) -> tuple[bool, float, float]:
+        """A blockable link's stream: N(0, 1) scatter shadows into shadows, then its sightline."""
+        rng = derived_rng(state)
+        rng.standard_normal(out=shadows)
+        return sightline_draws(cfg.pl_los, rng, seen)
+
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
         trials, n = range(start, stop), stop - start
+        # the draw phase: every stream of the block, drawn to its end
         states = stream_states(seed, trials, tags[:n_trial_tags] if start else tags)
         if not start:
             base_states, boot_states = np.split(states[0, n_trial_tags:], [len(frozen)])
@@ -592,11 +599,24 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
         rx_st = stream_states(seed, trials, rx_tags).reshape(
             n, n_surfaces, n_users, 4) if surfaces else None
 
-        # draws[m][i]: trial i's draws of anchor m; places[m]: the block's, trial i's
-        # at edges[i]:edges[i + 1]; the last block's, loop views too, go first
+        # draws[m][i], trial i's of anchor m, has scatterers at[m][i]:at[m][i + 1] of
+        # the block's (place_clusters' edges); the last block's, loop views too, go first
         draws = places = surface = direct = weights = tx_paths = wz = ex = None
         draws = [[draw(m, derived_rng(cluster_st[i, m])) for i in range(n)]
                  for m in range(n_anchors)]
+        at = [np.cumsum([0] + [len(d) for d in row]).tolist() for row in draws]
+        tx_shadows = [np.empty(at[m][-1]) for m in range(n_surfaces)]
+        shadows = np.empty((n_users, at[0][-1]))
+        tx_draws = [[link_draws(tx_st[i, m], tx_shadows[m][at[m][i]:at[m][i + 1]], tx_seen[m])
+                     for m in range(n_surfaces)] for i in range(n)]
+        rx_draws = [sightline_draws(cfg.pl_los, derived_rng(rx_st[i, m, u]))
+                    for i in range(n) for m in range(n_surfaces) for u in range(n_users)]
+        direct_draws = [link_draws(direct_st[i, u], shadows[u, at[0][i]:at[0][i + 1]],
+                                   direct_seen[u]) for i in range(n) for u in range(n_users)]
+        for z in (*tx_shadows, shadows):   # sigma Z, where normal() adds 0.0:
+            z *= cfg.pl_nlos.shadow_sigma_db   # a zero's sign meets only exp
+
+        # the channel phase: no generator from here to the block's end
         places = [place_clusters(d, cfg.tx, a, seen)
                   for d, a, seen in zip(draws, anchors, seen_by)]
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
@@ -604,29 +624,14 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
         weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
-
-        at = places[0].edges
-        shadows = np.empty((n_users, at[-1]))
-        rx_draws, direct_draws = [], []
         for i in range(n):
             for m, (ris, (wz, ex)) in enumerate(zip(surfaces, tx_paths)):
-                lo, hi = places[m].edges[i:i + 2]
+                lo, hi = at[m][i:i + 2]
                 tx_ris_channel(
-                    ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model,
-                    cfg.freq_hz, derived_rng(tx_st[i, m]),
-                    link=by_surface[m][0], seen=tx_seen[m], paths=(wz[:, lo:hi], ex[:, lo:hi]),
-                    out=h[i, cols[m]])
-            rx_draws += [sightline_draws(rx_links[m][u], cfg.pl_los, derived_rng(rx_st[i, m, u]))
-                         for m in range(n_surfaces) for u in range(n_users)]
-            for u in range(n_users):
-                rng = derived_rng(direct_st[i, u])
-                rng.standard_normal(out=shadows[u, at[i]:at[i + 1]])   # scaled per block below
-                direct_draws.append(
-                    sightline_draws(direct_links[u], cfg.pl_los, rng, direct_seen[u]))
-
-        # sigma Z, where normal() adds 0.0: a zero's sign meets only exp
-        shadows *= cfg.pl_nlos.shadow_sigma_db
-        h_d = direct_block(direct_gain, weights[0] * direct, at, shadows,
+                    ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.freq_hz,
+                    tx_shadows[m][lo:hi], tx_draws[i][m], link=by_surface[m][0],
+                    paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
+        h_d = direct_block(direct_gain, weights[0] * direct, at[0], shadows,
                            np.array(direct_draws).reshape(n, n_users, 3))
         _, rx_shadow, rx_eta = np.array(   # surface -> receiver draws, (n, M, U) each
             rx_draws, dtype=float).reshape(n, n_surfaces, n_users, 3).transpose(3, 0, 1, 2)

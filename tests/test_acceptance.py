@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from risim.channel import RisDescriptor, Sightline, ris_rx_channel, tx_ris_channel
+from risim.channel import (
+    RisDescriptor, Sightline, ris_rx_channel, sightline_draws, tx_ris_channel,
+)
 from risim.cli import main as cli_main
 from risim.environment import (
     EnvironmentConfig, complex_normal, place_clusters, sample_clusters,
@@ -25,7 +27,7 @@ from risim.geometry import (
 )
 from risim.metrics import LinkBudget, effective_channel
 from risim.propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, los_indicator, pathloss_db,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, los_indicator, pathloss_db,
     sample_shadow,
 )
 from risim.riscontrol import optimal_phases
@@ -134,9 +136,8 @@ def test_04_cascade_power_scales_with_aperture_squared():
     powers = {}
     for n in (64, 256):
         ris = RisDescriptor(position=surface, n_elements=n)
-        h, _ = tx_ris_channel(ris, no_scatter, TX, los,
-                              NLOS_73GHZ, LosModel(mode=LosMode.ALWAYS), F73,
-                              np.random.default_rng(1))
+        h = tx_ris_channel(ris, no_scatter, TX, los, NLOS_73GHZ, F73, np.empty(0),
+                           sightline_draws(los, np.random.default_rng(1)))
         g = ris_rx_channel(ris, rx, los, F73, np.random.default_rng(2))
         cascaded = effective_channel(np.zeros(1), g[None],
                                      np.exp(1j * optimal_phases(g, h, 0.0)), h)

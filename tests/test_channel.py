@@ -67,6 +67,17 @@ def _eta(seed, normals):
     return rng.uniform(0.0, 2.0 * math.pi)
 
 
+def _tx_ris(ris, clusters, tx, pl_los, pl_nlos, los, rng, paths=None):
+    """(h, visible) of tx_ris_channel on draws taken from rng as run_scenario
+    takes a tx -> surface stream: the S scatter shadows, then the sightline's."""
+    scatterers = len(clusters.gains) if paths is None else paths[0].shape[-1]
+    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, scatterers)
+    link = Sightline.between(ris, tx, pl_los, F73)
+    draws = sightline_draws(pl_los, rng, visibility(los, link.distance, ris.position.z, tx.z))
+    return tx_ris_channel(ris, clusters, tx, pl_los, pl_nlos, F73, shadows, draws,
+                          paths=paths), draws[0]
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         RisDescriptor(position=ORIGIN, n_elements=60)   # not a square
@@ -313,8 +324,7 @@ def test_scatterer_at_the_surface_centre_raises():
     for tilt in (0.0, 0.4):
         ris = RisDescriptor(position=surface, orient=Orientation(tilt_rad=tilt))
         with pytest.raises(DegenerateGeometryError):
-            tx_ris_channel(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS, F73,
-                           np.random.default_rng(0))
+            _tx_ris(ris, bad, tx, LOS_73GHZ, NLOS_73GHZ, ALWAYS, np.random.default_rng(0))
 
 
 def test_links_take_their_part_of_block_paths():
@@ -354,8 +364,8 @@ def test_links_take_their_part_of_block_paths():
                 for clusters, paths in ((trial, None),
                                         (draws[i], (wz[:, lo:hi], ex[:, lo:hi]))):
                     rng = np.random.default_rng((9, i))
-                    h, seen = tx_ris_channel(ris, clusters, tx, LOS_73GHZ,
-                                             nlos, los, F73, rng, paths=paths)
+                    h, seen = _tx_ris(ris, clusters, tx, LOS_73GHZ, nlos, los, rng,
+                                      paths=paths)
                     runs.append((h.tobytes(), seen, rng.bit_generator.state))
                 assert runs[0] == runs[1]
                 # the direct link alone, then its draws as run_scenario takes them
@@ -365,7 +375,7 @@ def test_links_take_their_part_of_block_paths():
                 end = rng.bit_generator.state
                 rng = np.random.default_rng((8, i))
                 shadows.append(sample_shadow(nlos.shadow_sigma_db, rng, size=hi - lo))
-                rows.append(sightline_draws(link, LOS_73GHZ, rng, rule))
+                rows.append(sightline_draws(LOS_73GHZ, rng, rule))
                 assert rng.bit_generator.state == end
             block = direct_block(np.array([link.gain]), direct[None], placed.edges,
                                  np.concatenate(shadows)[None], np.array(rows)[:, None])[:, 0]
@@ -395,7 +405,7 @@ def test_direct_links_of_every_receiver_take_one_call():
     shadows = sample_shadow(NLOS_73GHZ.shadow_sigma_db, rng, size=paths.shape)
     links = [Sightline.direct(tx, rx, LOS_73GHZ, F73) for rx in receivers]
     los = LosModel(decay_length_m=80.0)
-    rows = np.array([[sightline_draws(link, LOS_73GHZ, rng,
+    rows = np.array([[sightline_draws(LOS_73GHZ, rng,
                                       visibility(los, link.distance, rx.z, tx.z))
                       for link, rx in zip(links, receivers)] for _ in range(6)])
     assert 0 < rows[..., 0].sum() < rows[..., 0].size
@@ -417,15 +427,14 @@ def test_phase_draw_has_the_bits_of_a_uniform_draw():
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [2.0 * math.pi * rng.random() for _ in range(3)] == \
             [ref.uniform(0.0, 2.0 * math.pi) for _ in range(3)]
-        _, shadow, eta = sightline_draws(link, LOS_73GHZ, rng)
+        _, shadow, eta = sightline_draws(LOS_73GHZ, rng)
         assert (shadow, eta) == (ref.normal(0.0, LOS_73GHZ.shadow_sigma_db),
                                  ref.uniform(0.0, 2.0 * math.pi))
 
 
 def test_tx_ris_zero_when_fully_blocked():
-    h, visible = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, 10, 0),
-                                LOS_73GHZ, NLOS_73GHZ, NEVER, F73,
-                                np.random.default_rng(0))
+    h, visible = _tx_ris(_ris(16), NO_SCATTER, Point3(0, 10, 0),
+                         LOS_73GHZ, NLOS_73GHZ, NEVER, np.random.default_rng(0))
     assert not visible
     np.testing.assert_array_equal(h, np.zeros(16, dtype=complex))
 
@@ -436,9 +445,8 @@ def test_tx_ris_sightline_only_value():
     seed = 5
     tx = Point3(0.0, 1.0, 0.0)
     for n in (1, 16):
-        h, visible = tx_ris_channel(_ris(n), NO_SCATTER, tx,
-                                    LOS0, NLOS_73GHZ, ALWAYS, F73,
-                                    np.random.default_rng(seed))
+        h, visible = _tx_ris(_ris(n), NO_SCATTER, tx, LOS0, NLOS_73GHZ, ALWAYS,
+                             np.random.default_rng(seed))
         assert visible
         eta = _eta(seed, 1)
         amp = math.sqrt(element_gain(0.0, 0.285)
@@ -451,8 +459,8 @@ def test_sightline_amplitude_tracks_pathloss():
     """Moving the transmitter out along the broadside ray rescales the
     channel norm by exactly 10^(delta_dB / 20)."""
     def norm_at(d):
-        h, _ = tx_ris_channel(_ris(16), NO_SCATTER, Point3(0, d, 0),
-                              LOS0, NLOS_73GHZ, ALWAYS, F73, np.random.default_rng(1))
+        h, _ = _tx_ris(_ris(16), NO_SCATTER, Point3(0, d, 0),
+                       LOS0, NLOS_73GHZ, ALWAYS, np.random.default_rng(1))
         return np.linalg.norm(h)
 
     delta_db = pathloss_db(LOS_73GHZ, F73, 4.0) - pathloss_db(LOS_73GHZ, F73, 1.0)
@@ -521,15 +529,15 @@ def test_direct_second_moment_oracle():
 
 def test_draw_counts_independent_of_lattice_and_tilt():
     """Streams advance identically whatever the element count or tilt, which
-    is what lets different configurations share common random numbers."""
-    tx, rx = Point3(0, 20, 2), Point3(75, 35, 1)
-    cs = _placed(tx, Point3(75, 30, 2), rx, 3)
+    is what lets different configurations share common random numbers.
+    tx_ris_channel draws nothing; the engine's
+    test_draw_counts_do_not_depend_on_lattice_or_tilt covers its stream."""
+    rx = Point3(75, 35, 1)
     probes = []
     for n, tilt in ((16, 0.0), (256, 0.0), (16, 0.3)):
         ris = RisDescriptor(position=Point3(75, 30, 2),
                             orient=Orientation(tilt_rad=tilt), n_elements=n)
         rng = np.random.default_rng(55)
-        tx_ris_channel(ris, cs, tx, LOS_73GHZ, NLOS_73GHZ, LosModel(), F73, rng)
         ris_rx_channel(ris, rx, LOS_73GHZ, F73, rng)
         probes.append(rng.random())
     assert probes[0] == probes[1] == probes[2]
@@ -577,8 +585,8 @@ def test_links_match_dense_reference(plane, n):
                                 orient=Orientation(plane, tilt_rad=tilt),
                                 n_elements=n, spacing=spacing)
             for clusters in (NO_SCATTER, one, cs):
-                h, _ = tx_ris_channel(ris, clusters, tx, LOS0, NLOS0, ALWAYS, F73,
-                                      np.random.default_rng(9))
+                h, _ = _tx_ris(ris, clusters, tx, LOS0, NLOS0, ALWAYS,
+                               np.random.default_rng(9))
                 eta = _eta(9, len(clusters.gains) + 1)
                 np.testing.assert_allclose(
                     h, _dense_tx_ris(ris, clusters, tx, eta), rtol=1e-12, atol=0)

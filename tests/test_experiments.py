@@ -28,7 +28,7 @@ from risim.geometry import (
 from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, los_indicator,
-    los_probability, pathloss_db,
+    los_probability, pathloss_db, visibility,
 )
 from risim.riscontrol import optimal_phases, partition_elements
 
@@ -647,7 +647,7 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
             return out
         return wrapped
 
-    for name, attr, pick in (("h", "tx_ris_channel", lambda out: out[0]),
+    for name, attr, pick in (("h", "tx_ris_channel", lambda out: out),
                              ("h_d", "direct_block", lambda out: out[:, 0])):
         monkeypatch.setattr(experiments, attr, keep(name, getattr(experiments, attr), pick))
     summarize = experiments.summarize
@@ -689,6 +689,14 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
     def placed(m, draws):
         return place_clusters([draws], cfg.tx, anchors[m], [])   # direct_channel takes rx
 
+    def tx_link(ris, trial, stream):
+        # the scatter shadows, then the sightline's draws, from the trial's stream
+        shadows = stream.normal(0.0, cfg.pl_nlos.shadow_sigma_db, len(trial.gains))
+        link = Sightline.between(ris, cfg.tx, cfg.pl_los, cfg.freq_hz)
+        seen = visibility(cfg.los_model, link.distance, ris.position.z, cfg.tx.z)
+        return tx_ris_channel(ris, trial, cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.freq_hz,
+                              shadows, sightline_draws(cfg.pl_los, stream, seen))
+
     base = [placed(m, sample_clusters(env, rng(0, 5, m)))
             for m in range(len(anchors))] if not cfg.resample_geometry else None
     owner = np.concatenate([partition_elements(r.n_elements, len(users)) for r in surfaces]
@@ -704,10 +712,8 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
         else:   # fresh gains on the base geometry
             places = [p._replace(gains=complex_normal(rng(t, 1, m), size=len(p.gains)))
                       for m, p in enumerate(base)]
-        h = np.concatenate([np.empty(0, dtype=complex)] + [tx_ris_channel(
-            ris, places[m], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, cfg.freq_hz,
-            rng(t, 2, m))[0]
-            for m, ris in enumerate(surfaces)])
+        h = np.concatenate([np.empty(0, dtype=complex)] + [
+            tx_link(ris, places[m], rng(t, 2, m)) for m, ris in enumerate(surfaces)])
         g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [ris_rx_channel(
             ris, rx, cfg.pl_los, cfg.freq_hz, rng(t, 3, m, u))
             for m, ris in enumerate(surfaces)]) for u, rx in enumerate(users)])
@@ -819,12 +825,13 @@ def test_block_size_fits_its_memory_budget():
         sides = sum(math.isqrt(n) for n in elements)
         # h and one working array of the combination, whatever the user count
         per_trial = 16 * (2 * sum(elements) + users) \
-            + (16 * users + 2 * 16 * sides) * scatterers
+            + (16 * users + 2 * 16 * sides + 8 * len(elements)) * scatterers
         assert block == 1 or block * per_trial <= experiments._BLOCK_BYTES
     # each expected scatterer adds one distance and one direct shadow per
-    # receiver and two side-long ramps per surface to a trial
+    # receiver and one scatter shadow and two side-long ramps per surface to
+    # a trial
     assert experiments._block_size(64, [16], 47.0) == \
-        experiments._BLOCK_BYTES // (16 * (2 * 16 + 64) + (16 * 64 + 2 * 16 * 4) * 47) \
+        experiments._BLOCK_BYTES // (16 * (2 * 16 + 64) + (16 * 64 + 2 * 16 * 4 + 8) * 47) \
         < experiments._block_size(64, [16])
 
 
@@ -865,6 +872,40 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert {s.tobytes() for trials, tags in keys
             for s in stream_states(seed, trials, np.array(tags)).reshape(-1, 4)} \
         == set(base)
+
+
+@pytest.mark.parametrize("resample", [True, False], ids=["fresh", "frozen"])
+def test_channel_phase_draws_nothing(monkeypatch, resample):
+    # each block draws every stream it derives to its end before its first
+    # tx_ris_channel call, and derives none after it: the channel phase
+    # touches no generator; the run's last derivations are the bootstraps
+    derived, marks, calls = [], [], []
+    derive, link = experiments.derived_rng, experiments.tx_ris_channel
+
+    def keep_rng(state):
+        derived.append(derive(state))
+        return derived[-1]
+
+    def mark(*args, **kwargs):
+        if len(calls) % (4 * 2) == 0:   # a block's first call: 4 trials, 2 surfaces
+            lo = marks[-1][1] if marks else 0
+            marks.append((lo, len(derived), [g.bit_generator.state for g in derived[lo:]]))
+        calls.append(len(derived))
+        return link(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "derived_rng", keep_rng)
+    monkeypatch.setattr(experiments, "tx_ris_channel", mark)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
+    cfg = _cfg(rx=_TWO_USERS, ris_list=_TWO_SURFACES, n_trials=9,
+               resample_geometry=resample)
+    run_scenario(cfg)
+    assert len(calls) == 9 * 2 and len(marks) == 3
+    for b, (lo, hi, states) in enumerate(marks):
+        assert hi > lo
+        # the end states, as _end_states collects them
+        assert states == [g.bit_generator.state for g in derived[lo:hi]]
+        assert set(calls[8 * b:8 * b + 8]) == {hi}
+    assert len(derived) == marks[-1][1] + 2
 
 
 @pytest.mark.parametrize("rx_z", [1.0, 3.0], ids=["rx_below_tx", "rx_above_tx"])
@@ -928,7 +969,7 @@ def test_surface_coefficients_are_each_links(monkeypatch):
         links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)[1:]
         for u, link in enumerate(links):
             _, shadow, eta = np.array([
-                sightline_draws(link, cfg.pl_los, _stream(cfg.master_seed, t, 3, m, u))
+                sightline_draws(cfg.pl_los, _stream(cfg.master_seed, t, 3, m, u))
                 for t in range(9)]).T
             assert c[:, m, u].tobytes() == link.coefficient(shadow, eta).tobytes()
 
