@@ -147,10 +147,6 @@ class Sightline:
         d = distance(tx, rx)   # no pattern, one element
         return cls(d, 10.0 ** (pathloss_db(pl, freq_hz, d) / 20.0), np.ones(1))
 
-    def coefficient(self, shadow_db, eta):
-        """coefficients of this sightline's gain."""
-        return coefficients(self.gain, shadow_db, eta)
-
 
 def coefficients(gain, shadow_db, eta):
     """gain 10^(-shadow_db/20) e^{j eta}: the scale of a sightline's response
@@ -162,7 +158,7 @@ def coefficients(gain, shadow_db, eta):
 def sightline_draws(pl: PathlossParams, rng: np.random.Generator,
                     seen: Visibility | None = None) -> tuple[bool, float, float]:
     """(visible, shadow_db, eta) of one draw of a sightline, in that order:
-    its visibility seen, built once per link and run by
+    its visibility seen, built once per link and block by
     propagation.visibility (always visible, with no draw, if None), then if
     visible the shadow, rng.normal(0, sigma)'s bits, and eta = 2 pi U,
     rng.uniform(0, 2 pi)'s."""
@@ -219,42 +215,27 @@ def _weights(scatterers: Placement) -> np.ndarray:
     return np.sqrt(1.0 / np.repeat(sizes, sizes)) * scatterers.gains
 
 
-def tx_ris_channel(
-    ris: RisDescriptor,
-    clusters: Placement | ClusterDraws,
-    tx: Point3,
-    pl_los: PathlossParams,
-    pl_nlos: PathlossParams,
-    freq_hz: float,
-    shadows: np.ndarray,
-    draws: tuple[bool, float, float],
-    *, link: Sightline | None = None, paths: tuple | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def tx_ris_channel(ris: RisDescriptor, clusters: ClusterDraws, paths: tuple, shadows: np.ndarray,
+                   link: Sightline, draws: tuple[bool, float, float], *,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """(N,) vector from the transmitter to the surface for one trial's draws.
 
     Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(u_x,s^2 + u_y,s^2)
     sqrt(loss_s) 10^(-shadows_s/20) response(u_s) over the trial's S
     scatterers, u_s the unit vector to scatterer s and loss_s over the detour
-    d_from_tx + d_to_surface; the sightline adds its coefficient for draws,
-    sightline_draws' (visible, shadow_db, eta), times its response if
-    visible.  link, Sightline.between(ris, tx, pl_los, freq_hz), and paths,
-    the weighted surface_paths (ez w scale, ex) of clusters, one trial's
-    Placement, are built here unless passed in; paths then carries the
-    gains, and clusters, the trial's ClusterDraws, is not read: it names the
+    d_from_tx + d_to_surface: paths is the trial's part (ez w scale, ex) of
+    its Placement's weighted surface_paths, and shadows its S sigma-scaled
+    shadows.  The sightline link to the transmitter adds its coefficient for
+    draws, sightline_draws' (visible, shadow_db, eta), times its response if
+    visible.  clusters, the trial's ClusterDraws, is not read: it names the
     trial for a tracer's scatterer count.  The vector goes into out if given.
     """
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
-    if paths is None:
-        scale, ez, ex = surface_paths(ris, clusters, pl_nlos, freq_hz)
-        paths = np.multiply(ez, _weights(clusters) * scale, out=ez), ex
-    wz, ex = paths
-    wz = wz * np.exp(shadows * -_NEPERS_PER_DB)
-    np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
+    wz = paths[0] * np.exp(shadows * -_NEPERS_PER_DB)
+    np.matmul(wz, paths[1].T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
     visible, shadow, eta = draws
     if visible:
-        link = link or Sightline.between(ris, tx, pl_los, freq_hz)
-        h += link.coefficient(shadow, eta) * link.resp
+        h += coefficients(link.gain, shadow, eta) * link.resp
     return h
 
 
@@ -267,7 +248,7 @@ def ris_rx_channel(ris: RisDescriptor, rx: Point3, pl: PathlossParams, freq_hz: 
     """
     link = Sightline.between(ris, rx, pl, freq_hz)
     _, shadow, eta = sightline_draws(pl, rng)
-    return (link.coefficient(np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
+    return (coefficients(link.gain, np.array([shadow]), np.array([eta]))[:, None] * link.resp)[0]
 
 
 def direct_channel(clusters: Placement, tx: Point3, rx: Point3, pl_los: PathlossParams,

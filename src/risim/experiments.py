@@ -20,9 +20,11 @@ off.  A trial draws every shadow whatever its sigma, so a config's streams
 do not depend on its sigmas.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size), each drawn, then built from its draws with no generator (see
-run_scenario).  Every step is elementwise or sums within one trial or one
-scatterer, so results do not depend on the block size.
+size).  draw_block draws each block into one BlockDraws record, and its
+docstring is where each stream's key and draw order are stated; the
+channel phase builds the block from that record alone, with no generator.
+Every step is elementwise or sums within one trial or one scatterer, so
+results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .metrics import (  # effective_channel stays importable for perfbench's tra
     empirical_cdf, summarize,
 )
 from .propagation import (
-    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, visibility, wavelength,
+    LOS_73GHZ, NLOS_73GHZ, LosModel, PathlossParams, pathloss_db, visibility, wavelength,
 )
 from .riscontrol import (  # optimal_phases stays importable for perfbench's tracer
-    arg, combined_phase_vector, optimal_phases, partition_elements,
+    _direct_sign, arg, combined_phase_vector, optimal_phases, partition_elements,
 )
 
 
@@ -106,6 +108,9 @@ class ScenarioConfig:
 # MAX_SHADOW_SIGMA_DB, powers overflow.  Past MAX_PATTERN_EXPONENT an
 # element's beam is under 5 deg wide in elevation, and near q = 4.5e307 its
 # peak gain 2(2q+1) overflows to inf, which times a zero cos^q(el) is nan.
+# MAX_PATH_GAIN_DB bounds pathloss_db taken as a gain, as a short link under
+# a steep exponent gives it: two hops at it on MAX_ELEMENTS, +-MAX_POWER_DBM
+# apart, reach an SNR of 1768 dB unshadowed, 1300 dB short of overflow.
 MAX_TRIALS = 10 ** 5
 MAX_COORDINATE = 1e6   # metres; squared distances overflow past ~1.3e154 m
 MAX_SCATTERERS = 10 ** 4
@@ -113,6 +118,7 @@ MIN_FREQ_HZ = 1e3      # a 300 km wavelength
 MAX_POWER_DBM = 300.0
 MAX_SHADOW_SIGMA_DB = 100.0
 MAX_PATTERN_EXPONENT = 1e3
+MAX_PATH_GAIN_DB = 500.0
 MAX_ELEMENTS = 65536
 MAX_USERS = 256
 MAX_THREADS = 64
@@ -166,6 +172,18 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             issues.append(f"{name}'s effective pathloss exponent, exponent x (1 + "
                           f"freq_dependence (freq_hz - ref_freq_hz) / ref_freq_hz), "
                           f"must be finite and positive, got {slope:g}")
+    # no scatter path is shorter than its tx -> anchor or tx -> receiver leg;
+    # from 1 m on, a pathloss is at most its free-space term, under 88 dB
+    tx_legs = [distance(cfg.tx, p) for p in [r.position for r in cfg.ris_list] + cfg.rx]
+    rx_legs = [distance(r.position, rx) for r in cfg.ris_list for rx in cfg.rx]
+    for name, pl, legs in (("pl_los", cfg.pl_los, tx_legs + rx_legs),
+                           ("pl_nlos", cfg.pl_nlos, tx_legs)):
+        legs = [d for d in legs if 0.0 < d < 1.0]
+        if legs and cfg.freq_hz >= MIN_FREQ_HZ and 0.0 < pl.slope(cfg.freq_hz) < math.inf \
+                and not (gain := pathloss_db(pl, cfg.freq_hz, min(legs))) <= MAX_PATH_GAIN_DB:
+            issues.append(f"{name} turns its shortest link, {min(legs):g} m, into a gain of "
+                          f"{gain:.4g} dB, at most {MAX_PATH_GAIN_DB:g} dB is allowed: "
+                          f"lower {name}.exponent or lengthen the link")
     for name in ("tx_power_dbm", "noise_power_dbm"):
         if not abs(getattr(cfg.budget, name)) <= MAX_POWER_DBM:
             issues.append(f"budget.{name} must lie within ±{MAX_POWER_DBM:g} dBm, "
@@ -486,29 +504,101 @@ def _expected_scatterers(env: EnvironmentConfig) -> float:
     return clusters * (1 + env.max_scatterers_per_cluster) / 2
 
 
+@dataclass(frozen=True, eq=False)
+class BlockDraws:
+    """Every variate of one block of B trials: clusters[m][i], trial i's
+    ClusterDraws of anchor m; surface m's sigma-scaled scatter shadows
+    tx_shadows[m] and the (U, S) direct ones, on their anchor's block
+    scatterer axis as place_clusters lays it out; sightline_draws'
+    (visible, shadow_db, eta) of the tx -> surface links tx (B, M, 3), the
+    surface -> receiver links rx (B, M, U, 3) and the direct ones (B, U, 3).
+    The run's own are base, anchor m's base draws under frozen geometry, and
+    boot, user u's bootstrap stream state."""
+
+    clusters: list[list[ClusterDraws]]
+    tx_shadows: list[np.ndarray]
+    shadows: np.ndarray
+    tx: np.ndarray
+    rx: np.ndarray
+    direct: np.ndarray
+    base: list[ClusterDraws]
+    boot: np.ndarray
+
+
+def draw_block(cfg: ScenarioConfig, trials: range, run: BlockDraws | None = None
+               ) -> BlockDraws:
+    """Every stream of one block's trials, each drawn to its end.
+
+    Trial t's streams are keyed (master_seed, 0, t, *tag), and each is drawn
+    in this order:
+    - clusters (t, 1, m) of anchor m, surface m or else receiver 0:
+      sample_clusters' variates, or with frozen geometry with_fresh_gains'
+      2S normals on base[m], sample_clusters' draws on (0, 5, m);
+    - tx -> surface (t, 2, m) and direct (t, 4, u): N(0, 1) shadows of the
+      trial's S scatterers of surface m or of the first anchor, scaled by
+      pl_nlos' sigma per block, then sightline_draws' visibility, shadow
+      and phase, visibility by the link's length and heights;
+    - surface -> receiver (t, 3, m, u): sightline_draws' shadow and phase.
+    boot[u] is user u's bootstrap stream (0, 6, u), which run_scenario
+    draws after the last block.  The run's own streams, base and boot, ride
+    in block 0's pass; a later block takes them from run, an earlier
+    block's record.  A block makes one stream_states pass per key width."""
+    receivers, surfaces, seed = cfg.rx, cfg.ris_list, cfg.master_seed
+    n, n_users, n_surfaces = len(trials), len(receivers), len(surfaces)
+    anchors = [r.position for r in surfaces] or [receivers[0]]
+    own = run is None
+    # the pass's tag groups in order, each a tag and its count
+    layout = [(_CLUSTERS, len(anchors)), (_TX_RIS, n_surfaces), (_DIRECT, n_users),
+              (_BASE_GEOMETRY, len(anchors) if own and not cfg.resample_geometry else 0),
+              (_BOOTSTRAP, n_users if own else 0)]
+    tags = np.array([(tag, k) for tag, count in layout for k in range(count)])
+    cluster_st, tx_st, direct_st, base_st, boot_st = np.split(
+        stream_states(seed, trials, tags), np.cumsum([c for _, c in layout[:-1]]), axis=1)
+    base = [sample_clusters(cfg.env, derived_rng(s)) for s in base_st[0]] if own else run.base
+    clusters = [[sample_clusters(cfg.env, derived_rng(s)) if cfg.resample_geometry
+                 else base[m].with_fresh_gains(derived_rng(s)) for s in cluster_st[:, m]]
+                for m in range(len(anchors))]
+    at = [np.cumsum([0] + [len(d) for d in row]).tolist() for row in clusters]
+    tx_shadows = [np.empty(at[m][-1]) for m in range(n_surfaces)]
+    shadows = np.empty((n_users, at[0][-1]))
+    links = [(tx_st[:, m], tx_shadows[m], at[m], r.position) for m, r in enumerate(surfaces)] \
+        + [(direct_st[:, u], shadows[u], at[0], rx) for u, rx in enumerate(receivers)]
+    sightlines = []
+    for states, z, edges, end in links:
+        seen = visibility(cfg.los_model, distance(cfg.tx, end), end.z, cfg.tx.z)
+        for i, state in enumerate(states):
+            rng = derived_rng(state)
+            rng.standard_normal(out=z[edges[i]:edges[i + 1]])
+            sightlines.append(sightline_draws(cfg.pl_los, rng, seen))
+    for z in (*tx_shadows, shadows):   # sigma Z, where normal() adds 0.0:
+        z *= cfg.pl_nlos.shadow_sigma_db   # a zero's sign meets only exp
+    tx, direct = np.split(np.array(sightlines, dtype=float).reshape(
+        len(links), n, 3).swapaxes(0, 1), [n_surfaces], axis=1)
+    rx = np.empty((n, n_surfaces, n_users, 3))
+    if surfaces:   # the second pass, on keys a word wider
+        rx_tags = np.array([(_RIS_RX, *k) for k in np.ndindex(rx.shape[1:3])])
+        rx[:] = np.reshape([sightline_draws(cfg.pl_los, derived_rng(s)) for s in
+                            stream_states(seed, trials, rx_tags).reshape(-1, 4)], rx.shape)
+    return BlockDraws(clusters, tx_shadows, shadows, tx, rx, direct, base,
+                      boot_st[0] if own else run.boot)
+
+
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     """Monte Carlo over n_trials; returns one MetricsResult per receiver.
 
-    Each block runs in two phases.  The draw phase derives its trials'
-    streams and draws each to its end into block arrays, in this order:
-    - clusters (t, 1, m): sample_clusters' variates, or with frozen geometry
-      with_fresh_gains' 2S normals on the base draws of (0, 5, m);
-    - tx -> surface (t, 2, m) and direct (t, 4, u): N(0, 1) shadows of the
-      trial's S scatterers of surface m or of the first anchor (surface 0,
-      else receiver 0), scaled by sigma per block, then sightline_draws'
-      visibility, shadow and phase;
-    - surface -> receiver (t, 3, m, u): sightline_draws' shadow and phase.
-    User u's bootstrap draws on (0, 6, u) after the last block.  The channel
-    phase touches no generator: it places the clusters and weights their
-    paths on each link in one pass over the block's scatterers, runs
-    tx_ris_channel per trial and surface into a row of the block's h, every
-    surface's elements on one axis, then, each over every receiver at once,
-    the (B, U) direct links as segment sums plus their sightlines, the (B,
-    M, U) surface -> receiver coefficients c from the run's (M, U) gains,
-    and one combination for any user count.  User u's link on surface m is
-    c_{u,m} times a fixed response resp_u; element k is co-phased for its
-    owner o against h_d,o with sign s (+1 "paper", -1 "aligned"), and
-    arg(+-0) = 0, so
+    Each block runs in two phases.  draw_block draws every variate of the
+    block into one BlockDraws record; its docstring states each stream's
+    key and draw order.  The channel phase reads only that record and
+    touches no generator: it places the clusters and weights their paths on
+    each link in one pass over the block's scatterers, runs tx_ris_channel
+    per trial and surface into a row of the block's h, every surface's
+    elements on one axis, then, each over every receiver at once, the (B,
+    U) direct links as segment sums plus their sightlines, the (B, M, U)
+    surface -> receiver coefficients c from the run's (M, U) gains, and one
+    combination for any user count.  User u's link on surface m is c_{u,m}
+    times a fixed response resp_u; element k is co-phased for its owner o
+    against h_d,o with sign s (+1 "paper", -1 "aligned"), and arg(+-0) = 0,
+    so
 
       h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
               + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
@@ -519,44 +609,17 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     """
     _require_valid(cfg)
     receivers, surfaces = cfg.rx, cfg.ris_list
-    n_users = len(receivers)
+    n_users, n_surfaces = len(receivers), len(surfaces)
     anchors = [r.position for r in surfaces] or [receivers[0]]
     # only the first anchor's clusters feed the direct links
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
-    seed = cfg.master_seed
     # what every sightline keeps from trial to trial, one pass per surface and run
     by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
                   for ris in surfaces]
     rx_links = [links[1:] for links in by_surface]   # [m][u], as c's (m, u) axes
-    rx_gain = np.reshape([x.gain for row in rx_links for x in row], (len(surfaces), n_users))
-    direct_links = [Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz) for rx in receivers]
-    direct_gain = np.array([link.gain for link in direct_links])
-    # each blockable link's visibility, fixed by its length and heights
-    tx_seen = [visibility(cfg.los_model, links[0].distance, ris.position.z, cfg.tx.z)
-               for ris, links in zip(surfaces, by_surface)]
-    direct_seen = [visibility(cfg.los_model, link.distance, rx.z, cfg.tx.z)
-                   for rx, link in zip(receivers, direct_links)]
-
-    # one stream_states pass per key width and block; the run's own streams,
-    # trial 0's keys of frozen geometry and the bootstrap, ride in block 0's
-    n_anchors, n_surfaces = len(anchors), len(surfaces)
-    frozen = [] if cfg.resample_geometry else list(range(n_anchors))
-    tags = np.array([(_CLUSTERS, m) for m in range(n_anchors)]
-                    + [(_TX_RIS, m) for m in range(n_surfaces)]
-                    + [(_DIRECT, u) for u in range(n_users)]
-                    + [(_BASE_GEOMETRY, m) for m in frozen]
-                    + [(_BOOTSTRAP, u) for u in range(n_users)])
-    n_trial_tags = n_anchors + n_surfaces + n_users
-    groups = (slice(0, n_anchors), slice(n_anchors, n_anchors + n_surfaces),
-              slice(n_anchors + n_surfaces, n_trial_tags))
-    rx_tags = np.array([(_RIS_RX, m, u) for m in range(n_surfaces)
-                        for u in range(n_users)])
-
-    def draw(m: int, rng: np.random.Generator) -> ClusterDraws:
-        """One trial's draws of anchor m: fresh, or the base draws with fresh gains."""
-        if cfg.resample_geometry:
-            return sample_clusters(cfg.env, rng)
-        return base[m].with_fresh_gains(rng)
+    rx_gain = np.reshape([x.gain for row in rx_links for x in row], (n_surfaces, n_users))
+    direct_gain = np.array([Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz).gain
+                            for rx in receivers])
 
     # one element axis: every surface's lattice scan, concatenated; element k
     # of surface surface_of[k] is co-phased for user owner[k], and the
@@ -569,7 +632,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     surface_of = np.repeat(np.arange(n_surfaces), sizes)
     starts = np.flatnonzero(np.diff(surface_of * n_users + owner, prepend=-1))
     amplitude = np.repeat([r.amplitude for r in surfaces], sizes)
-    sign = 1.0 if cfg.direct_phase_sign == "paper" else -1.0
+    sign = _direct_sign(cfg.direct_phase_sign)
     others = n_users > 1 and n_surfaces > 0 and cfg.offblock == "include"
     if others:   # the fixed responses: the owner's, and each surface's others'
         resp = np.concatenate([[link.resp for link in row] for row in rx_links], axis=1)
@@ -580,61 +643,32 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     block = min(_block_size(n_users, sizes, _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
     h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
-
-    def link_draws(state, shadows: np.ndarray, seen) -> tuple[bool, float, float]:
-        """A blockable link's stream: N(0, 1) scatter shadows into shadows, then its sightline."""
-        rng = derived_rng(state)
-        rng.standard_normal(out=shadows)
-        return sightline_draws(cfg.pl_los, rng, seen)
-
+    draws = None
     for start in range(0, cfg.n_trials, block):
         stop = min(start + block, cfg.n_trials)
-        trials, n = range(start, stop), stop - start
-        # the draw phase: every stream of the block, drawn to its end
-        states = stream_states(seed, trials, tags[:n_trial_tags] if start else tags)
-        if not start:
-            base_states, boot_states = np.split(states[0, n_trial_tags:], [len(frozen)])
-            base = [sample_clusters(cfg.env, derived_rng(state)) for state in base_states]
-        cluster_st, tx_st, direct_st = (states[:, group] for group in groups)
-        rx_st = stream_states(seed, trials, rx_tags).reshape(
-            n, n_surfaces, n_users, 4) if surfaces else None
-
-        # draws[m][i], trial i's of anchor m, has scatterers at[m][i]:at[m][i + 1] of
-        # the block's (place_clusters' edges); the last block's, loop views too, go first
-        draws = places = surface = direct = weights = tx_paths = wz = ex = None
-        draws = [[draw(m, derived_rng(cluster_st[i, m])) for i in range(n)]
-                 for m in range(n_anchors)]
-        at = [np.cumsum([0] + [len(d) for d in row]).tolist() for row in draws]
-        tx_shadows = [np.empty(at[m][-1]) for m in range(n_surfaces)]
-        shadows = np.empty((n_users, at[0][-1]))
-        tx_draws = [[link_draws(tx_st[i, m], tx_shadows[m][at[m][i]:at[m][i + 1]], tx_seen[m])
-                     for m in range(n_surfaces)] for i in range(n)]
-        rx_draws = [sightline_draws(cfg.pl_los, derived_rng(rx_st[i, m, u]))
-                    for i in range(n) for m in range(n_surfaces) for u in range(n_users)]
-        direct_draws = [link_draws(direct_st[i, u], shadows[u, at[0][i]:at[0][i + 1]],
-                                   direct_seen[u]) for i in range(n) for u in range(n_users)]
-        for z in (*tx_shadows, shadows):   # sigma Z, where normal() adds 0.0:
-            z *= cfg.pl_nlos.shadow_sigma_db   # a zero's sign meets only exp
+        n = stop - start
+        # the last block's channel arrays, loop views too, go first
+        places = surface = direct = weights = tx_paths = wz = ex = None
+        draws = draw_block(cfg, range(start, stop), draws)
 
         # the channel phase: no generator from here to the block's end
         places = [place_clusters(d, cfg.tx, a, seen)
-                  for d, a, seen in zip(draws, anchors, seen_by)]
+                  for d, a, seen in zip(draws.clusters, anchors, seen_by)]
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
         direct = direct_paths(places[0], places[0].d_to_rx, cfg.pl_nlos, cfg.freq_hz)
         weights = [_weights(p) for p in places]
         tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
                     for (scale, ez, ex), w in zip(surface, weights)]
+        tx_draws = draws.tx.tolist()
         for i in range(n):
             for m, (ris, (wz, ex)) in enumerate(zip(surfaces, tx_paths)):
-                lo, hi = at[m][i:i + 2]
-                tx_ris_channel(
-                    ris, draws[m][i], cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.freq_hz,
-                    tx_shadows[m][lo:hi], tx_draws[i][m], link=by_surface[m][0],
-                    paths=(wz[:, lo:hi], ex[:, lo:hi]), out=h[i, cols[m]])
-        h_d = direct_block(direct_gain, weights[0] * direct, at[0], shadows,
-                           np.array(direct_draws).reshape(n, n_users, 3))
-        _, rx_shadow, rx_eta = np.array(   # surface -> receiver draws, (n, M, U) each
-            rx_draws, dtype=float).reshape(n, n_surfaces, n_users, 3).transpose(3, 0, 1, 2)
+                lo, hi = places[m].edges[i:i + 2]
+                tx_ris_channel(ris, draws.clusters[m][i], (wz[:, lo:hi], ex[:, lo:hi]),
+                               draws.tx_shadows[m][lo:hi], by_surface[m][0], tx_draws[i][m],
+                               out=h[i, cols[m]])
+        h_d = direct_block(direct_gain, weights[0] * direct, places[0].edges, draws.shadows,
+                           draws.direct)
+        _, rx_shadow, rx_eta = draws.rx.transpose(3, 0, 1, 2)   # (n, M, U) each
         # user u's surface -> receiver link on surface m is c[:, m, u] times its resp
         c = coefficients(rx_gain, rx_shadow, rx_eta)
         # an owned element co-phased against h_d adds amp_k |c||h_k| e^{-j sign arg h_d}
@@ -649,13 +683,14 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
                 out += c[:, m] * (x[:, None, col] @ other_resp[m])[:, 0]
         h_eff[:, start:stop] = out.T
 
+    boot = draws.boot
     # free the last block, its loop views too, before the bootstrap
     draws = places = surface = direct = weights = tx_paths = wz = ex = None
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
         res.rate_ci_low, res.rate_ci_high = bootstrap_mean_ci(
-            res.rate_samples, rng=derived_rng(boot_states[u]))
+            res.rate_samples, rng=derived_rng(boot[u]))
         results.append(res)
     return results
 

@@ -69,13 +69,17 @@ def _eta(seed, normals):
 
 def _tx_ris(ris, clusters, tx, pl_los, pl_nlos, los, rng, paths=None):
     """(h, visible) of tx_ris_channel on draws taken from rng as run_scenario
-    takes a tx -> surface stream: the S scatter shadows, then the sightline's."""
-    scatterers = len(clusters.gains) if paths is None else paths[0].shape[-1]
-    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, scatterers)
+    takes a tx -> surface stream: the S scatter shadows, then the sightline's.
+    Unless passed, paths are built as run_scenario builds a block's, here
+    from clusters, one trial's Placement."""
+    if paths is None:
+        scale, ez, ex = surface_paths(ris, clusters, pl_nlos, F73)
+        sizes = np.diff(clusters.edges)
+        paths = ez * (np.sqrt(1.0 / np.repeat(sizes, sizes)) * clusters.gains * scale), ex
+    shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, paths[0].shape[-1])
     link = Sightline.between(ris, tx, pl_los, F73)
     draws = sightline_draws(pl_los, rng, visibility(los, link.distance, ris.position.z, tx.z))
-    return tx_ris_channel(ris, clusters, tx, pl_los, pl_nlos, F73, shadows, draws,
-                          paths=paths), draws[0]
+    return tx_ris_channel(ris, clusters, paths, shadows, link, draws), draws[0]
 
 
 def test_descriptor_validation():

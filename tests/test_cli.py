@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from risim import cli, experiments
 from risim.cli import main
 from risim.experiments import (
-    MAX_COORDINATE, MAX_ELEMENTS, MAX_PATTERN_EXPONENT, MAX_POWER_DBM,
+    MAX_COORDINATE, MAX_ELEMENTS, MAX_PATH_GAIN_DB, MAX_PATTERN_EXPONENT, MAX_POWER_DBM,
     MAX_SHADOW_SIGMA_DB, MAX_THREADS, MAX_TRIALS, MAX_USERS, MIN_FREQ_HZ, derived_rng,
     scenario_from_dict, scenario_to_dict,
 )
-from risim.propagation import LOS_73GHZ, NLOS_73GHZ
+from risim.propagation import LOS_73GHZ, NLOS_73GHZ, pathloss_db
 
 _LOS, _NLOS = (dataclasses.asdict(pl) for pl in (LOS_73GHZ, NLOS_73GHZ))
 _SCATTERERS = "env.mean_clusters and env.max_scatterers_per_cluster give"
@@ -249,9 +249,17 @@ def test_negative_angular_spread_exits_two(tmp_path, capsys, field):
      "pl_nlos's effective pathloss exponent, exponent x (1 + freq_dependence"),
     ({"ris_list": [{"position": [75, 30, 2], "pattern_exponent": 1e308}]},
      "ris[0].pattern_exponent must be at most"),
+    # a sightline 0.5 m and 1 mm long under a steep exponent: a traceback, inf
+    ({"rx": [75, 30.5, 2], "ris_list": [{"position": [75, 30, 2], "n_elements": 16}],
+      "pl_los": {**_LOS, "exponent": 2500}}, "pl_los turns its shortest link"),
+    ({"rx": [75, 30.001, 2], "ris_list": [{"position": [75, 30, 2], "n_elements": 16}],
+      "pl_los": {**_LOS, "exponent": 200}}, "pl_los turns its shortest link"),
+    # direct scatter paths about 1 mm long: inf
+    ({"rx": [0, 20.001, 2], "ris_list": [], "env": {"min_range_m": 1e-6},
+      "pl_nlos": {**_NLOS, "exponent": 200}}, "pl_nlos turns its shortest link"),
 ], ids=["carrier_tiny", "tx_power_huge", "noise_power_huge", "spacing_huge",
         "los_shadow_huge", "nlos_shadow_huge", "exponent_minus_inf",
-        "pattern_exponent_huge"])
+        "pattern_exponent_huge", "los_gain_overflows", "los_gain_inf", "nlos_gain_inf"])
 def test_config_that_would_overflow_exits_two(tmp_path, capsys, override, message):
     # without their bounds these run to a traceback, or to nan rates with exit 0
     path = tmp_path / "overflow.json"
@@ -282,6 +290,27 @@ def test_bounds_are_inclusive(tmp_path, capsys):
                       "pattern_exponent": MAX_PATTERN_EXPONENT}]}))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok")
+
+
+def test_path_gain_at_its_bound_runs_to_finite_rates(tmp_path):
+    # both hops 0.5 m long at just under MAX_PATH_GAIN_DB of gain, at
+    # +-MAX_POWER_DBM, the largest shadow sigma and pattern exponent, on
+    # 4096 co-phased elements: every rate and CI bound stays finite
+    free = pathloss_db(LOS_73GHZ, 73e9, 1.0)   # the exponent's term is 0 at 1 m
+    exponent = (MAX_PATH_GAIN_DB - free) / (10.0 * math.log10(2.0)) * (1.0 - 1e-9)
+    los = {**_LOS, "exponent": exponent, "shadow_sigma_db": MAX_SHADOW_SIGMA_DB}
+    assert MAX_PATH_GAIN_DB - 1e-3 < pathloss_db(
+        dataclasses.replace(LOS_73GHZ, exponent=exponent), 73e9, 0.5) <= MAX_PATH_GAIN_DB
+    path, out = tmp_path / "edge.json", tmp_path / "out"
+    path.write_text(json.dumps({
+        "tx": [75, 29.5, 2], "rx": [75, 30.5, 2], "n_trials": 50, "pl_los": los,
+        "budget": {"tx_power_dbm": MAX_POWER_DBM, "noise_power_dbm": -MAX_POWER_DBM},
+        "ris_list": [{"position": [75, 30, 2], "n_elements": 4096,
+                      "pattern_exponent": MAX_PATTERN_EXPONENT}]}))
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    _, row = (out / "metrics.csv").read_text().splitlines()
+    rate, snr_db, low, high = map(float, row.split(",")[1:5])
+    assert all(map(math.isfinite, (rate, snr_db, low, high))) and 0 < low <= rate <= high
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import math
@@ -9,11 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from risim import experiments
 from risim.channel import (
-    RisDescriptor, Sightline, coefficients, direct_channel, ris_rx_channel,
-    sightline_draws, tx_ris_channel,
+    RisDescriptor, Sightline, coefficients, direct_block, direct_paths, surface_paths,
+    tx_ris_channel,
 )
 from risim.environment import (
-    EnvironmentConfig, complex_normal, place_clusters, sample_clusters,
+    ClusterDraws, EnvironmentConfig, place_clusters, sample_clusters,
 )
 from risim.experiments import (
     SWEEP_HEADER, ConfigError, ScenarioConfig, SweepSpec, SweepVariable,
@@ -28,7 +27,7 @@ from risim.geometry import (
 from risim.metrics import LinkBudget, MetricsResult, effective_channel, summarize
 from risim.propagation import (
     LOS_73GHZ, NLOS_73GHZ, LosMode, LosModel, PathlossParams, element_gain, los_indicator,
-    los_probability, pathloss_db, visibility,
+    los_probability, pathloss_db,
 )
 from risim.riscontrol import optimal_phases, partition_elements
 
@@ -500,10 +499,14 @@ def test_write_metadata_echoes_config(tmp_path):
         == scenario_to_dict(cfg)
 
 
-def _stream(master_seed, t, *tag):
-    """derived_rng on the stream keyed (master_seed, 0, t, *tag)."""
-    tags = np.array([tag], dtype=np.int64)
-    return derived_rng(stream_states(master_seed, range(t, t + 1), tags)[0, 0])
+def _stream(master_seed, t, *tag, ends=None):
+    """derived_rng on the stream keyed (master_seed, 0, t, *tag), kept in the
+    dict ends, if given, under its seed words."""
+    state = stream_states(master_seed, range(t, t + 1), np.array([tag], dtype=np.int64))[0, 0]
+    rng = derived_rng(state)
+    if ends is not None:
+        ends[state.tobytes()] = rng
+    return rng
 
 
 def test_derived_rng_streams():
@@ -636,9 +639,9 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
     # summing with effective_channel, also where the direct link is zero
     # (arg 0 = 0) and a surface reflects with amplitude 0.7.  Without scatter
     # the receiver, 76 m off and below the transmitter, hears it with
-    # probability 0.08.  h and h_d are the block's rows; g comes from
-    # ris_rx_channel on the same streams.
-    blocks = {"h": [], "h_d": [], "h_eff": []}
+    # probability 0.08.  h and h_d are the block's rows; g is each link's
+    # coefficient on the block's surface -> receiver draws times its response.
+    blocks = {"h": [], "h_d": [], "rx": [], "h_eff": []}
 
     def keep(name, fn, pick):
         def wrapped(*args, **kwargs):
@@ -648,7 +651,8 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
         return wrapped
 
     for name, attr, pick in (("h", "tx_ris_channel", lambda out: out),
-                             ("h_d", "direct_block", lambda out: out[:, 0])):
+                             ("h_d", "direct_block", lambda out: out[:, 0]),
+                             ("rx", "draw_block", lambda out: out.rx[:, :, 0])):
         monkeypatch.setattr(experiments, attr, keep(name, getattr(experiments, attr), pick))
     summarize = experiments.summarize
 
@@ -663,72 +667,157 @@ def test_one_user_closed_form_matches_phases_route(monkeypatch, sign):
 
     h = np.array([np.concatenate(blocks["h"][2 * t:2 * t + 2]) for t in range(40)])
     h_d = np.concatenate(blocks["h_d"])
-    g = np.array([np.concatenate([ris_rx_channel(ris, RX, LOS_73GHZ, cfg.freq_hz,
-                                                 _stream(7, t, 3, m, 0))
-                                  for m, ris in enumerate(_TWO_SURFACES)])
-                  for t in range(40)])
+    _, shadow, eta = np.concatenate(blocks["rx"]).T   # (M, 40) each
+    links = [Sightline.between(ris, RX, LOS_73GHZ, cfg.freq_hz) for ris in _TWO_SURFACES]
+    g = np.concatenate([coefficients(link.gain, shadow[m], eta[m])[:, None] * link.resp
+                        for m, link in enumerate(links)], axis=1)
     assert 0 < (h_d != 0).sum() < 40 and np.all(np.abs(h).sum(axis=1) > 0)
     amplitude = np.repeat([0.7, 1.0], [16, 64])
     phases = optimal_phases(g, h, h_d[:, None], sign)
-    coefficients = amplitude * np.exp(1j * phases)
-    want = effective_channel(h_d[:, None], g[:, None], coefficients[:, None],
+    reflection = amplitude * np.exp(1j * phases)
+    want = effective_channel(h_d[:, None], g[:, None], reflection[:, None],
                              h[:, None])[:, 0]
     np.testing.assert_allclose(blocks["h_eff"][0], want, rtol=1e-13, atol=0)
 
 
-def _per_trial_rates(cfg) -> list[np.ndarray]:
-    """cfg's rate samples assembled trial by trial from the public link
-    functions on run_scenario's streams, co-phased element by element for
-    its owner with optimal_phases and summed with effective_channel."""
-    users, surfaces, env = cfg.rx, cfg.ris_list, cfg.env
+def _keyed_draws(cfg, trials):
+    """The BlockDraws of cfg's trials, every stream derived by its key with
+    _stream and drawn in draw_block's documented order with numpy's
+    samplers and los_indicator, and {seed words: end state} of each stream."""
+    seed, tx, users, surfaces = cfg.master_seed, cfg.tx, cfg.rx, cfg.ris_list
     anchors = [r.position for r in surfaces] or [users[0]]
+    ends = {}
 
-    def rng(*key):
-        return _stream(cfg.master_seed, *key)
+    def stream(t, *tag):
+        return _stream(seed, t, *tag, ends=ends)
 
-    def placed(m, draws):
-        return place_clusters([draws], cfg.tx, anchors[m], [])   # direct_channel takes rx
+    def sightline(rng, end=None):   # visible without a draw if end is None
+        if end is not None and not los_indicator(cfg.los_model, distance(tx, end),
+                                                 end.z, tx.z, rng):
+            return 0.0, 0.0, 0.0
+        return 1.0, rng.normal(0.0, cfg.pl_los.shadow_sigma_db), 2.0 * math.pi * rng.random()
 
-    def tx_link(ris, trial, stream):
-        # the scatter shadows, then the sightline's draws, from the trial's stream
-        shadows = stream.normal(0.0, cfg.pl_nlos.shadow_sigma_db, len(trial.gains))
-        link = Sightline.between(ris, cfg.tx, cfg.pl_los, cfg.freq_hz)
-        seen = visibility(cfg.los_model, link.distance, ris.position.z, cfg.tx.z)
-        return tx_ris_channel(ris, trial, cfg.tx, cfg.pl_los, cfg.pl_nlos, cfg.freq_hz,
-                              shadows, sightline_draws(cfg.pl_los, stream, seen))
+    def blockable(rng, draws, end):   # sigma Z of the trial's scatterers, then its sightline
+        return cfg.pl_nlos.shadow_sigma_db * rng.standard_normal(len(draws)), sightline(rng, end)
 
-    base = [placed(m, sample_clusters(env, rng(0, 5, m)))
-            for m in range(len(anchors))] if not cfg.resample_geometry else None
+    def fresh_gains(base, rng):   # the base geometry, 2S fresh gain normals
+        normals = np.concatenate([base.normals[:2], rng.standard_normal((2, len(base)))])
+        return ClusterDraws(base.sizes, base.uniforms, normals, base.env)
+
+    base = [] if cfg.resample_geometry else [
+        sample_clusters(cfg.env, stream(0, 5, m)) for m in range(len(anchors))]
+    clusters = [[sample_clusters(cfg.env, stream(t, 1, m)) if cfg.resample_geometry
+                 else fresh_gains(base[m], stream(t, 1, m)) for t in trials]
+                for m in range(len(anchors))]
+    tx_links = [[blockable(stream(t, 2, m), clusters[m][i], ris.position)
+                 for m, ris in enumerate(surfaces)] for i, t in enumerate(trials)]
+    direct = [[blockable(stream(t, 4, u), clusters[0][i], rx) for u, rx in enumerate(users)]
+              for i, t in enumerate(trials)]
+    rx = [[[sightline(stream(t, 3, m, u)) for u in range(len(users))]
+           for m in range(len(surfaces))] for t in trials]
+
+    def shadows(links, k):   # link k's scatter shadows over the block's trials
+        return np.concatenate([np.empty(0)] + [row[k][0] for row in links])
+
+    record = experiments.BlockDraws(
+        clusters, [shadows(tx_links, m) for m in range(len(surfaces))],
+        np.array([shadows(direct, u) for u in range(len(users))]),
+        np.reshape([[z for _, z in row] for row in tx_links], (len(trials), len(surfaces), 3)),
+        np.reshape(rx, (len(trials), len(surfaces), len(users), 3)),
+        np.array([[z for _, z in row] for row in direct]), base,
+        stream_states(seed, range(1), np.array([(6, u) for u in range(len(users))]))[0])
+    return record, {key: rng.bit_generator.state for key, rng in ends.items()}
+
+
+def _record_bytes(record) -> list:
+    """Every array of a BlockDraws with its shape and dtype, and its
+    cluster rows' lengths."""
+    draws = [d for row in record.clusters for d in row] + record.base
+    arrays = [a for d in draws for a in (d.sizes, d.uniforms, d.normals)] + [
+        *record.tx_shadows, record.shadows, record.tx, record.rx, record.direct, record.boot]
+    return [[len(row) for row in record.clusters], len(record.base)] + [
+        (a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def _run_keeping_records(cfg):
+    """run_scenario's results, and every (trials, BlockDraws) its draw_block
+    made, with 4 trials a block."""
+    records, draw = [], experiments.draw_block
+
+    def keep(cfg, trials, run=None):
+        records.append((trials, draw(cfg, trials, run)))
+        return records[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "draw_block", keep)
+        patch.setattr(experiments, "TRIAL_BLOCK", 4)
+        return run_scenario(cfg), records
+
+
+def _per_trial_rates(cfg, records) -> list[np.ndarray]:
+    """cfg's rate samples assembled trial by trial from the public link
+    functions on the draws of records, the BlockDraws of consecutive
+    blocks, co-phased element by element for its owner with optimal_phases
+    and summed with effective_channel."""
+    users, surfaces = cfg.rx, cfg.ris_list
+    anchors = [r.position for r in surfaces] or [users[0]]
+    tx_links = [Sightline.between(ris, cfg.tx, cfg.pl_los, cfg.freq_hz) for ris in surfaces]
+    rx_links = [[Sightline.between(ris, rx, cfg.pl_los, cfg.freq_hz) for rx in users]
+                for ris in surfaces]
+    direct_gains = [Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz).gain for rx in users]
     owner = np.concatenate([partition_elements(r.n_elements, len(users)) for r in surfaces]
                            + [np.empty(0, dtype=int)])
     amplitude = np.repeat([r.amplitude for r in surfaces], [r.n_elements for r in surfaces])
     serves = owner == np.arange(len(users))[:, None] \
         if cfg.offblock == "exclude" and len(users) > 1 else None
+
+    def weights(placed):   # sqrt(1 / S) times the trial's S gains
+        return np.sqrt(1.0 / np.full(len(placed.gains), len(placed.gains))) * placed.gains
+
     h_eff = []
-    for t in range(cfg.n_trials):
-        if cfg.resample_geometry:
-            places = [placed(m, sample_clusters(env, rng(t, 1, m)))
-                      for m in range(len(anchors))]
-        else:   # fresh gains on the base geometry
-            places = [p._replace(gains=complex_normal(rng(t, 1, m), size=len(p.gains)))
-                      for m, p in enumerate(base)]
-        h = np.concatenate([np.empty(0, dtype=complex)] + [
-            tx_link(ris, places[m], rng(t, 2, m)) for m, ris in enumerate(surfaces)])
-        g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [ris_rx_channel(
-            ris, rx, cfg.pl_los, cfg.freq_hz, rng(t, 3, m, u))
-            for m, ris in enumerate(surfaces)]) for u, rx in enumerate(users)])
-        h_d = np.array([direct_channel(
-            places[0], cfg.tx, rx, cfg.pl_los, cfg.pl_nlos, cfg.los_model, cfg.freq_hz,
-            rng(t, 4, u))[0]
-            for u, rx in enumerate(users)])
-        phases = np.empty(len(owner))
-        for u in range(len(users)):
-            mine = owner == u
-            phases[mine] = optimal_phases(g[u, mine], h[mine], h_d[u], cfg.direct_phase_sign)
-        heard = g if serves is None else g * serves
-        h_eff.append(effective_channel(h_d, heard, amplitude * np.exp(1j * phases), h))
+    for record in records:
+        at = [np.cumsum([0] + [len(d) for d in row]) for row in record.clusters]
+        for i in range(len(record.tx)):
+            places = [place_clusters([row[i]], cfg.tx, a, users)
+                      for row, a in zip(record.clusters, anchors)]
+            h = [np.empty(0, dtype=complex)]
+            for m, ris in enumerate(surfaces):
+                scale, ez, ex = surface_paths(ris, places[m], cfg.pl_nlos, cfg.freq_hz)
+                h.append(tx_ris_channel(
+                    ris, record.clusters[m][i], (ez * (weights(places[m]) * scale), ex),
+                    record.tx_shadows[m][at[m][i]:at[m][i + 1]], tx_links[m],
+                    record.tx[i, m].tolist()))
+            h = np.concatenate(h)
+            g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [
+                coefficients(links[u].gain, *record.rx[i, m, u, 1:]) * links[u].resp
+                for m, links in enumerate(rx_links)]) for u in range(len(users))])
+            lo, hi = at[0][i:i + 2]
+            h_d = np.array([direct_block(
+                np.array([gain]), weights(places[0]) * direct_paths(
+                    places[0], places[0].d_to_rx[u], cfg.pl_nlos, cfg.freq_hz)[None],
+                [0, hi - lo], record.shadows[u:u + 1, lo:hi], record.direct[None, i, u:u + 1])[0, 0]
+                for u, gain in enumerate(direct_gains)])
+            phases = np.empty(len(owner))
+            for u in range(len(users)):
+                mine = owner == u
+                phases[mine] = optimal_phases(g[u, mine], h[mine], h_d[u],
+                                              cfg.direct_phase_sign)
+            heard = g if serves is None else g * serves
+            h_eff.append(effective_channel(h_d, heard, amplitude * np.exp(1j * phases), h))
     h_eff = np.array(h_eff)
     return [summarize(h_eff[:, u], cfg.budget).rate_samples for u in range(len(users))]
+
+
+def _assert_matches_per_trial_links(cfg, atol):
+    # every record of the engine is the keyed draws of its trials, and its
+    # rates are those of each trial built alone from those records
+    results, records = _run_keeping_records(cfg)
+    assert [t for trials, _ in records for t in trials] == list(range(cfg.n_trials))
+    for trials, record in records:
+        assert _record_bytes(record) == _record_bytes(_keyed_draws(cfg, trials)[0])
+    want = _per_trial_rates(cfg, [record for _, record in records])
+    for got, rates in zip(results, want, strict=True):
+        np.testing.assert_allclose(got.rate_samples, rates, rtol=1e-12, atol=atol)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -750,9 +839,7 @@ def _per_trial_rates(cfg) -> list[np.ndarray]:
         "grazed_user_second"])
 def test_run_scenario_matches_per_trial_links(overrides):
     # the block engine against every trial built alone from the public links
-    cfg = _cfg(n_trials=23, **overrides)
-    for got, want in zip(run_scenario(cfg), _per_trial_rates(cfg), strict=True):
-        np.testing.assert_allclose(got.rate_samples, want, rtol=1e-12, atol=0)
+    _assert_matches_per_trial_links(_cfg(n_trials=23, **overrides), atol=0)
 
 
 def _coordinate(lo, hi):
@@ -807,8 +894,7 @@ def test_run_scenario_matches_per_trial_links_on_any_accepted_config(cfg):
     except ConfigError:
         accepted = False
     assume(accepted)
-    for got, want in zip(run_scenario(cfg), _per_trial_rates(cfg), strict=True):
-        np.testing.assert_allclose(got.rate_samples, want, rtol=1e-12, atol=1e-15)
+    _assert_matches_per_trial_links(cfg, atol=1e-15)
 
 
 def test_block_size_fits_its_memory_budget():
@@ -863,15 +949,10 @@ def test_draw_counts_do_not_depend_on_lattice_or_tilt(monkeypatch):
     assert len(base) == 12 * (2 + 2 + 2 * 2 + 2) + 2
     assert _end_states(monkeypatch, cfg(256, 0.0)) == base
     assert _end_states(monkeypatch, cfg(16, -0.5)) == base
-    # the streams are those of the documented keys (t, tag, surface[, user])
-    seed = cfg(16, 0.0).master_seed
-    keys = [(range(1), [(6, u) for u in range(2)]),
-            (range(12), [(tag, m) for tag in (1, 2) for m in range(2)]
-             + [(4, u) for u in range(2)]),
-            (range(12), [(3, m, u) for m in range(2) for u in range(2)])]
-    assert {s.tobytes() for trials, tags in keys
-            for s in stream_states(seed, trials, np.array(tags)).reshape(-1, 4)} \
-        == set(base)
+    # the streams are the keyed draws', each in its end state, and the two
+    # bootstraps (test_run_streams_are_trial_zero_keys)
+    _, keyed = _keyed_draws(cfg(16, 0.0), range(12))
+    assert {key: base[key] for key in keyed} == keyed and len(base) == len(keyed) + 2
 
 
 @pytest.mark.parametrize("resample", [True, False], ids=["fresh", "frozen"])
@@ -912,47 +993,37 @@ def test_channel_phase_draws_nothing(monkeypatch, resample):
 @pytest.mark.parametrize("force", [True, False], ids=["forced", "unforced"])
 @pytest.mark.parametrize("mode", list(LosMode), ids=[m.value for m in LosMode])
 def test_los_draws_keep_the_indicator_contract(monkeypatch, mode, force, rx_z):
-    # every blockable stream, tx -> surface (t, 2, m) and direct (t, 4, u),
-    # ends where its scatter shadows, then los_indicator on a copy of the
-    # generator, then the sightline's shadow and eta if visible leave it:
-    # ALWAYS and NEVER consume nothing, PROBABILISTIC one uniform, even where
-    # force_if_above_tx makes p = 1 (the surface at 2.5 m over the tx at 2 m)
+    # every stream ends where the keyed draws leave it, which draw each
+    # blockable sightline's visibility with los_indicator; los_indicator
+    # consumes nothing under ALWAYS and NEVER and one uniform under
+    # PROBABILISTIC, even where force_if_above_tx makes p = 1 (the surface at
+    # 2.5 m over the tx at 2 m)
     los = LosModel(mode=mode, decay_length_m=40.0, force_if_above_tx=force)
     users = [dataclasses.replace(rx, z=rx_z) for rx in _TWO_USERS]
     cfg = _cfg(rx=users, ris_list=_TWO_SURFACES, n_trials=12, los_model=los)
     ends = _end_states(monkeypatch, cfg)
-    seed, tx = cfg.master_seed, cfg.tx
-    links = [(2, m, m, distance(tx, ris.position), ris.position.z)
-             for m, ris in enumerate(_TWO_SURFACES)]
-    links += [(4, u, 0, distance(tx, rx), rx.z) for u, rx in enumerate(users)]
-    seen, certain = set(), False
-    for t in range(12):
-        for tag, k, anchor, dist, end_z in links:
-            scatterers = len(sample_clusters(cfg.env, _stream(seed, t, 1, anchor)))
-            rng = _stream(seed, t, tag, k)
-            rng.standard_normal(scatterers)
-            drawn = copy.deepcopy(rng)
-            visible = los_indicator(los, dist, end_z, tx.z, drawn)
-            if mode is LosMode.PROBABILISTIC:
-                rng.random()
-            assert drawn.bit_generator.state == rng.bit_generator.state
-            if visible:
-                drawn.normal()
-                drawn.random()
-            key = stream_states(seed, range(t, t + 1), np.array([(tag, k)]))[0, 0]
-            assert ends[key.tobytes()] == drawn.bit_generator.state
-            seen.add(visible)
-            certain |= mode is LosMode.PROBABILISTIC \
-                and los_probability(los, dist, end_z, tx.z) == 1.0
-    assert seen == ({True, False} if mode is LosMode.PROBABILISTIC
-                    else {mode is LosMode.ALWAYS})
-    assert certain == (mode is LosMode.PROBABILISTIC and force)
+    record, keyed = _keyed_draws(cfg, range(12))
+    assert {key: ends[key] for key in keyed} == keyed and len(ends) == len(keyed) + 2
+    probabilistic = mode is LosMode.PROBABILISTIC
+    certain = False
+    for end in [ris.position for ris in _TWO_SURFACES] + users:
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            los_indicator(los, distance(cfg.tx, end), end.z, cfg.tx.z, rng)
+            if probabilistic:
+                ref.random()
+            assert rng.bit_generator.state == ref.bit_generator.state
+        certain |= probabilistic and los_probability(
+            los, distance(cfg.tx, end), end.z, cfg.tx.z) == 1.0
+    visible = {*record.tx[..., 0].ravel().tolist(), *record.direct[..., 0].ravel().tolist()}
+    assert visible == ({0.0, 1.0} if probabilistic else {float(mode is LosMode.ALWAYS)})
+    assert certain == (probabilistic and force)
 
 
 def test_surface_coefficients_are_each_links(monkeypatch):
     # the (B, M, U) coefficients of a block, one expression over the run's
-    # (M, U) gains, hold the bytes of Sightline.coefficient of link (u, m) on
-    # the draws of its streams (t, 3, m, u), in ragged blocks of 4
+    # (M, U) gains, hold the bytes of coefficients of link (u, m)'s gain on
+    # its keyed draws, in ragged blocks of 4
     blocks = []
 
     def keep(*args):
@@ -965,13 +1036,12 @@ def test_surface_coefficients_are_each_links(monkeypatch):
     run_scenario(cfg)
     c = np.concatenate(blocks)
     assert c.shape == (9, 2, 3) and len(blocks) == 3
+    rx = _keyed_draws(cfg, range(9))[0].rx
     for m, ris in enumerate(_TWO_SURFACES):
         links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)[1:]
         for u, link in enumerate(links):
-            _, shadow, eta = np.array([
-                sightline_draws(cfg.pl_los, _stream(cfg.master_seed, t, 3, m, u))
-                for t in range(9)]).T
-            assert c[:, m, u].tobytes() == link.coefficient(shadow, eta).tobytes()
+            _, shadow, eta = rx[:, m, u].T
+            assert c[:, m, u].tobytes() == coefficients(link.gain, shadow, eta).tobytes()
 
 
 @pytest.mark.parametrize("n_trials", [1, 7, experiments.TRIAL_BLOCK + 3])
