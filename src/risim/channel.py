@@ -17,9 +17,12 @@ direct_paths build what scatter paths keep from draw to draw over a
 Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
 times gain, a draw only scales each path by 10^(-shadow/20) and sums.  A
 Sightline keeps its fixed response; a draw only makes its coefficient.
-run_scenario takes a whole block of surface -> receiver and direct draws at
-once, for every receiver, with the kernels that ris_rx_channel and
-direct_channel run on a block of one trial and one receiver.
+run_scenario shadows a block's paths and makes its sightline coefficients
+at once, so per trial and surface tx_ris_channel only sums the trial's
+scatter paths in one matmul and adds its sightline; the surface ->
+receiver and direct links take every receiver at once, with the kernels
+that ris_rx_channel and direct_channel run on a block of one trial and one
+receiver.
 
 Every builder takes the scenario's one carrier freq_hz, which sets the
 wavenumber and enters pathloss_db.  Every path is shadowed: a draw scales
@@ -215,27 +218,25 @@ def _weights(scatterers: Placement) -> np.ndarray:
     return np.sqrt(1.0 / np.repeat(sizes, sizes)) * scatterers.gains
 
 
-def tx_ris_channel(ris: RisDescriptor, clusters: ClusterDraws, paths: tuple, shadows: np.ndarray,
-                   link: Sightline, draws: tuple[bool, float, float], *,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def tx_ris_channel(ris: RisDescriptor, clusters: ClusterDraws, paths: tuple, link: Sightline,
+                   coef: complex | None, *, out: np.ndarray | None = None) -> np.ndarray:
     """(N,) vector from the transmitter to the surface for one trial's draws.
 
     Scattered component: sqrt(1 / S) sum_s gain_s _pattern_amp(u_x,s^2 + u_y,s^2)
-    sqrt(loss_s) 10^(-shadows_s/20) response(u_s) over the trial's S
+    sqrt(loss_s) 10^(-shadow_s/20) response(u_s) over the trial's S
     scatterers, u_s the unit vector to scatterer s and loss_s over the detour
-    d_from_tx + d_to_surface: paths is the trial's part (ez w scale, ex) of
-    its Placement's weighted surface_paths, and shadows its S sigma-scaled
-    shadows.  The sightline link to the transmitter adds its coefficient for
-    draws, sightline_draws' (visible, shadow_db, eta), times its response if
-    visible.  clusters, the trial's ClusterDraws, is not read: it names the
-    trial for a tracer's scatterer count.  The vector goes into out if given.
+    d_from_tx + d_to_surface: paths is the trial's part (ez w scale
+    10^(-shadow/20), ex) of its Placement's weighted, shadowed surface_paths,
+    and one matmul sums it.  The sightline link to the transmitter adds coef,
+    its coefficients() for the trial's draws, times its response; coef is
+    None when the trial does not see it.  clusters, the trial's
+    ClusterDraws, is not read: it names the trial for a tracer's scatterer
+    count.  The vector goes into out if given.
     """
     h = np.empty(ris.n_elements, dtype=complex) if out is None else out
-    wz = paths[0] * np.exp(shadows * -_NEPERS_PER_DB)
-    np.matmul(wz, paths[1].T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
-    visible, shadow, eta = draws
-    if visible:
-        h += coefficients(link.gain, shadow, eta) * link.resp
+    np.matmul(paths[0], paths[1].T, out=h.reshape(ris.side, ris.side))   # zeros for no scatterer
+    if coef is not None:
+        h += coef * link.resp
     return h
 
 

@@ -43,8 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (  # ris_rx_channel, direct_channel: kept for perfbench's tracer
-    RisDescriptor, Sightline, _weights, coefficients, direct_block, direct_channel,
-    direct_paths, ris_rx_channel, sightline_draws, surface_paths, tx_ris_channel,
+    _NEPERS_PER_DB, RisDescriptor, Sightline, _weights, coefficients, direct_block,
+    direct_channel, direct_paths, ris_rx_channel, sightline_draws, surface_paths,
+    tx_ris_channel,
 )
 from .environment import (  # rebind_receiver stays importable for perfbench's tracer
     ClusterDraws, EnvironmentConfig, place_clusters, rebind_receiver, sample_clusters,
@@ -589,16 +590,18 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     Each block runs in two phases.  draw_block draws every variate of the
     block into one BlockDraws record; its docstring states each stream's
     key and draw order.  The channel phase reads only that record and
-    touches no generator: it places the clusters and weights their paths on
-    each link in one pass over the block's scatterers, runs tx_ris_channel
-    per trial and surface into a row of the block's h, every surface's
-    elements on one axis, then, each over every receiver at once, the (B,
-    U) direct links as segment sums plus their sightlines, the (B, M, U)
-    surface -> receiver coefficients c from the run's (M, U) gains, and one
-    combination for any user count.  User u's link on surface m is c_{u,m}
-    times a fixed response resp_u; element k is co-phased for its owner o
-    against h_d,o with sign s (+1 "paper", -1 "aligned"), and arg(+-0) = 0,
-    so
+    touches no generator: it places the clusters, weights and shadows their
+    paths on each link in one pass over the block's scatterers, and takes
+    the (B, M) tx -> surface sightline coefficients from the run's (M,)
+    gains; per trial and surface tx_ris_channel only sums the scatter paths
+    in one matmul into a row of the block's h, every surface's elements on
+    one axis, and adds the sightline if seen.  Then, each over every
+    receiver at once, come the (B, U) direct links as segment sums plus
+    their sightlines, the (B, M, U) surface -> receiver coefficients c from
+    the run's (M, U) gains, and one combination for any user count.  User
+    u's link on surface m is c_{u,m} times a fixed response resp_u; element
+    k is co-phased for its owner o against h_d,o with sign s (+1 "paper",
+    -1 "aligned"), and arg(+-0) = 0, so
 
       h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
               + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
@@ -617,6 +620,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
     by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
                   for ris in surfaces]
     rx_links = [links[1:] for links in by_surface]   # [m][u], as c's (m, u) axes
+    tx_gain = np.array([links[0].gain for links in by_surface])
     rx_gain = np.reshape([x.gain for row in rx_links for x in row], (n_surfaces, n_users))
     direct_gain = np.array([Sightline.direct(cfg.tx, rx, cfg.pl_los, cfg.freq_hz).gain
                             for rx in receivers])
@@ -648,7 +652,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
         stop = min(start + block, cfg.n_trials)
         n = stop - start
         # the last block's channel arrays, loop views too, go first
-        places = surface = direct = weights = tx_paths = wz = ex = None
+        places = surface = direct = weights = w = wz = ex = None
         draws = draw_block(cfg, range(start, stop), draws)
 
         # the channel phase: no generator from here to the block's end
@@ -657,15 +661,17 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
         direct = direct_paths(places[0], places[0].d_to_rx, cfg.pl_nlos, cfg.freq_hz)
         weights = [_weights(p) for p in places]
-        tx_paths = [(np.multiply(ez, w * scale, out=ez), ex)
-                    for (scale, ez, ex), w in zip(surface, weights)]
-        tx_draws = draws.tx.tolist()
+        for (scale, wz, _), w, shadows in zip(surface, weights, draws.tx_shadows):
+            np.multiply(wz, w * scale, out=wz)   # the ramps ez become wz, each path
+            wz *= np.exp(shadows * -_NEPERS_PER_DB)   # (ez w scale) 10^(-s/20)
+        # None where the trial does not see its sightline, which then adds nothing
+        tx_coef = np.where(draws.tx[..., 0], coefficients(
+            tx_gain, draws.tx[..., 1], draws.tx[..., 2]), None).tolist()
         for i in range(n):
-            for m, (ris, (wz, ex)) in enumerate(zip(surfaces, tx_paths)):
+            for m, (ris, (_, wz, ex)) in enumerate(zip(surfaces, surface)):
                 lo, hi = places[m].edges[i:i + 2]
                 tx_ris_channel(ris, draws.clusters[m][i], (wz[:, lo:hi], ex[:, lo:hi]),
-                               draws.tx_shadows[m][lo:hi], by_surface[m][0], tx_draws[i][m],
-                               out=h[i, cols[m]])
+                               by_surface[m][0], tx_coef[i][m], out=h[i, cols[m]])
         h_d = direct_block(direct_gain, weights[0] * direct, places[0].edges, draws.shadows,
                            draws.direct)
         _, rx_shadow, rx_eta = draws.rx.transpose(3, 0, 1, 2)   # (n, M, U) each
@@ -685,7 +691,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
 
     boot = draws.boot
     # free the last block, its loop views too, before the bootstrap
-    draws = places = surface = direct = weights = tx_paths = wz = ex = None
+    draws = places = surface = direct = weights = w = wz = ex = tx_coef = None
     results = []
     for u in range(n_users):
         res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from risim.channel import (
-    RisDescriptor, Sightline, ris_rx_channel, sightline_draws, surface_paths,
-    tx_ris_channel,
+    RisDescriptor, Sightline, coefficients, ris_rx_channel, sightline_draws,
+    surface_paths, tx_ris_channel,
 )
 from risim.cli import main as cli_main
 from risim.environment import (
@@ -138,9 +138,10 @@ def test_04_cascade_power_scales_with_aperture_squared():
     for n in (64, 256):
         ris = RisDescriptor(position=surface, n_elements=n)
         _, ez, ex = surface_paths(ris, no_scatter, NLOS_73GHZ, F73)   # no scatter path
-        h = tx_ris_channel(ris, no_scatter, (ez, ex), np.empty(0),
-                           Sightline.between(ris, TX, los, F73),
-                           sightline_draws(los, np.random.default_rng(1)))
+        link = Sightline.between(ris, TX, los, F73)
+        _, shadow, eta = sightline_draws(los, np.random.default_rng(1))
+        h = tx_ris_channel(ris, no_scatter, (ez, ex), link,
+                           coefficients(link.gain, shadow, eta))
         g = ris_rx_channel(ris, rx, los, F73, np.random.default_rng(2))
         cascaded = effective_channel(np.zeros(1), g[None],
                                      np.exp(1j * optimal_phases(g, h, 0.0)), h)

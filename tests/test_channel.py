@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from risim import experiments
 from risim.channel import (
-    RisDescriptor, Sightline, _lattice_factors, _pattern_amp, direct_block,
-    direct_channel, direct_paths, ris_rx_channel, sightline_draws, surface_paths,
-    tx_ris_channel,
+    _NEPERS_PER_DB, RisDescriptor, Sightline, _lattice_factors, _pattern_amp,
+    coefficients, direct_block, direct_channel, direct_paths, ris_rx_channel,
+    sightline_draws, surface_paths, tx_ris_channel,
 )
 from risim.environment import (
     EnvironmentConfig, Placement, complex_normal, place_clusters, sample_clusters,
@@ -69,7 +70,8 @@ def _eta(seed, normals):
 
 def _tx_ris(ris, clusters, tx, pl_los, pl_nlos, los, rng, paths=None):
     """(h, visible) of tx_ris_channel on draws taken from rng as run_scenario
-    takes a tx -> surface stream: the S scatter shadows, then the sightline's.
+    takes a tx -> surface stream: the S scatter shadows, each scaling its
+    path by 10^(-s/20), then the sightline's, made into its coefficient.
     Unless passed, paths are built as run_scenario builds a block's, here
     from clusters, one trial's Placement."""
     if paths is None:
@@ -78,8 +80,11 @@ def _tx_ris(ris, clusters, tx, pl_los, pl_nlos, los, rng, paths=None):
         paths = ez * (np.sqrt(1.0 / np.repeat(sizes, sizes)) * clusters.gains * scale), ex
     shadows = rng.normal(0.0, pl_nlos.shadow_sigma_db, paths[0].shape[-1])
     link = Sightline.between(ris, tx, pl_los, F73)
-    draws = sightline_draws(pl_los, rng, visibility(los, link.distance, ris.position.z, tx.z))
-    return tx_ris_channel(ris, clusters, paths, shadows, link, draws), draws[0]
+    seen, shadow, eta = sightline_draws(
+        pl_los, rng, visibility(los, link.distance, ris.position.z, tx.z))
+    wz = paths[0] * np.exp(shadows * -_NEPERS_PER_DB)
+    coef = coefficients(link.gain, shadow, eta) if seen else None
+    return tx_ris_channel(ris, clusters, (wz, paths[1]), link, coef), seen
 
 
 def test_descriptor_validation():
@@ -387,6 +392,79 @@ def test_links_take_their_part_of_block_paths():
                 [d.tobytes() for d in block]
             assert [heard for _, heard in alone] == [row[0] for row in rows]
             assert any(row[0] for row in rows) and not all(row[0] for row in rows)
+
+
+def _written_out_tx_link(ris, cfg, trial, shadows, draws):
+    """Trial's (N,) transmitter -> surface vector written out per trial:
+    its weighted ramps times 10^(-s/20) for its S shadows, one matmul, and
+    where visible the sightline's coefficient, taken from Python floats,
+    times its response."""
+    placed = place_clusters([trial], cfg.tx, ris.position, [])
+    scale, ez, ex = surface_paths(ris, placed, cfg.pl_nlos, cfg.freq_hz)
+    weights = np.sqrt(1.0 / np.full(len(shadows), len(shadows))) * placed.gains
+    wz = ez * (weights * scale) * np.exp(shadows * -_NEPERS_PER_DB)
+    h = np.empty(ris.n_elements, dtype=complex)
+    np.matmul(wz, ex.T, out=h.reshape(ris.side, ris.side))
+    visible, shadow, eta = draws.tolist()
+    if visible:
+        link = Sightline.between(ris, cfg.tx, cfg.pl_los, cfg.freq_hz)
+        h += coefficients(link.gain, shadow, eta) * link.resp
+    return h
+
+
+@pytest.mark.parametrize("sigma", [0.0, 8.0])
+@pytest.mark.parametrize("scatter", [True, False], ids=["scatter", "no_scatter"])
+@pytest.mark.parametrize("mode", list(LosMode))
+def test_engine_tx_links_are_the_written_out_link(monkeypatch, sigma, scatter, mode):
+    """Every row run_scenario builds, its shadows folded into a block's
+    ramps and its sightline coefficients made per block, has the bytes of
+    the trial's link written out per trial, on two tilted surfaces in
+    blocks of 4, shadowed or not, with or without scatterers, and with the
+    sightline seen in some trials and not others, always, or never."""
+    surfaces = [
+        RisDescriptor(position=Point3(70, 30, 1.5), n_elements=16,
+                      orient=Orientation(Plane.XZ, tilt_rad=-0.3)),
+        RisDescriptor(position=Point3(74, 30, 2.5), n_elements=64,
+                      orient=Orientation(Plane.YZ, tilt_rad=0.4)),
+    ]
+    cfg = experiments.ScenarioConfig(
+        tx=Point3(0, 20, 2), rx=[Point3(70, 35, 1)], ris_list=surfaces,
+        env=EnvironmentConfig(include_scatter=scatter),
+        pl_los=dataclasses.replace(LOS_73GHZ, shadow_sigma_db=sigma),
+        pl_nlos=dataclasses.replace(NLOS_73GHZ, shadow_sigma_db=sigma),
+        los_model=LosModel(mode, decay_length_m=80.0, force_if_above_tx=False),
+        n_trials=10, master_seed=3)
+    rows, records = [], []
+    link, draw = experiments.tx_ris_channel, experiments.draw_block
+
+    def keep_row(*args, **kwargs):
+        rows.append(link(*args, **kwargs).copy())
+        return rows[-1]
+
+    def keep_record(*args):
+        records.append(draw(*args))
+        return records[-1]
+
+    monkeypatch.setattr(experiments, "tx_ris_channel", keep_row)
+    monkeypatch.setattr(experiments, "draw_block", keep_record)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
+    experiments.run_scenario(cfg)
+    assert len(records) == 3 and len(rows) == 2 * 10
+    want = []
+    for record in records:
+        for i in range(len(record.tx)):
+            for m, ris in enumerate(surfaces):
+                at = np.cumsum([0] + [len(d) for d in record.clusters[m]])
+                want.append(_written_out_tx_link(
+                    ris, cfg, record.clusters[m][i],
+                    record.tx_shadows[m][at[i]:at[i + 1]], record.tx[i, m]))
+    assert [h.tobytes() for h in rows] == [h.tobytes() for h in want]
+    seen = np.concatenate([record.tx[:, :, 0] for record in records])
+    sizes = np.concatenate([[len(d) for d in row] for r in records for row in r.clusters])
+    assert sizes.all() if scatter else not sizes.any()
+    for m in range(len(surfaces)):   # what each mode allows; PROBABILISTIC: both
+        assert set(seen[:, m]) == {LosMode.ALWAYS: {1.0}, LosMode.NEVER: {0.0},
+                                   LosMode.PROBABILISTIC: {0.0, 1.0}}[mode]
 
 
 def test_direct_links_of_every_receiver_take_one_call():

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from risim import experiments
 from risim.channel import (
-    RisDescriptor, Sightline, coefficients, direct_block, direct_paths, surface_paths,
-    tx_ris_channel,
+    _NEPERS_PER_DB, RisDescriptor, Sightline, coefficients, direct_block, direct_paths,
+    surface_paths, tx_ris_channel,
 )
 from risim.environment import (
     ClusterDraws, EnvironmentConfig, place_clusters, sample_clusters,
@@ -783,10 +783,12 @@ def _per_trial_rates(cfg, records) -> list[np.ndarray]:
             h = [np.empty(0, dtype=complex)]
             for m, ris in enumerate(surfaces):
                 scale, ez, ex = surface_paths(ris, places[m], cfg.pl_nlos, cfg.freq_hz)
+                shadows = record.tx_shadows[m][at[m][i]:at[m][i + 1]]
+                seen, shadow, eta = record.tx[i, m].tolist()
                 h.append(tx_ris_channel(
-                    ris, record.clusters[m][i], (ez * (weights(places[m]) * scale), ex),
-                    record.tx_shadows[m][at[m][i]:at[m][i + 1]], tx_links[m],
-                    record.tx[i, m].tolist()))
+                    ris, record.clusters[m][i],
+                    (ez * (weights(places[m]) * scale) * np.exp(shadows * -_NEPERS_PER_DB), ex),
+                    tx_links[m], coefficients(tx_links[m].gain, shadow, eta) if seen else None))
             h = np.concatenate(h)
             g = np.array([np.concatenate([np.empty(0, dtype=complex)] + [
                 coefficients(links[u].gain, *record.rx[i, m, u, 1:]) * links[u].resp
@@ -1023,7 +1025,8 @@ def test_los_draws_keep_the_indicator_contract(monkeypatch, mode, force, rx_z):
 def test_surface_coefficients_are_each_links(monkeypatch):
     # the (B, M, U) coefficients of a block, one expression over the run's
     # (M, U) gains, hold the bytes of coefficients of link (u, m)'s gain on
-    # its keyed draws, in ragged blocks of 4
+    # its keyed draws, in ragged blocks of 4; so do the block's (B, M)
+    # tx -> surface ones over the run's (M,) gains, made first
     blocks = []
 
     def keep(*args):
@@ -1034,13 +1037,15 @@ def test_surface_coefficients_are_each_links(monkeypatch):
     monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
     cfg = _cfg(rx=[*_TWO_USERS, RX], ris_list=_TWO_SURFACES, n_trials=9)
     run_scenario(cfg)
-    c = np.concatenate(blocks)
-    assert c.shape == (9, 2, 3) and len(blocks) == 3
-    rx = _keyed_draws(cfg, range(9))[0].rx
+    tx, c = (np.concatenate(blocks[k::2]) for k in (0, 1))
+    assert tx.shape == (9, 2) and c.shape == (9, 2, 3) and len(blocks) == 2 * 3
+    keyed = _keyed_draws(cfg, range(9))[0]
     for m, ris in enumerate(_TWO_SURFACES):
-        links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)[1:]
-        for u, link in enumerate(links):
-            _, shadow, eta = rx[:, m, u].T
+        links = Sightline.towards(ris, [cfg.tx, *cfg.rx], cfg.pl_los, cfg.freq_hz)
+        _, shadow, eta = keyed.tx[:, m].T
+        assert tx[:, m].tobytes() == coefficients(links[0].gain, shadow, eta).tobytes()
+        for u, link in enumerate(links[1:]):
+            _, shadow, eta = keyed.rx[:, m, u].T
             assert c[:, m, u].tobytes() == coefficients(link.gain, shadow, eta).tobytes()
 
 

@@ -34,7 +34,7 @@ def test_tx_ris_channel_binds_what_the_tracer_counts():
     # run_scenario's call: ris and clusters positional, clusters the trial's draws
     ris = RisDescriptor(position=Point3(75.0, 30.0, 2.0), n_elements=16)
     draws = sample_clusters(EnvironmentConfig(), np.random.default_rng(1))
-    bound = inspect.signature(tx_ris_channel).bind(ris, draws, *[None] * 4)
+    bound = inspect.signature(tx_ris_channel).bind(ris, draws, *[None] * 3)
     assert bound.arguments["ris"] is ris and bound.arguments["clusters"] is draws
     scatterers = int(draws.sizes.sum())
     assert scatterers > 0
