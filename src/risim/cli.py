@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "ignored: trials run in order on one thread")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument tree, built once per process: parse_args keeps no
+    state in it, and every --override list starts from a fresh copy."""
     parser = argparse.ArgumentParser(
         prog="risim",
         description="Monte Carlo simulator for reflecting-surface assisted links")

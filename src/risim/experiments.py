@@ -10,9 +10,12 @@ is PCG64 seeded by SeedSequence(entropy=key), bit for bit, for a key
 (master_seed, 0, t, *tag) with one-word trial and tag ints.
 stream_states derives the seed words of a range of trials times an array
 of tags in one vectorized pass of SeedSequence's hash, and derived_rng
-turns one of them into a generator.  The tests compare every stream with
-numpy's own SeedSequence, so a numpy release that changed its hash would
-fail them rather than silently move the streams.
+turns one of them into a generator.  stream_states keeps its last 8
+results, read-only and keyed on (master_seed, trials, tags), so the points
+of a sweep derive each block's seed words once, in the same bytes a fresh
+pass gives.  The tests compare every stream with numpy's own SeedSequence,
+so a numpy release that changed its hash would fail them rather than
+silently move the streams.
 
 The config states each physical fact once: one carrier, freq_hz, for every
 link, and shadowing on every link, with sigma = 0 the only way to turn it
@@ -102,11 +105,15 @@ class ScenarioConfig:
 # TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
 # scatterers' receiver distances, direct and tx shadows and ramps, within
 # about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
-# MAX_USERS x MAX_ELEMENTS runs one trial per block.  MAX_THREADS bounds the
-# CLI's --threads, which is checked and then ignored: trials run on one
-# thread.  Past MAX_SCATTERERS expected scatterers a trial, the draws outgrow
-# memory and numpy's Poisson sampler; past MIN_FREQ_HZ, MAX_POWER_DBM or
-# MAX_SHADOW_SIGMA_DB, powers overflow.  Past MAX_PATTERN_EXPONENT an
+# MAX_USERS x MAX_ELEMENTS runs one trial per block.  stream_states keeps
+# its last 8 results, each one pass of a block, 32 bytes a stream.  As each
+# surface holds at least one element per user, a pass is at most 4 times the
+# block's bytes above, 64 more a trial: the memo holds at most about
+# 32 x _BLOCK_BYTES, and tens of KB on the canned figures.  MAX_THREADS
+# bounds the CLI's --threads, which is checked and then ignored: trials run
+# on one thread.  Past MAX_SCATTERERS expected scatterers a trial, the draws
+# outgrow memory and numpy's Poisson sampler; past MIN_FREQ_HZ, MAX_POWER_DBM
+# or MAX_SHADOW_SIGMA_DB, powers overflow.  Past MAX_PATTERN_EXPONENT an
 # element's beam is under 5 deg wide in elevation, and near q = 4.5e307 its
 # peak gain 2(2q+1) overflows to inf, which times a zero cos^q(el) is nan.
 # MAX_PATH_GAIN_DB bounds pathloss_db taken as a gain, as a short link under
@@ -431,22 +438,43 @@ def _words(n) -> list[int]:
 def stream_states(master_seed: int, trials: range, tags: np.ndarray) -> np.ndarray:
     """PCG64 seed words of the streams keyed (master_seed, 0, t, *tag), for
     t in trials and tag a row of the (G, w) integer array tags, as a
-    (len(trials), G, 4) uint64 array.
+    read-only (len(trials), G, 4) uint64 array.
 
     Entry [i, g] is SeedSequence(entropy=(master_seed, 0, trials[i],
     *tags[g])).generate_state(4, np.uint64), bit for bit, from one
     vectorized pass of the hash over every key.  The seed splits into
     little-endian uint32 words, and a negative one raises ValueError; the
     0 word is a fixed part of every key; each trial and tag entry is one
-    word, below 2**32.  The tests compare entries with numpy's own
-    SeedSequence, so a numpy change to its hash shows there."""
+    word, and one outside [0, 2**32) raises ValueError too.  The tests
+    compare entries with numpy's own SeedSequence, so a numpy change to its
+    hash shows there.
+
+    The last 8 results are kept, keyed on the seed, the trial range and the
+    tags as ints, so the points of a sweep, which share their streams,
+    derive a block's words once; a kept result is the same bytes a fresh
+    pass gives.  stream_states.cache_clear() drops them."""
+    tags = np.asarray(tags)
+    return _states(operator.index(master_seed), trials, tags.shape, tuple(tags.ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _states(master_seed: int, trials: range, shape: tuple, tags: tuple) -> np.ndarray:
+    ends = [*trials[:1], *trials[-1:], *tags]   # a range's extremes are its ends
+    if ends and not 0 <= min(ends) <= max(ends) <= _MASK32:
+        raise ValueError(f"trial and tag entries take one word, 0..{_MASK32}, "
+                         f"got {min(ends)}..{max(ends)}")
     prefix = _words(master_seed) + [0]
-    n_tags, width = tags.shape
+    n_tags, width = shape
     words = np.empty((len(prefix) + 1 + width, len(trials), n_tags), dtype=np.uint32)
     words[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None, None]
     words[len(prefix)] = np.arange(trials.start, trials.stop, trials.step)[:, None]
-    words[len(prefix) + 1:] = tags.T[:, None]
-    return _pool_states(words.reshape(len(words), -1)).reshape(len(trials), n_tags, 4)
+    words[len(prefix) + 1:] = np.array(tags, dtype=np.uint32).reshape(shape).T[:, None]
+    out = _pool_states(words.reshape(len(words), -1)).reshape(len(trials), n_tags, 4)
+    out.flags.writeable = False
+    return out
+
+
+stream_states.cache_clear = _states.cache_clear
 
 
 @functools.cache

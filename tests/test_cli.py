@@ -127,6 +127,24 @@ def test_figure_rejects_bad_override(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_main_calls_share_no_state(scenario_file, tmp_path, monkeypatch):
+    # one argument tree serves every call in a process: an earlier call's
+    # --override list or subcommand never reaches a later one
+    seen = []
+    monkeypatch.setattr(cli, "reproduce_figure",
+                        lambda figure, overrides, **_: seen.append((figure, overrides)) or [])
+    out = str(tmp_path)
+    assert main(["figure", "F6", "--override", "pt_values=30", "--override", "n=64",
+                 "--out", out]) == 0
+    assert main(["validate", str(scenario_file)]) == 0
+    assert main(["figure", "F3", "--trials", "5", "--out", out]) == 0
+    assert main(["figure", "F6", "--override", "pt_values=10", "--out", out]) == 0
+    assert seen == [("F6", {"pt_values": "30", "n": "64"}), ("F3", {"trials": 5}),
+                    ("F6", {"pt_values": "10"})]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["figure", "F6"]).override == []
+
+
 def test_validate_command(scenario_file, tmp_path, capsys):
     assert main(["validate", str(scenario_file)]) == 0
     assert capsys.readouterr().out.startswith("ok")

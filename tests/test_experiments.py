@@ -188,20 +188,83 @@ def _bytes(results) -> list[bytes]:
         res.rate_samples.tobytes(), np.array([res.rate_ci_low, res.rate_ci_high]).tobytes())]
 
 
+_TWO_USERS = [Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)]
+
+
 @pytest.mark.parametrize("cfg, spec", [
-    (_cfg(rx=[Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)], n_trials=40),
-     SweepSpec(SweepVariable.RIS_X, [60.0, 75.0, 60.0])),
+    (_cfg(rx=_TWO_USERS, n_trials=40), SweepSpec(SweepVariable.RIS_X, [60.0, 75.0, 60.0])),
     (_cfg(n_trials=40), SweepSpec(SweepVariable.TILT, [-0.5, 0.0, -0.5])),
-], ids=["ris_x_two_users", "tilt"])
+    (_cfg(ris_list=[], n_trials=40), SweepSpec(SweepVariable.TX_POWER_DBM, [10.0, 20.0, 10.0])),
+    (_cfg(rx=_TWO_USERS, n_trials=40),
+     SweepSpec(SweepVariable.TX_POWER_DBM, [10.0, 20.0, 10.0])),
+    # 40 trials run in one block on 16 elements and in blocks of 25 on 1024
+    (_cfg(n_trials=40), SweepSpec(SweepVariable.N_ELEMENTS, [16, 1024, 16])),
+], ids=["ris_x_two_users", "tilt", "power_one_user", "power_two_users", "n_elements"])
 def test_each_sweep_point_is_its_own_run(cfg, spec):
     # a point is the run of its config: no stream depends on where in the
-    # sweep it sits, so a repeated value repeats its results
+    # sweep it sits, so a repeated value repeats its results.  Points past
+    # the first take their seed words from stream_states' memo; each
+    # reference run derives its own
     assert cfg.offblock == "include"
+    stream_states.cache_clear()
     rows = run_sweep(cfg, spec)
     assert [value for value, _ in rows] == spec.values
     for value, results in rows:
+        stream_states.cache_clear()
         assert _bytes(results) == _bytes(run_scenario(apply_sweep_value(cfg, spec, value)))
     assert _bytes(rows[0][1]) == _bytes(rows[2][1]) != _bytes(rows[1][1])
+
+
+def _count_passes(monkeypatch) -> list:
+    """The word arrays of every hash pass from here on, none memoized yet."""
+    passes, pool = [], experiments._pool_states
+    monkeypatch.setattr(experiments, "_pool_states",
+                        lambda words: passes.append(words) or pool(words))
+    stream_states.cache_clear()
+    return passes
+
+
+def _f9_sweep():
+    (run,) = build_figure("F9", {"trials": 10, "seed": 5})
+    return run.cfg, run.sweep
+
+
+@pytest.mark.parametrize("sweep, points", [
+    (_f9_sweep, 11),
+    (lambda: (_cfg(ris_list=[], n_trials=100),
+              SweepSpec(SweepVariable.TX_POWER_DBM, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])),
+     7),
+], ids=["f9_ris_x_two_users", "power_free"])
+def test_sweep_points_derive_their_seed_words_once(monkeypatch, sweep, points):
+    # F9's one block of 10 trials takes a pass per key width, two; 100
+    # surface-free trials take one pass in each of two blocks: the first
+    # point's passes, which every later point reuses
+    cfg, spec = sweep()
+    assert len(spec.values) == points
+    passes = _count_passes(monkeypatch)
+    run_sweep(cfg, spec)
+    assert len(passes) == 2
+
+
+def test_stream_states_memo_is_read_only_and_exact(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    tags = np.array([(1, 0), (4, 1)])
+    first = stream_states(9, range(5), tags)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 0
+    # one key whatever the tags' integer dtype or container
+    for same in (tags.astype(np.int32), tags.astype(np.uint64), tags.tolist()):
+        assert stream_states(9, range(5), same) is first
+    assert len(passes) == 1
+    cfg = _cfg(rx=_TWO_USERS, n_trials=70)   # two blocks of two passes each
+    derived = run_scenario(cfg)
+    served = run_scenario(cfg)
+    assert len(passes) == 1 + 4
+    stream_states.cache_clear()
+    again = run_scenario(cfg)
+    assert len(passes) == 1 + 8
+    assert _bytes(served) == _bytes(derived) == _bytes(again)
 
 
 @pytest.mark.parametrize("rx", [[RX], [Point3(70.0, 32.0, 1.0), Point3(70.0, 35.0, 1.0)]],
@@ -574,6 +637,19 @@ def test_stream_states_of_a_key_do_not_depend_on_its_batch(seed):
 def test_stream_states_reject_negative_components(seed):
     with pytest.raises(ValueError):
         stream_states(seed, range(1), np.array([(0, 1)]))
+
+
+@pytest.mark.parametrize("trials, tag", [
+    (range(1), 2 ** 32 + 5), (range(1), -1), (range(2 ** 32 - 1, 2 ** 32 + 1), 0),
+], ids=["wide_tag", "negative_tag", "wide_trial"])
+def test_stream_states_reject_entries_past_one_word(trials, tag):
+    # SeedSequence takes (1, 0, 0, 1, 2**32 + 5) as a stream of its own, not
+    # as tag 5's: wrapping such an entry into one word would alias streams
+    wide = np.random.SeedSequence(entropy=(1, 0, 0, 1, 2 ** 32 + 5)).generate_state(4, np.uint64)
+    assert not np.array_equal(wide, stream_states(1, range(1), np.array([(1, 5)]))[0, 0])
+    for _ in range(2):   # a rejected key is not memoized
+        with pytest.raises(ValueError, match="one word"):
+            stream_states(1, trials, np.array([(1, tag)]))
 
 
 _TWO_SURFACES = [
