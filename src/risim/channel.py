@@ -17,12 +17,11 @@ direct_paths build what scatter paths keep from draw to draw over a
 Placement's scatterers, one trial's or a block's; weighted by sqrt(1 / S)
 times gain, a draw only scales each path by 10^(-shadow/20) and sums.  A
 Sightline keeps its fixed response; a draw only makes its coefficient.
-run_scenario shadows a block's paths and makes its sightline coefficients
-at once, so per trial and surface tx_ris_channel only sums the trial's
-scatter paths in one matmul and adds its sightline; the surface ->
+experiments.channel_stage shadows a block's paths and makes its sightline
+coefficients at once, so per trial and surface tx_ris_channel only sums the
+trial's scatter paths in one matmul and adds its sightline; the surface ->
 receiver and direct links take every receiver at once, with the kernels
-that ris_rx_channel and direct_channel run on a block of one trial and one
-receiver.
+that ris_rx_channel and direct_channel run on one trial and one receiver.
 
 Every builder takes the scenario's one carrier freq_hz, which sets the
 wavenumber and enters pathloss_db.  Every path is shadowed: a draw scales

@@ -23,11 +23,11 @@ off.  A trial draws every shadow whatever its sigma, so a config's streams
 do not depend on its sigmas.
 
 run_scenario takes the trials in blocks (see the resource bounds for their
-size).  draw_block draws each block into one BlockDraws record, and its
-docstring is where each stream's key and draw order are stated; the
-channel phase builds the block from that record alone, with no generator.
-Every step is elementwise or sums within one trial or one scatterer, so
-results do not depend on the block size.
+size).  draw_block, whose docstring states each stream's key and draw
+order, draws a block into one BlockDraws record; channel_stage builds the
+run-fixed set-up once, and its channel_block turns each record into the
+block's h_eff with no generator.  Every step is elementwise or sums within
+one trial or one scatterer, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -101,15 +101,15 @@ class ScenarioConfig:
 
 # Resource bounds.  bootstrap_mean_ci draws and gathers its resamples about
 # 256 KiB at a time, one 0.8 MB row of each at MAX_TRIALS; at MAX_USERS,
-# h_eff is 410 MB.  run_scenario keeps a block of up to
-# TRIAL_BLOCK trials' h, one working array of the same size and h_d, its
-# scatterers' receiver distances, direct and tx shadows and ramps, within
-# about _BLOCK_BYTES (2 MiB) unless one trial alone is larger: a config at
-# MAX_USERS x MAX_ELEMENTS runs one trial per block.  stream_states keeps
-# its last 8 results, each one pass of a block, 32 bytes a stream.  As each
-# surface holds at least one element per user, a pass is at most 4 times the
-# block's bytes above, 64 more a trial: the memo holds at most about
-# 32 x _BLOCK_BYTES, and tens of KB on the canned figures.  MAX_THREADS
+# h_eff is 410 MB.  channel_stage holds a block of up to TRIAL_BLOCK trials'
+# h, and channel_block, per call, one working array of its size, h_d, the
+# scatterers' receiver distances, direct and tx shadows and ramps: within
+# about _BLOCK_BYTES (2 MiB), unless one trial alone is larger, as at
+# MAX_USERS x MAX_ELEMENTS, which runs one trial per block.  stream_states
+# keeps its last 8 results, each one pass of a block, 32 bytes a stream.  As
+# each surface holds at least one element per user, a pass is at most 4
+# times the block's bytes above, 64 more a trial: the memo holds at most
+# about 32 x _BLOCK_BYTES, and tens of KB on the canned figures.  MAX_THREADS
 # bounds the CLI's --threads, which is checked and then ignored: trials run
 # on one thread.  Past MAX_SCATTERERS expected scatterers a trial, the draws
 # outgrow memory and numpy's Poisson sampler; past MIN_FREQ_HZ, MAX_POWER_DBM
@@ -445,16 +445,17 @@ def stream_states(master_seed: int, trials: range, tags: np.ndarray) -> np.ndarr
     vectorized pass of the hash over every key.  The seed splits into
     little-endian uint32 words, and a negative one raises ValueError; the
     0 word is a fixed part of every key; each trial and tag entry is one
-    word, and one outside [0, 2**32) raises ValueError too.  The tests
-    compare entries with numpy's own SeedSequence, so a numpy change to its
-    hash shows there.
+    word, and one outside [0, 2**32) raises ValueError too; a non-integer
+    one raises TypeError, as in SeedSequence.  The tests compare entries
+    with numpy's own SeedSequence, so a numpy change to its hash shows there.
 
     The last 8 results are kept, keyed on the seed, the trial range and the
     tags as ints, so the points of a sweep, which share their streams,
     derive a block's words once; a kept result is the same bytes a fresh
     pass gives.  stream_states.cache_clear() drops them."""
     tags = np.asarray(tags)
-    return _states(operator.index(master_seed), trials, tags.shape, tuple(tags.ravel().tolist()))
+    key = tuple([operator.index(x) for x in tags.ravel().tolist()])   # before the memo: 3.0 == 3
+    return _states(operator.index(master_seed), trials, tags.shape, key)
 
 
 @functools.lru_cache(maxsize=8)
@@ -612,39 +613,36 @@ def draw_block(cfg: ScenarioConfig, trials: range, run: BlockDraws | None = None
                       boot_st[0] if own else run.boot)
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
-    """Monte Carlo over n_trials; returns one MetricsResult per receiver.
+def channel_stage(cfg: ScenarioConfig) -> tuple[int, typing.Callable[[BlockDraws], np.ndarray]]:
+    """(block, channel_block): a block's trial count, and what turns one
+    block's BlockDraws into its (U, B) h_eff, on the run-fixed set-up built
+    here once: the links' gains, the element axis and responses, and h.
 
-    Each block runs in two phases.  draw_block draws every variate of the
-    block into one BlockDraws record; its docstring states each stream's
-    key and draw order.  The channel phase reads only that record and
-    touches no generator: it places the clusters, weights and shadows their
-    paths on each link in one pass over the block's scatterers, and takes
-    the (B, M) tx -> surface sightline coefficients from the run's (M,)
-    gains; per trial and surface tx_ris_channel only sums the scatter paths
-    in one matmul into a row of the block's h, every surface's elements on
-    one axis, and adds the sightline if seen.  Then, each over every
-    receiver at once, come the (B, U) direct links as segment sums plus
-    their sightlines, the (B, M, U) surface -> receiver coefficients c from
-    the run's (M, U) gains, and one combination for any user count.  User
-    u's link on surface m is c_{u,m} times a fixed response resp_u; element
-    k is co-phased for its owner o against h_d,o with sign s (+1 "paper",
-    -1 "aligned"), and arg(+-0) = 0, so
+    channel_block reads only its record and touches no generator: it places
+    the clusters, weights and shadows their paths on each link in one pass
+    over the block's scatterers, and takes the (B, M) tx -> surface
+    sightline coefficients from the run's (M,) gains; per trial and surface
+    tx_ris_channel only sums the scatter paths in one matmul into a row of
+    h, every surface's elements on one axis, and adds the sightline if seen.
+    Then, each over every receiver at once, come the (B, U) direct links as
+    segment sums plus their sightlines, the (B, M, U) surface -> receiver
+    coefficients c from the run's (M, U) gains, and one combination for any
+    user count.  User u's link on surface m is c_{u,m} times a fixed
+    response resp_u; element k is co-phased for its owner o against h_d,o
+    with sign s (+1 "paper", -1 "aligned"), and arg(+-0) = 0, so
 
       h_eff,u = h_d,u + e^{-js arg h_d,u} sum_m |c_{u,m}| sum_{k in m, o=u} amp_k |h_k|
               + sum_m c_{u,m} sum_{k in m, o!=u} resp_{u,k} amp_k e^{j phase_k} h_k:
 
     a segment sum per (surface, owner), and with offblock "include" and
     several users a product per trial and surface, e^{j phase_k} being
-    combined_phase_vector's phasor.  threads is ignored: perfbench passes it.
-    """
-    _require_valid(cfg)
+    combined_phase_vector's phasor.  Only h outlives a call, which writes
+    it before reading it."""
     receivers, surfaces = cfg.rx, cfg.ris_list
     n_users, n_surfaces = len(receivers), len(surfaces)
     anchors = [r.position for r in surfaces] or [receivers[0]]
     # only the first anchor's clusters feed the direct links
     seen_by = [receivers] + [[]] * (len(anchors) - 1)
-    # what every sightline keeps from trial to trial, one pass per surface and run
     by_surface = [Sightline.towards(ris, [cfg.tx, *receivers], cfg.pl_los, cfg.freq_hz)
                   for ris in surfaces]
     rx_links = [links[1:] for links in by_surface]   # [m][u], as c's (m, u) axes
@@ -674,16 +672,9 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
 
     block = min(_block_size(n_users, sizes, _expected_scatterers(cfg.env)), cfg.n_trials)
     h = np.empty((block, edges[-1]), dtype=complex)
-    h_eff = np.empty((n_users, cfg.n_trials), dtype=complex)
-    draws = None
-    for start in range(0, cfg.n_trials, block):
-        stop = min(start + block, cfg.n_trials)
-        n = stop - start
-        # the last block's channel arrays, loop views too, go first
-        places = surface = direct = weights = w = wz = ex = None
-        draws = draw_block(cfg, range(start, stop), draws)
 
-        # the channel phase: no generator from here to the block's end
+    def channel_block(draws: BlockDraws) -> np.ndarray:
+        n = len(draws.tx)
         places = [place_clusters(d, cfg.tx, a, seen)
                   for d, a, seen in zip(draws.clusters, anchors, seen_by)]
         surface = [surface_paths(r, p, cfg.pl_nlos, cfg.freq_hz) for r, p in zip(surfaces, places)]
@@ -715,14 +706,30 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
             x *= amplitude * h[:n]
             for m, col in enumerate(cols):   # one product per trial: bits free of n
                 out += c[:, m] * (x[:, None, col] @ other_resp[m])[:, 0]
-        h_eff[:, start:stop] = out.T
+        return out.T
 
+    return block, channel_block
+
+
+def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> list[MetricsResult]:
+    """Monte Carlo over n_trials; returns one MetricsResult per receiver.
+
+    Per block, draw_block draws every variate into one BlockDraws record,
+    and channel_stage's channel_block builds the block's h_eff from it
+    alone.  threads is ignored: perfbench passes it."""
+    _require_valid(cfg)
+    block, channel_block = channel_stage(cfg)
+    h_eff = np.empty((len(cfg.rx), cfg.n_trials), dtype=complex)
+    draws = None
+    for start in range(0, cfg.n_trials, block):
+        stop = min(start + block, cfg.n_trials)
+        draws = draw_block(cfg, range(start, stop), draws)
+        h_eff[:, start:stop] = channel_block(draws)
     boot = draws.boot
-    # free the last block, its loop views too, before the bootstrap
-    draws = places = surface = direct = weights = w = wz = ex = tx_coef = None
+    del draws   # the last block's draws go before the bootstrap
     results = []
-    for u in range(n_users):
-        res = summarize(h_eff[u], cfg.budget, seed=cfg.master_seed)
+    for u, row in enumerate(h_eff):
+        res = summarize(row, cfg.budget, seed=cfg.master_seed)
         res.rate_ci_low, res.rate_ci_high = bootstrap_mean_ci(
             res.rate_samples, rng=derived_rng(boot[u]))
         results.append(res)

@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -518,3 +521,13 @@ def test_corrupted_config_fails_cleanly(tmp_path, data):
     config = tmp_path / "corrupt.json"
     config.write_text(json.dumps(tree))
     assert main(["validate", str(config)]) in (1, 2)
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy loads numpy.random lazily, and risim defers its one use of it,
+    # so importing the package and the CLI stays cheap; pytest has loaded
+    # numpy.random in this process already, so a fresh one checks it
+    code = "import sys, risim, risim.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -652,6 +652,20 @@ def test_stream_states_reject_entries_past_one_word(trials, tag):
             stream_states(1, trials, np.array([(1, tag)]))
 
 
+@pytest.mark.parametrize("tag", [1.5, 3.0])
+def test_stream_states_reject_non_integer_tags(tag):
+    # SeedSequence raises TypeError on a float entry, a whole one too; the
+    # check comes before the memo, whose keys compare 3.0 == 3, so a kept
+    # integer key does not let its float twin through
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(entropy=(1, 0, 0, 1, tag))
+    stream_states(1, range(2), np.array([(1, int(tag))]))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            stream_states(1, range(2), np.array([(1, tag)]))
+    assert stream_states(1, range(2), np.empty((0, 2))).shape == (2, 0, 4)
+
+
 _TWO_SURFACES = [
     RisDescriptor(position=Point3(70.0, 30.0, 1.5), n_elements=16, amplitude=0.7,
                   orient=Orientation(plane=Plane.XZ, tilt_rad=-0.3)),
@@ -1065,6 +1079,36 @@ def test_channel_phase_draws_nothing(monkeypatch, resample):
         assert states == [g.bit_generator.state for g in derived[lo:hi]]
         assert set(calls[8 * b:8 * b + 8]) == {hi}
     assert len(derived) == marks[-1][1] + 2
+
+
+def test_channel_stage_keeps_no_state_and_draws_nothing(monkeypatch):
+    # channel_block on each block's draws, taken in reverse order with every
+    # generator constructor raising, gives the h_eff run_scenario summarizes,
+    # byte for byte: the stage carries nothing from one block to the next
+    # and draws nothing
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 4)
+    cfg = _cfg(rx=_TWO_USERS, ris_list=_TWO_SURFACES, n_trials=9)
+    rows = []
+
+    def keep(row, *args, **kwargs):
+        rows.append(row.copy())
+        return summarize(row, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "summarize", keep)
+    run_scenario(cfg)
+    block, channel_block = experiments.channel_stage(cfg)
+    draws = [None]
+    for start in range(0, 9, block):
+        draws.append(experiments.draw_block(cfg, range(start, min(start + block, 9)), draws[-1]))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the channel stage made a generator")
+
+    monkeypatch.setattr(experiments, "derived_rng", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    got = [channel_block(d) for d in draws[:0:-1]][::-1]
+    assert block == 4 and [g.shape for g in got] == [(2, 4), (2, 4), (2, 1)]
+    assert np.concatenate(got, axis=1).tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("rx_z", [1.0, 3.0], ids=["rx_below_tx", "rx_above_tx"])
